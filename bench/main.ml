@@ -17,11 +17,9 @@
      evasion  taint-laundering evasion vs the policy response (Sec. VI-D)
      tomography tag-type confluence view (Sec. IV's inspiration)
      memory   shadow / tag-store growth per analysis
-     campaign worker-pool scaling over a fixed corpus slice
-     obs      whole-pipeline profiler / telemetry overhead
-     graph    attack-graph builder overhead (plugin off vs on)
-     query    incremental-builder residency + forensic-store latency
-     micro    Bechamel micro-benchmarks of the engine primitives *)
+
+   Performance figures beyond Table V come from the pipeline benchmark:
+   see bench/pipeline/README.md. *)
 
 let pp = Format.std_formatter
 
@@ -489,836 +487,6 @@ let memory () =
     "(provenance lists are capped at %d tags, bounding the paper's memory-exhaustion evasion)@."
     Faros_dift.Provenance.max_length
 
-(* -- bechamel micro-benchmarks ------------------------------------------- *)
-
-(* The pre-interning representation, kept as the measurement baseline for
-   the before/after comparison: provenance as raw tag lists with the old
-   append-and-cap union, and shadow memory as a per-byte hashtable. *)
-module List_prov = struct
-  let cap l = List.filteri (fun i _ -> i < Faros_dift.Provenance.max_length) l
-
-  let union a b = cap (a @ List.filter (fun t -> not (List.mem t a)) b)
-
-  let prepend tag l =
-    match l with
-    | hd :: _ when Faros_dift.Tag.equal hd tag -> l
-    | _ -> cap (tag :: l)
-end
-
-module Hashtbl_shadow = struct
-  type t = (int, Faros_dift.Tag.t list) Hashtbl.t
-
-  let create () : t = Hashtbl.create 1024
-
-  let set_mem h paddr prov =
-    if prov = [] then Hashtbl.remove h paddr else Hashtbl.replace h paddr prov
-
-  let get_mem h paddr = Option.value ~default:[] (Hashtbl.find_opt h paddr)
-
-  let get_mem_range h paddr width =
-    let acc = ref [] in
-    for i = 0 to width - 1 do
-      acc := List_prov.union !acc (get_mem h (paddr + i))
-    done;
-    !acc
-end
-
-(* Steady-state speedup of the interned hot-path operations over the list /
-   per-byte-hashtable baseline, measured directly: the same operands hit the
-   memo tables every iteration, exactly as a replay's inner loop does. *)
-let micro_speedups () =
-  let open Faros_dift in
-  let time_op ~iters f =
-    (* warm up (fill memo tables / allocate pages), then time *)
-    f ();
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to iters do
-      f ()
-    done;
-    Unix.gettimeofday () -. t0
-  in
-  let iters = 200_000 in
-  let tags_a = List.init 8 (fun i -> Tag.Process i)
-  and tags_b = List.init 8 (fun i -> Tag.File i) in
-  let pa = Provenance.of_list tags_a and pb = Provenance.of_list tags_b in
-  let nf = Tag.Netflow 0 in
-  (* shadows with identically-tainted 4 KiB regions *)
-  let width = 256 in
-  let paged = Shadow.create () in
-  Shadow.set_mem_range paged 0 4096 (Provenance.of_list [ nf; Tag.Process 1 ]);
-  let perbyte = Hashtbl_shadow.create () in
-  for a = 0 to 4095 do
-    Hashtbl_shadow.set_mem perbyte a [ nf; Tag.Process 1 ]
-  done;
-  let rows =
-    [
-      ( "prepend",
-        time_op ~iters (fun () -> ignore (List_prov.prepend nf tags_a)),
-        time_op ~iters (fun () -> ignore (Provenance.prepend nf pa)) );
-      ( "union",
-        time_op ~iters (fun () -> ignore (List_prov.union tags_a tags_b)),
-        time_op ~iters (fun () -> ignore (Provenance.union pa pb)) );
-      ( Printf.sprintf "get_mem_range(%db)" width,
-        time_op ~iters (fun () ->
-            ignore (Hashtbl_shadow.get_mem_range perbyte 0 width)),
-        time_op ~iters (fun () -> ignore (Shadow.get_mem_range paged 0 width))
-      );
-    ]
-  in
-  Fmt.pf pp "@.steady-state speedup over the list/per-byte-hashtbl baseline:@.";
-  Fmt.pf pp "%-22s %-16s %-16s %s@." "operation" "baseline ns/op"
-    "interned ns/op" "speedup";
-  List.iter
-    (fun (name, t_base, t_new) ->
-      let per t = t /. float_of_int iters *. 1e9 in
-      Fmt.pf pp "%-22s %-16.1f %-16.1f %.1fx@." name (per t_base) (per t_new)
-        (t_base /. t_new))
-    rows
-
-(* Cost of the observability layer around a full replay under FAROS:
-   disabled (the default null sink — what every analysis pays after this
-   layer landed: one branch per instrumentation point) vs enabled
-   (collector sink + tick sampler).  The disabled path must stay within
-   noise of the pre-instrumentation baseline. *)
-let obs_overhead () =
-  let scn = Faros_corpus.Attack_hollowing.scenario () in
-  let _, trace = Faros_corpus.Scenario.record scn in
-  let disabled () =
-    ignore
-      (Faros_corpus.Scenario.replay_with scn
-         ~plugins:(fun kernel ->
-           let faros = Core.Faros_plugin.create kernel in
-           [ Core.Faros_plugin.plugin faros ])
-         trace)
-  in
-  let enabled () =
-    let telemetry = Core.Telemetry.create () in
-    let faros_ref = ref None in
-    ignore
-      (Faros_corpus.Scenario.replay_with scn
-         ~sample:
-           ( 64,
-             fun ~tick ~syscalls ->
-               match !faros_ref with
-               | Some faros ->
-                 Core.Telemetry.sample telemetry faros ~tick ~syscalls
-               | None -> () )
-         ~plugins:(fun kernel ->
-           let faros =
-             Core.Faros_plugin.create ~trace:(Faros_obs.Trace.collector ())
-               kernel
-           in
-           faros_ref := Some faros;
-           [ Core.Faros_plugin.plugin faros ])
-         trace)
-  in
-  disabled ();
-  enabled ();
-  let t_disabled = time_runs ~reps:7 disabled in
-  let t_enabled = time_runs ~reps:7 enabled in
-  Fmt.pf pp "@.observability cost around a full replay+FAROS (%d ticks):@."
-    trace.final_tick;
-  Fmt.pf pp "  obs disabled (null sink):        %.4f s@." t_disabled;
-  Fmt.pf pp "  obs enabled (collector+sampler): %.4f s (%+.1f%%)@." t_enabled
-    ((t_enabled /. t_disabled -. 1.0) *. 100.0);
-  Fmt.pf pp
-    "  (the disabled path is one branch per instrumentation point; it must@.";
-  Fmt.pf pp "   stay within noise, <5%%, of the pre-instrumentation baseline)@."
-
-let micro () =
-  section "Bechamel micro-benchmarks (engine primitives and whole-sample runs)";
-  let open Bechamel in
-  let open Toolkit in
-  let shadow = Faros_dift.Shadow.create () in
-  let store = Faros_dift.Tag_store.create () in
-  let nf =
-    Faros_dift.Tag_store.netflow store
-      { src_ip = 1; src_port = 2; dst_ip = 3; dst_port = 4 }
-  in
-  Faros_dift.Shadow.set_mem shadow 0 (Faros_dift.Provenance.singleton nf);
-  let tags_a = List.init 8 (fun i -> Faros_dift.Tag.Process i)
-  and tags_b = List.init 8 (fun i -> Faros_dift.Tag.File i) in
-  let prov_a = Faros_dift.Provenance.of_list tags_a
-  and prov_b = Faros_dift.Provenance.of_list tags_b in
-  (* the per-byte-hashtable baseline, pre-populated like [shadow] *)
-  let perbyte = Hashtbl_shadow.create () in
-  Hashtbl_shadow.set_mem perbyte 0 [ nf ];
-  let reflective =
-    match Faros_corpus.Registry.find "reflective_dll_inject" with
-    | Some s -> s
-    | None -> assert false
-  in
-  (* one recorded hollowing trace shared by the whole-scenario pair *)
-  let scn = Faros_corpus.Attack_hollowing.scenario () in
-  let _, trace = Faros_corpus.Scenario.record scn in
-  let replay_with_faros () =
-    ignore
-      (Faros_corpus.Scenario.replay_with scn
-         ~plugins:(fun kernel ->
-           let faros = Core.Faros_plugin.create kernel in
-           [ Core.Faros_plugin.plugin faros ])
-         trace)
-  in
-  let tests =
-    Test.make_grouped ~name:"faros"
-      [
-        Test.make ~name:"table1/propagate-copy"
-          (Staged.stage (fun () ->
-               Faros_dift.Propagate.copy shadow ~dst:(Faros_dift.Propagate.Mem 1)
-                 ~src:(Faros_dift.Propagate.Mem 0)));
-        Test.make ~name:"table1/union-interned"
-          (Staged.stage (fun () ->
-               ignore (Faros_dift.Provenance.union prov_a prov_b)));
-        Test.make ~name:"table1/union-list-baseline"
-          (Staged.stage (fun () -> ignore (List_prov.union tags_a tags_b)));
-        Test.make ~name:"table1/prepend-interned"
-          (Staged.stage (fun () ->
-               ignore (Faros_dift.Provenance.prepend nf prov_a)));
-        Test.make ~name:"table1/prepend-list-baseline"
-          (Staged.stage (fun () -> ignore (List_prov.prepend nf tags_a)));
-        Test.make ~name:"shadow/get_mem_range-paged"
-          (Staged.stage (fun () ->
-               ignore (Faros_dift.Shadow.get_mem_range shadow 0 16)));
-        Test.make ~name:"shadow/get_mem_range-hashtbl-baseline"
-          (Staged.stage (fun () ->
-               ignore (Hashtbl_shadow.get_mem_range perbyte 0 16)));
-        Test.make ~name:"table1/prov-tag-encode"
-          (Staged.stage (fun () -> ignore (Faros_dift.Tag.encode nf)));
-        Test.make ~name:"table2/analyze-reflective"
-          (Staged.stage (fun () -> ignore (analyze reflective)));
-        Test.make ~name:"table3/analyze-jit-applet"
-          (Staged.stage (fun () ->
-               match Faros_corpus.Registry.find "applet_ncradle" with
-               | Some s -> ignore (analyze s)
-               | None -> ()));
-        Test.make ~name:"table4/analyze-rat"
-          (Staged.stage (fun () ->
-               match Faros_corpus.Registry.find "quasar_v1.0_s0" with
-               | Some s -> ignore (analyze s)
-               | None -> ()));
-        Test.make ~name:"table5/replay-plain"
-          (Staged.stage (fun () ->
-               ignore (Faros_corpus.Scenario.replay_plain scn trace)));
-        Test.make ~name:"table5/replay-with-faros"
-          (Staged.stage replay_with_faros);
-      ]
-  in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows = Hashtbl.fold (fun name r acc -> (name, r) :: acc) results [] in
-  Fmt.pf pp "%-40s %-16s %s@." "benchmark" "ns/run" "r2";
-  List.iter
-    (fun (name, r) ->
-      let est =
-        match Analyze.OLS.estimates r with Some [ e ] -> e | Some _ | None -> nan
-      in
-      let r2 = Option.value ~default:nan (Analyze.OLS.r_square r) in
-      Fmt.pf pp "%-40s %-16.1f %.4f@." name est r2)
-    (List.sort compare rows);
-  micro_speedups ();
-  obs_overhead ()
-
-(* -- campaign scaling ----------------------------------------------------- *)
-
-(* Wall-clock of the generated sweep corpus (1,000+ samples, shared
-   snapshot, work stealing) on 1/2/4 workers, plus a machine-readable
-   BENCH_campaign.json so the perf trajectory is tracked across PRs.
-
-   Speedup is bounded by the host's core count, so the recorded runs
-   carry [cores] (the recommendation the pool caps at) and [spawned]
-   (the domains the run actually got): on a single-core box every config
-   collapses to one domain and the interesting property is that
-   parallelism costs nothing; on a 4-core host the -j4 run must clear
-   1.5x — enforced here, not in CI, so the gate travels with the bench
-   wherever it runs.  Verdicts stay identical either way (the test suite
-   and the PBT property pin them byte-for-byte). *)
-let campaign () =
-  section "campaign scaling (worker pool over the generated sweep corpus)";
-  let corpus = Faros_corpus.Registry.sweep1k () in
-  let cores = Domain.recommended_domain_count () in
-  (* (spawned, steals) of the latest run per config, for the export. *)
-  let shape = Hashtbl.create 4 in
-  let run workers () =
-    let c = Faros_farm.Campaign.run ~workers corpus in
-    if not (Faros_farm.Campaign.ok c) then
-      Fmt.pf pp "UNEXPECTED MISMATCHES at %d workers@." workers;
-    let steals =
-      List.fold_left
-        (fun acc (ws : Faros_farm.Pool.worker_stat) -> acc + ws.ws_steals)
-        0 c.worker_stats
-    in
-    Hashtbl.replace shape workers (c.spawned, steals)
-  in
-  (* Interleave the reps across worker counts so slow drift (thermal,
-     allocator state) spreads evenly instead of penalizing whichever
-     configuration is measured last. *)
-  let configs = [ 1; 2; 4 ] in
-  let reps = 3 in
-  let samples = Hashtbl.create 4 in
-  run (List.fold_left max 1 configs) ();
-  for _ = 1 to reps do
-    List.iter
-      (fun workers ->
-        let t0 = Unix.gettimeofday () in
-        run workers ();
-        let dt = Unix.gettimeofday () -. t0 in
-        Hashtbl.replace samples workers
-          (dt :: Option.value ~default:[] (Hashtbl.find_opt samples workers)))
-      configs
-  done;
-  let measured =
-    List.map (fun w -> (w, median (Hashtbl.find samples w))) configs
-  in
-  let t1 = List.assoc 1 measured in
-  Fmt.pf pp "%-8s %-8s %-10s %-8s %-8s (%d samples, %d cores, interleaved median of %d)@."
-    "workers" "spawned" "wall-s" "speedup" "steals" (List.length corpus)
-    cores reps;
-  List.iter
-    (fun (workers, t) ->
-      let spawned, steals = Hashtbl.find shape workers in
-      Fmt.pf pp "%-8d %-8d %-10.4f %-8.2f %-8d@." workers spawned t (t1 /. t)
-        steals)
-    measured;
-  let json =
-    Printf.sprintf
-      {|{"bench":"campaign-scaling","corpus":"sweep1k","samples":%d,"cores":%d,"runs":[%s]}|}
-      (List.length corpus) cores
-      (String.concat ","
-         (List.map
-            (fun (workers, t) ->
-              let spawned, steals = Hashtbl.find shape workers in
-              Printf.sprintf
-                {|{"workers":%d,"spawned":%d,"wall_s":%.6f,"speedup":%.4f,"steals":%d}|}
-                workers spawned t (t1 /. t) steals)
-            measured))
-  in
-  let oc = open_out "BENCH_campaign.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pf pp "wrote BENCH_campaign.json@.";
-  (* The scaling gate: only meaningful where the hardware can scale.  A
-     4+-core host that fails to clear 1.5x at -j4 has lost the
-     near-linear property this corpus exists to demonstrate. *)
-  let speedup4 = t1 /. List.assoc 4 measured in
-  if cores >= 4 && speedup4 < 1.5 then begin
-    Fmt.pf pp "FAIL: -j4 speedup %.2fx < 1.5x on a %d-core host@." speedup4
-      cores;
-    exit 1
-  end
-
-(* -- translation-block cache ---------------------------------------------- *)
-
-(* Cached vs uncached wall time per Table-V workload, for the bare replay
-   (the interpreter critical path the cache targets) and for the full
-   FAROS replay (where the DIFT engine's own cost dilutes the win), plus
-   the cache hit rate of an instrumented cached run.  Emits
-   BENCH_tbcache.json so the speedup and hit rate are tracked across
-   PRs. *)
-let tbcache () =
-  section "tbcache: translation-block cache (uncached vs cached replay)";
-  Fmt.pf pp "%-16s %-22s %-22s %s@." "application" "replay off/on (s)"
-    "faros off/on (s)" "hit-rate";
-  let rows =
-    List.map
-      (fun (label, scn) ->
-        let _k, trace = Faros_corpus.Scenario.record scn in
-        let replay_plain tb_cache () =
-          ignore (Faros_corpus.Scenario.replay_plain ~tb_cache scn trace)
-        in
-        let replay_faros tb_cache () =
-          ignore
-            (Faros_corpus.Scenario.replay_with scn ~tb_cache
-               ~plugins:(fun kernel ->
-                 let faros = Core.Faros_plugin.create kernel in
-                 [ Core.Faros_plugin.plugin faros ])
-               trace)
-        in
-        let p_off = time_runs ~reps:5 (replay_plain false) in
-        let t_off = time_runs ~reps:5 (replay_faros false) in
-        let p_on = time_runs ~reps:5 (replay_plain true) in
-        let t_on = time_runs ~reps:5 (replay_faros true) in
-        (* One instrumented cached run to read the hit rate. *)
-        let metrics = Faros_obs.Metrics.create () in
-        let faros_ref = ref None in
-        ignore
-          (Faros_corpus.Scenario.replay_with scn
-             ~plugins:(fun kernel ->
-               let faros = Core.Faros_plugin.create ~metrics kernel in
-               faros_ref := Some faros;
-               [ Core.Faros_plugin.plugin faros ])
-             trace);
-        (match !faros_ref with
-        | Some faros -> Core.Faros_plugin.finalize faros
-        | None -> ());
-        let gauge name =
-          Faros_obs.Metrics.gauge_value (Faros_obs.Metrics.gauge metrics name)
-        in
-        let hits = gauge "vm.tbcache.hits" and misses = gauge "vm.tbcache.misses" in
-        let hit_rate =
-          if hits + misses = 0 then 0. else float hits /. float (hits + misses)
-        in
-        Fmt.pf pp "%-16s %-22s %-22s %.1f%%@." label
-          (Printf.sprintf "%.4f/%.4f %.2fx" p_off p_on (p_off /. p_on))
-          (Printf.sprintf "%.4f/%.4f %.2fx" t_off t_on (t_off /. t_on))
-          (100. *. hit_rate);
-        (label, p_off, p_on, t_off, t_on, hit_rate))
-      (Faros_corpus.Perf.workloads ())
-  in
-  let json =
-    Printf.sprintf {|{"bench":"tbcache","runs":[%s]}|}
-      (String.concat ","
-         (List.map
-            (fun (label, p_off, p_on, t_off, t_on, hit_rate) ->
-              Printf.sprintf
-                {|{"workload":"%s","replay_uncached_s":%.6f,"replay_cached_s":%.6f,"replay_speedup":%.4f,"faros_uncached_s":%.6f,"faros_cached_s":%.6f,"faros_speedup":%.4f,"hit_rate":%.4f}|}
-                label p_off p_on (p_off /. p_on) t_off t_on (t_off /. t_on)
-                hit_rate)
-            rows))
-  in
-  let oc = open_out "BENCH_tbcache.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pf pp "wrote BENCH_tbcache.json@."
-
-(* -- demand-driven DIFT fast path ------------------------------------------ *)
-
-(* FAROS replay cost per Table-V workload with the untainted fast path off
-   vs on (TB cache on throughout), against the uncached FAROS replay the
-   tbcache section uses as its "before".  The headline number is
-   faros_speedup_fast = uncached / (cached + fast path) — the Table-V
-   FAROS-on speedup once both PR 5's cache and this PR's demand-driven
-   skipping are in place.  Emits BENCH_diftfast.json so the trajectory is
-   tracked across PRs. *)
-let diftfast () =
-  section "diftfast: demand-driven DIFT (untainted fast path off vs on)";
-  Fmt.pf pp "%-16s %-12s %-22s %-10s %s@." "application" "uncached(s)"
-    "cached off/on (s)" "speedup" "skip-rate";
-  let rows =
-    List.map
-      (fun (label, scn) ->
-        let _k, trace = Faros_corpus.Scenario.record scn in
-        let replay_faros ~tb_cache ~dift_fast () =
-          ignore
-            (Faros_corpus.Scenario.replay_with scn ~tb_cache ~dift_fast
-               ~plugins:(fun kernel ->
-                 let faros = Core.Faros_plugin.create kernel in
-                 [ Core.Faros_plugin.plugin faros ])
-               trace)
-        in
-        let t_unc = time_runs ~reps:3 (replay_faros ~tb_cache:false ~dift_fast:false) in
-        let t_off = time_runs ~reps:5 (replay_faros ~tb_cache:true ~dift_fast:false) in
-        let t_on = time_runs ~reps:5 (replay_faros ~tb_cache:true ~dift_fast:true) in
-        (* One instrumented fast run to read the skip rate. *)
-        let metrics = Faros_obs.Metrics.create () in
-        let faros_ref = ref None in
-        ignore
-          (Faros_corpus.Scenario.replay_with scn ~tb_cache:true ~dift_fast:true
-             ~plugins:(fun kernel ->
-               let faros = Core.Faros_plugin.create ~metrics kernel in
-               faros_ref := Some faros;
-               [ Core.Faros_plugin.plugin faros ])
-             trace);
-        (match !faros_ref with
-        | Some faros -> Core.Faros_plugin.finalize faros
-        | None -> ());
-        let gauge name =
-          Faros_obs.Metrics.gauge_value (Faros_obs.Metrics.gauge metrics name)
-        in
-        let hits = gauge "dift.fastpath.hits"
-        and misses = gauge "dift.fastpath.misses" in
-        let skip_rate =
-          if hits + misses = 0 then 0.
-          else float hits /. float (hits + misses)
-        in
-        Fmt.pf pp "%-16s %-12.4f %-22s %-10s %.1f%%@." label t_unc
-          (Printf.sprintf "%.4f/%.4f" t_off t_on)
-          (Printf.sprintf "%.2fx->%.2fx" (t_unc /. t_off) (t_unc /. t_on))
-          (100. *. skip_rate);
-        (label, t_unc, t_off, t_on, skip_rate))
-      (Faros_corpus.Perf.workloads ())
-  in
-  let json =
-    Printf.sprintf {|{"bench":"diftfast","runs":[%s]}|}
-      (String.concat ","
-         (List.map
-            (fun (label, t_unc, t_off, t_on, skip_rate) ->
-              Printf.sprintf
-                {|{"workload":"%s","faros_uncached_s":%.6f,"faros_cached_s":%.6f,"faros_fast_s":%.6f,"faros_speedup_cached":%.4f,"faros_speedup_fast":%.4f,"fast_gain":%.4f,"skip_rate":%.4f}|}
-                label t_unc t_off t_on (t_unc /. t_off) (t_unc /. t_on)
-                (t_off /. t_on) skip_rate)
-            rows))
-  in
-  let oc = open_out "BENCH_diftfast.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pf pp "wrote BENCH_diftfast.json@."
-
-(* -- observability overhead ----------------------------------------------- *)
-
-(* End-to-end cost of the whole-pipeline observability layer per Table-V
-   workload: the full analyze pipeline (record + replay + FAROS) with
-   obs disabled (null profile/sink — every instrumentation point is one
-   branch), with only the JSONL sink enabled (the <=5% target), with the
-   span profiler enabled, and with the works (profiler + sink + trace
-   collector).  The profiler times every instruction step, so its cost
-   scales with span density, like any tracing profiler; the sink's cost
-   is per emitted line and must stay in the noise.  Emits BENCH_obs.json
-   so the trajectory is tracked across PRs. *)
-let obs_bench () =
-  section "obs: whole-pipeline profiler and telemetry overhead";
-  Fmt.pf pp "%-16s %-12s %-20s %-20s %-20s %s@." "application" "base (s)"
-    "sink (s)" "profiled (s)" "full obs (s)" "spans";
-  let rows =
-    List.map
-      (fun (label, scn) ->
-        let base () = ignore (Faros_corpus.Scenario.analyze scn) in
-        let sink_only () =
-          ignore
-            (Faros_corpus.Scenario.analyze ~sink:(Faros_obs.Sink.create ())
-               scn)
-        in
-        let profiled () =
-          ignore
-            (Faros_corpus.Scenario.analyze
-               ~profile:(Faros_obs.Profile.create ())
-               scn)
-        in
-        let full () =
-          ignore
-            (Faros_corpus.Scenario.analyze
-               ~profile:(Faros_obs.Profile.create ())
-               ~sink:(Faros_obs.Sink.create ())
-               ~trace_sink:(Faros_obs.Trace.collector ())
-               scn)
-        in
-        let t_base = time_runs ~reps:5 base in
-        let t_sink = time_runs ~reps:5 sink_only in
-        let t_prof = time_runs ~reps:5 profiled in
-        let t_full = time_runs ~reps:5 full in
-        (* one instrumented run to count the spans actually attributed *)
-        let profile = Faros_obs.Profile.create () in
-        ignore (Faros_corpus.Scenario.analyze ~profile scn);
-        let spans = List.length (Faros_obs.Profile.spans profile) in
-        let pct t = (t /. t_base -. 1.0) *. 100. in
-        Fmt.pf pp "%-16s %-12.4f %-20s %-20s %-20s %d@." label t_base
-          (Printf.sprintf "%.4f %+.1f%%" t_sink (pct t_sink))
-          (Printf.sprintf "%.4f %+.1f%%" t_prof (pct t_prof))
-          (Printf.sprintf "%.4f %+.1f%%" t_full (pct t_full))
-          spans;
-        (label, t_base, t_sink, t_prof, t_full, spans))
-      (Faros_corpus.Perf.workloads ())
-  in
-  let json =
-    Printf.sprintf {|{"bench":"obs","runs":[%s]}|}
-      (String.concat ","
-         (List.map
-            (fun (label, t_base, t_sink, t_prof, t_full, spans) ->
-              Printf.sprintf
-                {|{"workload":"%s","base_s":%.6f,"sink_s":%.6f,"profiled_s":%.6f,"full_s":%.6f,"sink_overhead":%.4f,"profiled_overhead":%.4f,"full_overhead":%.4f,"spans":%d}|}
-                label t_base t_sink t_prof t_full (t_sink /. t_base)
-                (t_prof /. t_base) (t_full /. t_base) spans)
-            rows))
-  in
-  let oc = open_out "BENCH_obs.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pf pp "wrote BENCH_obs.json@.";
-  Fmt.pf pp
-    "(target: sink-enabled overhead <=5%% of the base analyze; the disabled@.";
-  Fmt.pf pp
-    " path is pinned byte-identical by the test suite's overhead test)@."
-
-(* -- attack-graph overhead ------------------------------------------------ *)
-
-(* Replay cost of the online attack-graph builder: the FAROS plugin alone
-   vs FAROS + graph plugin + offline enrichment, over the Table V perf
-   workloads.  Emits BENCH_graph.json so the overhead is tracked across
-   PRs. *)
-let graph_bench () =
-  section "graph: attack-graph builder overhead (plugin off vs on)";
-  Fmt.pf pp "%-16s %-14s %-14s %-10s %-8s %s@." "application" "faros (s)"
-    "faros+graph" "overhead" "nodes" "edges";
-  let rows =
-    List.map
-      (fun (label, scn) ->
-        let _k, trace = Faros_corpus.Scenario.record scn in
-        let without () =
-          ignore
-            (Faros_corpus.Scenario.replay_with scn
-               ~plugins:(fun kernel ->
-                 let faros = Core.Faros_plugin.create kernel in
-                 [ Core.Faros_plugin.plugin faros ])
-               trace)
-        in
-        let nodes = ref 0 and edges = ref 0 in
-        let with_graph () =
-          let state = ref None in
-          ignore
-            (Faros_corpus.Scenario.replay_with scn
-               ~plugins:(fun kernel ->
-                 let faros = Core.Faros_plugin.create kernel in
-                 let b = Faros_graph.Build.create ~sample:label () in
-                 state := Some (faros, b);
-                 [
-                   Core.Faros_plugin.plugin faros;
-                   Faros_graph.Build.plugin b ~kernel ~faros;
-                 ])
-               trace);
-          match !state with
-          | None -> ()
-          | Some (faros, b) ->
-            Core.Faros_plugin.finalize faros;
-            Faros_graph.Build.enrich b faros;
-            let g = Faros_graph.Build.graph b in
-            nodes := Faros_graph.Graph.node_count g;
-            edges := Faros_graph.Graph.edge_count g
-        in
-        let t_off = time_runs ~reps:3 without in
-        let t_on = time_runs ~reps:3 with_graph in
-        Fmt.pf pp "%-16s %-14.4f %-14.4f %-10s %-8d %d@." label t_off t_on
-          (Printf.sprintf "%.2fx" (t_on /. t_off))
-          !nodes !edges;
-        (label, t_off, t_on, !nodes, !edges))
-      (Faros_corpus.Perf.workloads ())
-  in
-  let json =
-    Printf.sprintf {|{"bench":"graph-overhead","runs":[%s]}|}
-      (String.concat ","
-         (List.map
-            (fun (label, t_off, t_on, nodes, edges) ->
-              Printf.sprintf
-                {|{"workload":"%s","faros_s":%.6f,"faros_graph_s":%.6f,"overhead":%.4f,"nodes":%d,"edges":%d}|}
-                label t_off t_on (t_on /. t_off) nodes edges)
-            rows))
-  in
-  let oc = open_out "BENCH_graph.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pf pp "wrote BENCH_graph.json@."
-
-(* -- query: bounded-memory incremental builder + forensic store ----------- *)
-
-(* Two claims, measured.  (1) Residency: the streaming builder retains
-   O(live entities) while the legacy resident graph retains everything —
-   GC-measured retained words of each representation over inject traces
-   at 100/500/2000 connections (arrivals paced to the service time, so
-   connections quiesce as they complete).  (2) The store: ingest cost of
-   a full-corpus campaign's segment rows plus whodunit / origins /
-   merged-graph query latency.  Emits BENCH_query.json. *)
-let query_bench () =
-  section "query: incremental builder residency + store latency";
-  (* [Obj.reachable_words] over the graph-side structures themselves —
-     the resident {!Faros_graph.Graph.t} on one side, the segment
-     writer's live sets on the other — so the comparison isolates the
-     graph representation from the rest of the analysis pipeline (the
-     builder proper holds the kernel and tag store, identical in both
-     configurations). *)
-  Fmt.pf pp "%-8s %-16s %-16s %-8s %-14s %s@." "conns" "resident (words)"
-    "stream (words)" "ratio" "peak/total" "nodes";
-  let rows =
-    List.map
-      (fun clients ->
-        let scn, _, _ =
-          Faros_corpus.Servers.inject_under_load ~clients ~worker_close:true
-            ~arrival:(Faros_netd.Gen.Uniform 1000)
-            ~name:(Printf.sprintf "bench_query_%d" clients)
-            ()
-        in
-        let _k, trace = Faros_corpus.Scenario.record scn in
-        let replay ~resident ~consumer =
-          let state = ref None in
-          ignore
-            (Faros_corpus.Scenario.replay_with scn
-               ~plugins:(fun kernel ->
-                 let faros = Core.Faros_plugin.create kernel in
-                 let b =
-                   Faros_graph.Build.create ~resident ?consumer
-                     ~sample:"bench_query" ()
-                 in
-                 state := Some (faros, b);
-                 [
-                   Core.Faros_plugin.plugin faros;
-                   Faros_graph.Build.plugin b ~kernel ~faros;
-                 ])
-               trace);
-          let faros, b = Option.get !state in
-          Core.Faros_plugin.finalize faros;
-          Faros_graph.Build.enrich b faros;
-          (faros, b)
-        in
-        (* legacy one-shot graph: everything the builder retains at the
-           end of the analysis (the full resident graph) *)
-        let _, b = replay ~resident:true ~consumer:None in
-        let g = Faros_graph.Build.graph b in
-        let resident_words = Obj.reachable_words (Obj.repr g) in
-        let total_nodes = Faros_graph.Graph.node_count g in
-        let total_edges = Faros_graph.Graph.edge_count g in
-        (* incremental: rows stream to disk; what stays is the builder's
-           ordinal index plus the writer's live sets (measured before
-           [close] drains the final segment) *)
-        let tmp = Filename.temp_file "faros_bench_query" ".jsonl" in
-        let oc = open_out tmp in
-        let writer =
-          Faros_query.Segment.writer
-            ~sink:(Faros_obs.Sink.channel oc)
-            ~run:"bench_query" ()
-        in
-        let _sb =
-          replay ~resident:false
-            ~consumer:(Some (Faros_query.Segment.consume writer))
-        in
-        let stream_words = Obj.reachable_words (Obj.repr writer) in
-        Faros_query.Segment.close writer;
-        close_out oc;
-        let st = Faros_query.Segment.stats writer in
-        Sys.remove tmp;
-        Fmt.pf pp "%-8d %-16d %-16d %-8s %-14s %d@." clients resident_words
-          stream_words
-          (Printf.sprintf "%.1fx"
-             (float resident_words /. float (max 1 stream_words)))
-          (Printf.sprintf "%d/%d" st.st_peak_live_nodes st.st_spilled_nodes)
-          total_nodes;
-        (clients, resident_words, stream_words, st, total_nodes, total_edges))
-      [ 100; 500; 2000 ]
-  in
-  (* the store over a full-corpus campaign's segments *)
-  let c =
-    Faros_farm.Campaign.run ~workers:4 ~graph_segments:true
-      (Faros_corpus.Registry.all ())
-  in
-  let seg_rows =
-    List.concat_map
-      (fun (r : Faros_farm.Campaign.job_result) -> r.jr_segments)
-      c.results
-  in
-  let timed f =
-    let t0 = Unix.gettimeofday () in
-    let v = f () in
-    (v, Unix.gettimeofday () -. t0)
-  in
-  let store = Faros_query.Store.create () in
-  let _, ingest_s =
-    timed (fun () ->
-        match Faros_query.Store.ingest_lines store seg_rows with
-        | Ok n -> n
-        | Error e -> failwith e)
-  in
-  let slices, slice_s =
-    timed (fun () ->
-        List.fold_left
-          (fun acc run ->
-            match Faros_query.Store.run_graph store run with
-            | Ok g -> acc + List.length (Faros_graph.Slice.slices g)
-            | Error e -> failwith e)
-          0
-          (Faros_query.Store.runs store))
-  in
-  let origins, origins_s =
-    timed (fun () ->
-        match Faros_query.Store.origins store with
-        | Ok os -> List.length os
-        | Error e -> failwith e)
-  in
-  let merged, merged_s =
-    timed (fun () ->
-        match Faros_query.Store.merged_graph store with
-        | Ok g -> Faros_graph.Graph.node_count g
-        | Error e -> failwith e)
-  in
-  let t = Faros_query.Store.totals store in
-  Fmt.pf pp
-    "store: %d runs / %d rows ingested in %.3fs; %d slices in %.3fs, %d \
-     origins in %.3fs, merged graph (%d nodes) in %.3fs@."
-    t.t_runs t.t_rows ingest_s slices slice_s origins origins_s merged
-    merged_s;
-  let json =
-    Printf.sprintf
-      {|{"bench":"query","incremental":[%s],"store":{"runs":%d,"rows":%d,"ingest_s":%.6f,"slices":%d,"slice_s":%.6f,"origins":%d,"origins_s":%.6f,"merged_nodes":%d,"merged_s":%.6f}}|}
-      (String.concat ","
-         (List.map
-            (fun (clients, rw, sw, (st : Faros_query.Segment.stats), n, e) ->
-              Printf.sprintf
-                {|{"clients":%d,"resident_words":%d,"stream_words":%d,"ratio":%.2f,"peak_live_nodes":%d,"peak_live_edges":%d,"spilled_nodes":%d,"spilled_edges":%d,"patch_rows":%d,"segments":%d,"total_nodes":%d,"total_edges":%d}|}
-                clients rw sw
-                (float rw /. float (max 1 sw))
-                st.st_peak_live_nodes st.st_peak_live_edges st.st_spilled_nodes
-                st.st_spilled_edges st.st_patch_rows st.st_segments n e)
-            rows))
-      t.t_runs t.t_rows ingest_s slices slice_s origins origins_s merged
-      merged_s
-  in
-  let oc = open_out "BENCH_query.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pf pp "wrote BENCH_query.json@."
-
-(* -- netd: server throughput under inbound load --------------------------- *)
-
-(* Replay-side connection throughput of the benign netd server at
-   100/500/1000 concurrent clients: bare deterministic replay (FAROS
-   off — the fast-path toggle is a no-op there), FAROS with the
-   demand-driven fast path off, and FAROS with it on.  The headline
-   number is connections/sec surviving full whole-system DIFT.  Emits
-   BENCH_netd.json so the trajectory is tracked across PRs. *)
-let netd_bench () =
-  section "netd: server replay throughput (connections/sec under DIFT)";
-  Fmt.pf pp "%-8s %-20s %-24s %s@." "clients" "replay (s, c/s)"
-    "faros slow (s, c/s)" "faros fast (s, c/s)";
-  let rows =
-    List.map
-      (fun clients ->
-        let scn, _schd =
-          Faros_corpus.Servers.benign_load ~clients
-            ~name:(Printf.sprintf "bench_netd_%d" clients)
-            ()
-        in
-        let _k, trace = Faros_corpus.Scenario.record scn in
-        let replay_plain () =
-          ignore (Faros_corpus.Scenario.replay_plain ~tb_cache:true scn trace)
-        in
-        let replay_faros ~dift_fast () =
-          ignore
-            (Faros_corpus.Scenario.replay_with scn ~tb_cache:true ~dift_fast
-               ~plugins:(fun kernel ->
-                 let faros = Core.Faros_plugin.create kernel in
-                 [ Core.Faros_plugin.plugin faros ])
-               trace)
-        in
-        let reps = if clients >= 1000 then 2 else 3 in
-        let t_plain = time_runs ~reps replay_plain in
-        let t_slow = time_runs ~reps (replay_faros ~dift_fast:false) in
-        let t_fast = time_runs ~reps (replay_faros ~dift_fast:true) in
-        let cps t = float clients /. t in
-        Fmt.pf pp "%-8d %-20s %-24s %s@." clients
-          (Printf.sprintf "%.4f %.0f" t_plain (cps t_plain))
-          (Printf.sprintf "%.4f %.0f" t_slow (cps t_slow))
-          (Printf.sprintf "%.4f %.0f" t_fast (cps t_fast));
-        (clients, t_plain, t_slow, t_fast))
-      [ 100; 500; 1000 ]
-  in
-  let json =
-    Printf.sprintf {|{"bench":"netd","runs":[%s]}|}
-      (String.concat ","
-         (List.map
-            (fun (clients, t_plain, t_slow, t_fast) ->
-              Printf.sprintf
-                {|{"clients":%d,"replay_s":%.6f,"faros_s":%.6f,"faros_fast_s":%.6f,"replay_cps":%.1f,"faros_cps":%.1f,"faros_fast_cps":%.1f,"faros_overhead":%.4f,"fast_gain":%.4f}|}
-                clients t_plain t_slow t_fast
-                (float clients /. t_plain)
-                (float clients /. t_slow)
-                (float clients /. t_fast)
-                (t_slow /. t_plain) (t_slow /. t_fast))
-            rows))
-  in
-  let oc = open_out "BENCH_netd.json" in
-  output_string oc json;
-  close_out oc;
-  Fmt.pf pp "wrote BENCH_netd.json@."
-
 (* -- driver --------------------------------------------------------------- *)
 
 let sections =
@@ -1340,14 +508,6 @@ let sections =
     ("evasion", evasion);
     ("tomography", tomography);
     ("memory", memory);
-    ("campaign", campaign);
-    ("tbcache", tbcache);
-    ("diftfast", diftfast);
-    ("obs", obs_bench);
-    ("graph", graph_bench);
-    ("query", query_bench);
-    ("netd", netd_bench);
-    ("micro", micro);
   ]
 
 let () =
