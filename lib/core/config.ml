@@ -12,9 +12,6 @@ type t = {
   whitelist : string list;  (* process names whose flags are suppressed *)
   min_process_tags : int;
   require_netflow : bool;
-  block_processing : bool;
-      (* process instructions one basic block at a time, as the paper's
-         PANDA plugin does (Section V-A); equivalent, per the test suite *)
   sample_interval : int;
       (* kernel ticks between telemetry samples when a series is recorded *)
 }
@@ -29,7 +26,6 @@ let default =
     whitelist = [];
     min_process_tags = 1;
     require_netflow = false;
-    block_processing = false;
     sample_interval = 64;
   }
 
@@ -37,7 +33,6 @@ let strict_netflow = { default with require_netflow = true }
 
 let with_policy policy t = { t with policy }
 let with_whitelist whitelist t = { t with whitelist }
-let with_block_processing t = { t with block_processing = true }
 
 let with_sample_interval sample_interval t =
   if sample_interval <= 0 then invalid_arg "Config.with_sample_interval";

@@ -19,9 +19,6 @@ type t = {
   whitelist : string list;  (** process names whose flags are suppressed *)
   min_process_tags : int;
   require_netflow : bool;
-  block_processing : bool;
-      (** process instructions one basic block at a time, as the paper's
-          PANDA plugin does (Section V-A); observationally equivalent *)
   sample_interval : int;
       (** kernel ticks between telemetry samples when a series is
           recorded (default 64) *)
@@ -34,7 +31,6 @@ val strict_netflow : t
 
 val with_policy : Faros_dift.Policy.t -> t -> t
 val with_whitelist : string list -> t -> t
-val with_block_processing : t -> t
 
 val with_sample_interval : int -> t -> t
 (** Raises [Invalid_argument] on a non-positive interval. *)

@@ -5,7 +5,6 @@
 
 type t = {
   engine : Faros_dift.Engine.t;
-  batcher : Faros_dift.Block_engine.t option;  (* Some when block_processing *)
   fastpath : Faros_dift.Fastpath.t option;  (* Some when the machine allows it *)
   detector : Detector.t;
   kernel : Faros_os.Kernel.t;
@@ -38,16 +37,12 @@ let create ?(config = Config.default) ?(metrics = Faros_obs.Metrics.create ())
     Faros_dift.Engine.create ~policy:config.policy ~metrics ~trace ~profile
       ?interner ()
   in
-  let batcher =
-    if config.block_processing then Some (Faros_dift.Block_engine.of_engine engine)
-    else None
-  in
   (* The untainted fast path only exists over cached blocks; the machine
      knob ({!Faros_vm.Machine.dift_fast_enabled}) is read once here, so a
      per-replay override must land before the plugins attach. *)
   let fastpath =
     if Faros_vm.Machine.dift_fast_enabled kernel.machine then
-      Some (Faros_dift.Fastpath.create ?batcher ~machine:kernel.machine engine)
+      Some (Faros_dift.Fastpath.create ~machine:kernel.machine engine)
     else None
   in
   let detector =
@@ -58,34 +53,25 @@ let create ?(config = Config.default) ?(metrics = Faros_obs.Metrics.create ())
     kernel.exports.Faros_os.Export_table.pointers_by_name;
   Faros_dift.Engine.add_load_observer engine (fun info ->
       Detector.on_load detector ~tick:(Faros_os.Kernel.tick kernel) info);
-  { engine; batcher; fastpath; detector; kernel; config; metrics; trace;
+  { engine; fastpath; detector; kernel; config; metrics; trace;
     profile; sink }
 
-(* The fast path wraps whichever exec consumer the config selected; OS
-   events keep their direct route (they insert taint and must flush the
-   batcher regardless of what execution skipped). *)
+(* The fast path, when present, fronts the engine's exec hook; OS events
+   keep their direct route (they insert taint regardless of what execution
+   skipped). *)
 let plugin t =
   let on_exec =
-    match (t.fastpath, t.batcher) with
-    | Some fp, _ -> fun cpu eff -> Faros_dift.Fastpath.on_exec fp cpu eff
-    | None, Some b -> fun cpu eff -> Faros_dift.Block_engine.on_exec b cpu eff
-    | None, None -> fun cpu eff -> Faros_dift.Engine.on_exec t.engine cpu eff
+    match t.fastpath with
+    | Some fp -> fun cpu eff -> Faros_dift.Fastpath.on_exec fp cpu eff
+    | None -> fun cpu eff -> Faros_dift.Engine.on_exec t.engine cpu eff
   in
-  match t.batcher with
-  | None ->
-    Faros_replay.Plugin.make "faros" ~on_exec
-      ~on_os_event:(fun ev ->
-        Faros_dift.Engine.on_os_event t.engine ~resolve_asid:(resolve_asid t.kernel)
-          ev)
-  | Some b ->
-    Faros_replay.Plugin.make "faros-block" ~on_exec
-      ~on_os_event:(fun ev ->
-        Faros_dift.Block_engine.on_os_event b ~resolve_asid:(resolve_asid t.kernel)
-          ev)
+  Faros_replay.Plugin.make "faros" ~on_exec
+    ~on_os_event:(fun ev ->
+      Faros_dift.Engine.on_os_event t.engine ~resolve_asid:(resolve_asid t.kernel)
+        ev)
 
-(* Process any trailing partial block; call when the replay is over. *)
+(* Refresh the registry's state gauges; call when the replay is over. *)
 let finalize t =
-  (match t.batcher with Some b -> Faros_dift.Block_engine.finish b | None -> ());
   Faros_dift.Engine.refresh_metrics t.engine;
   (* Execution-cache telemetry: deterministic for a given scenario and
      cache setting, so `faros stats` goldens can pin it. *)

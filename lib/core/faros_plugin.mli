@@ -5,8 +5,6 @@
 
 type t = {
   engine : Faros_dift.Engine.t;
-  batcher : Faros_dift.Block_engine.t option;
-      (** present when the configuration asks for basic-block processing *)
   fastpath : Faros_dift.Fastpath.t option;
       (** present when the machine allows the DIFT untainted fast path
           ({!Faros_vm.Machine.dift_fast_enabled} at create time) *)
@@ -14,7 +12,7 @@ type t = {
   kernel : Faros_os.Kernel.t;
   config : Config.t;
   metrics : Faros_obs.Metrics.t;
-      (** the shared registry: engine, detector and batcher metrics *)
+      (** the shared registry: engine and detector metrics *)
   trace : Faros_obs.Trace.t;
       (** the shared event sink, clocked by the kernel tick *)
   profile : Faros_obs.Profile.t;
@@ -52,9 +50,8 @@ val plugin : t -> Faros_replay.Plugin.t
 (** The attachable plugin carrying the execution and event hooks. *)
 
 val finalize : t -> unit
-(** Process any trailing partial block and refresh the registry's state
-    gauges (including [obs.sink.{events,dropped}]); call when the replay
-    is over. *)
+(** Refresh the registry's state gauges (including
+    [obs.sink.{events,dropped}]); call when the replay is over. *)
 
 val report : t -> Report.t
 

@@ -61,15 +61,14 @@ type cached = { c_block : Faros_vm.Tb_cache.block; c_gen : int; c_verdict : verd
 
 type t = {
   engine : Engine.t;
-  batcher : Block_engine.t option;  (* present when block_processing *)
   machine : Faros_vm.Machine.t;  (* source of the executing block *)
   verdicts : (int, cached) Hashtbl.t;  (* b_key -> cached verdict *)
   mutable hits : int;  (* instructions skipped *)
   mutable misses : int;  (* instructions propagated *)
 }
 
-let create ?batcher ~machine engine =
-  { engine; batcher; machine; verdicts = Hashtbl.create 256; hits = 0; misses = 0 }
+let create ~machine engine =
+  { engine; machine; verdicts = Hashtbl.create 256; hits = 0; misses = 0 }
 
 let stats t = (t.hits, t.misses)
 
@@ -185,9 +184,7 @@ let skip t ~instr_prov eff =
 
 let run t cpu eff =
   t.misses <- t.misses + 1;
-  match t.batcher with
-  | Some b -> Block_engine.on_exec b cpu eff
-  | None -> Engine.on_exec t.engine cpu eff
+  Engine.on_exec t.engine cpu eff
 
 (* The pre-check decision, separated from acting on it so the profiler
    can attribute the verdict lookup and probes ([dift.precheck]) apart
@@ -195,17 +192,8 @@ let run t cpu eff =
 type decision = Dec_skip of Provenance.t | Dec_run
 
 let decide t (eff : Faros_vm.Cpu.effect) =
-  (* In batched mode the shadow lags the guest by the batcher's pending
-     effects; a verdict read from it is only trustworthy when nothing is
-     pending.  (A skippable run keeps pending empty, so whole clean
-     blocks still skip.) *)
-  let may_skip =
-    match t.batcher with
-    | None -> true
-    | Some b -> b.Block_engine.pending == []
-  in
   match t.machine.Faros_vm.Machine.cur_block with
-  | Some b when may_skip && b.b_valid && b.b_asid = eff.e_asid -> (
+  | Some b when b.b_valid && b.b_asid = eff.e_asid -> (
     match verdict_for t b with
     | Run -> Dec_run
     | Skip ->

@@ -1,7 +1,6 @@
 (** Demand-driven DIFT: skip propagation over provably-inert blocks.
 
-    Sits between the machine's execution hook and the {!Engine} (or
-    {!Block_engine}): consults the executing translation block's taint
+    Sits between the machine's execution hook and the {!Engine}: consults the executing translation block's taint
     summary plus O(1) shadow probes, and skips propagation when the
     block provably cannot change shadow state or observer inputs — the
     software analogue of hardware DIFT's decoupled tracking.  Blocks
@@ -13,7 +12,7 @@
     Never skips the first execution of freshly tainted code (the fetch
     touch must run so the process tag lands on it — instruction-fetch
     taint is FAROS's core injection signal), while a control-dependency
-    window is open, or in batched mode while effects are pending.
+    window is open.
     Skipped instructions still count toward [engine.instrs] and still
     notify load observers with the provenance the slow path would have
     computed, so analysis results are byte-identical with the fast path
@@ -22,15 +21,13 @@
 
 type t
 
-val create :
-  ?batcher:Block_engine.t -> machine:Faros_vm.Machine.t -> Engine.t -> t
-(** [batcher], when given, receives the effects of every non-skipped
-    instruction (block_processing mode); otherwise they go straight to
-    the engine.  [machine] supplies the currently-executing cached
-    block ({!Faros_vm.Machine.cur_block}). *)
+val create : machine:Faros_vm.Machine.t -> Engine.t -> t
+(** Non-skipped instructions go straight to the engine.  [machine]
+    supplies the currently-executing cached block
+    ({!Faros_vm.Machine.cur_block}). *)
 
 val on_exec : t -> Faros_vm.Cpu.t -> Faros_vm.Cpu.effect -> unit
-(** Attach in place of {!Engine.on_exec} / {!Block_engine.on_exec}. *)
+(** Attach in place of {!Engine.on_exec}. *)
 
 val stats : t -> int * int
 (** [(hits, misses)]: instructions skipped vs propagated. *)

@@ -1,7 +1,7 @@
 (* Structured trace events.
 
-   Instrumented layers (engine, detector, syscall dispatch, the block
-   batcher) emit typed events through a sink.  The disabled sink is a
+   Instrumented layers (engine, detector, syscall dispatch) emit typed
+   events through a sink.  The disabled sink is a
    constant constructor, so the hot-path discipline is
 
      if Trace.enabled sink then Trace.emit sink ~cat ~name ~pid args

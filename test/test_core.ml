@@ -394,27 +394,6 @@ let config_tests =
           in
           let outcome = Faros_corpus.Scenario.analyze ~config s.scenario in
           check_b "missed" false (Core.Report.flagged outcome.report));
-    Alcotest.test_case "block-processing mode gives identical verdicts" `Slow
-      (fun () ->
-        List.iter
-          (fun id ->
-            let direct = analyze id in
-            match Faros_corpus.Registry.find id with
-            | None -> Alcotest.fail "missing"
-            | Some s ->
-              let block =
-                Faros_corpus.Scenario.analyze
-                  ~config:(Core.Config.with_block_processing Core.Config.default)
-                  s.scenario
-              in
-              check_b (id ^ " same verdict") true
-                (Core.Report.flagged direct.report
-                = Core.Report.flagged block.report);
-              check_b (id ^ " batcher present") true (block.faros.batcher <> None);
-              check (id ^ " same flag count")
-                (List.length (Core.Report.flags direct.report))
-                (List.length (Core.Report.flags block.report)))
-          [ "reflective_dll_inject"; "process_hollowing"; "pandora_v2.2_s0" ]);
     Alcotest.test_case "Analysis.flagged mirrors the report" `Slow (fun () ->
         let outcome = analyze "reflective_dll_inject" in
         check_b "true" true (Core.Analysis.flagged outcome);

@@ -954,98 +954,6 @@ let more_engine_tests =
   ]
 
 
-(* -- block-batched engine equivalence --------------------------------------------- *)
-
-(* Run one replay of a real attack with two independent engines attached —
-   per-instruction and basic-block batched — and require identical shadow
-   outcomes and identical detection decisions. *)
-let block_tests =
-  [
-    Alcotest.test_case "block batching is observationally equivalent" `Slow
-      (fun () ->
-        let scn = Faros_corpus.Attack_reflective.reflective_dll_inject () in
-        let _, trace = Faros_corpus.Scenario.record scn in
-        let direct = ref None and batched = ref None in
-        let direct_flags = ref 0 and batched_flags = ref 0 in
-        ignore
-          (Faros_corpus.Scenario.replay_with scn
-             ~plugins:(fun kernel ->
-               let resolve pid =
-                 Option.map Faros_os.Process.asid (Faros_os.Kstate.proc kernel pid)
-               in
-               let e1 = Engine.create () in
-               let b = Block_engine.create () in
-               direct := Some e1;
-               batched := Some b;
-               Engine.taint_export_pointers e1
-                 kernel.exports.Faros_os.Export_table.pointers_by_name;
-               Engine.taint_export_pointers b.engine
-                 kernel.exports.Faros_os.Export_table.pointers_by_name;
-               let flag_rule counter (info : Engine.load_info) =
-                 if
-                   Provenance.has_export info.li_read_prov
-                   && Provenance.has_netflow info.li_instr_prov
-                 then incr counter
-               in
-               Engine.add_load_observer e1 (flag_rule direct_flags);
-               Engine.add_load_observer b.engine (flag_rule batched_flags);
-               [
-                 Faros_replay.Plugin.make "direct"
-                   ~on_exec:(fun cpu eff -> Engine.on_exec e1 cpu eff)
-                   ~on_os_event:(Engine.on_os_event e1 ~resolve_asid:resolve);
-                 Faros_replay.Plugin.make "batched"
-                   ~on_exec:(fun cpu eff -> Block_engine.on_exec b cpu eff)
-                   ~on_os_event:(Block_engine.on_os_event b ~resolve_asid:resolve);
-               ])
-             trace);
-        let e1 = Option.get !direct and b = Option.get !batched in
-        Block_engine.finish b;
-        check "same instruction count" (Engine.instrs_processed e1)
-          (Engine.instrs_processed b.engine);
-        check "same tainted byte count" (Shadow.tainted_bytes e1.shadow)
-          (Shadow.tainted_bytes b.engine.shadow);
-        check "same flags" !direct_flags !batched_flags;
-        check_b "flags fired" true (!direct_flags > 0);
-        check_b "batching actually batched" true
-          (b.blocks_flushed < Engine.instrs_processed e1);
-        (* byte-for-byte shadow equality *)
-        Shadow.iter_mem e1.shadow (fun paddr prov ->
-            check_b
-              (Printf.sprintf "shadow@%x" paddr)
-              true
-              (Provenance.equal (Shadow.get_mem b.engine.shadow paddr) prov)));
-    Alcotest.test_case "flush on kernel events preserves interleaving" `Quick
-      (fun () ->
-        let b = Block_engine.create () in
-        (* a pending straight-line effect must be processed before the event *)
-        let machine = Faros_vm.Machine.create () in
-        let space = Faros_vm.Mmu.create_space machine.mmu ~name:"t" in
-        Faros_vm.Mmu.map machine.mmu space ~vaddr:0x1000 ~pages:1;
-        let prog =
-          Faros_vm.Asm.assemble ~origin:0x1000
-            [ i (Faros_vm.Isa.Load (1, r0, Faros_vm.Isa.abs 0x1080)) ]
-        in
-        Faros_vm.Mmu.write_bytes machine.mmu ~asid:space.asid 0x1000 prog.code;
-        let cpu = Faros_vm.Cpu.create ~cr3:space.asid ~pc:0x1000 ~sp:0 in
-        Faros_vm.Machine.add_exec_hook machine (fun c e -> Block_engine.on_exec b c e);
-        let paddr = Faros_vm.Mmu.translate machine.mmu ~asid:space.asid 0x1080 in
-        Shadow.set_mem b.engine.shadow paddr (pl [ Tag.Netflow 0 ]);
-        (match Faros_vm.Machine.step machine cpu with
-        | Ok _ -> ()
-        | Error f -> Alcotest.failf "fault %a" Faros_vm.Cpu.pp_fault f);
-        (* still pending: no branch yet *)
-        check "nothing processed yet" 0 (Engine.instrs_processed b.engine);
-        Block_engine.on_os_event b ~resolve_asid:(fun _ -> None)
-          (Faros_os.Os_event.Net_recv
-             { pid = 1; flow = flow 1 2; dst_paddrs = [ paddr ] });
-        check "flushed before the event" 1 (Engine.instrs_processed b.engine);
-        (* event then overwrote the byte with fresh netflow provenance *)
-        check_b "net_recv applied after" true
-          (Provenance.to_list (Shadow.get_mem b.engine.shadow paddr)
-          = [ Tag.Netflow 0 ]));
-  ]
-
-
 (* -- engine soundness properties ---------------------------------------------------- *)
 
 (* Random straight-line programs with memory traffic inside a scratch
@@ -1216,7 +1124,6 @@ let () =
       ("engine", engine_tests);
       ("engine-more", more_engine_tests);
       ("engine-events", event_tests);
-      ("block-engine", block_tests);
       ("soundness", soundness_tests);
       ("fastpath", fastpath_tests);
     ]
