@@ -1,9 +1,14 @@
-(* Minimal JSON support shared by the exporters.
+(* Minimal JSON support shared by the exporters and the segment store.
 
    The repo deliberately avoids external JSON dependencies: exporters
-   build documents with printf, and [well_formed] is the tiny
-   recursive-descent checker the tests (and `faros check-json`) use to
-   assert those documents actually parse. *)
+   build documents with printf, and [parse] is the one recursive-descent
+   reader.  It takes the strict RFC 8259 grammar (no leading zeros,
+   digits required after '.' and after an exponent marker, no raw bytes
+   below 0x20 inside strings, exactly four hex digits after \u) and
+   reports the first error as "<msg> at offset <n>".  [well_formed], what
+   the tests and `faros check-json` use, is [parse] with the value
+   dropped, so the checker and the store cannot disagree about what a
+   document is. *)
 
 let escape s =
   let buf = Buffer.create (String.length s + 8) in
@@ -19,87 +24,169 @@ let escape s =
     s;
   Buffer.contents buf
 
+type t =
+  | Null
+  | Bool of bool
+  | Int of int
+  | Float of float
+  | Str of string
+  | List of t list
+  | Obj of (string * t) list
+
 exception Bad of string
 
-(* A well-formedness checker, not a parser: it validates structure and
-   consumes the input without building any value. *)
-let well_formed s =
+let hex_value = function
+  | '0' .. '9' as c -> Char.code c - 48
+  | 'a' .. 'f' as c -> Char.code c - 87
+  | 'A' .. 'F' as c -> Char.code c - 55
+  | _ -> -1
+
+(* UTF-8 encode a BMP code point (our emitters only produce \u00XX for
+   control bytes; surrogate pairs are not recombined). *)
+let add_utf8 buf code =
+  if code < 0x80 then Buffer.add_char buf (Char.chr code)
+  else if code < 0x800 then begin
+    Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
+    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+  end
+  else begin
+    Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
+    Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
+    Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
+  end
+
+let parse s =
   let n = String.length s in
   let pos = ref 0 in
   let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = pos := !pos + 1 in
+  let peek () = if !pos < n then Some (String.unsafe_get s !pos) else None in
+  let at c = !pos < n && String.unsafe_get s !pos = c in
+  let at_digit () =
+    !pos < n && match String.unsafe_get s !pos with '0' .. '9' -> true | _ -> false
+  in
+  let advance () = incr pos in
   let skip_ws () =
     while
-      !pos < n && (s.[!pos] = ' ' || s.[!pos] = '\t' || s.[!pos] = '\n' || s.[!pos] = '\r')
+      !pos < n
+      && match String.unsafe_get s !pos with
+         | ' ' | '\t' | '\n' | '\r' -> true
+         | _ -> false
     do
       advance ()
     done
   in
-  let expect c =
-    match peek () with
-    | Some x when x = c -> advance ()
-    | _ -> fail (Printf.sprintf "expected %C" c)
-  in
-  let literal word =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then pos := !pos + String.length word
+  let expect c = if at c then advance () else fail (Printf.sprintf "expected %C" c) in
+  let literal word v =
+    let len = String.length word in
+    if !pos + len <= n && String.sub s !pos len = word then begin
+      pos := !pos + len;
+      v
+    end
     else fail (Printf.sprintf "expected %S" word)
   in
+  (* Strings without escapes are one [String.sub]; the first backslash
+     switches to a buffer seeded with what was scanned so far. *)
   let string_lit () =
     expect '"';
-    let closed = ref false in
-    while not !closed do
+    let start = !pos in
+    let rec escaped buf =
       match peek () with
       | None -> fail "unterminated string"
       | Some '"' ->
         advance ();
-        closed := true
-      | Some '\\' -> (
+        Buffer.contents buf
+      | Some '\\' ->
         advance ();
-        match peek () with
-        | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> advance ()
+        (match peek () with
+        | Some (('"' | '\\' | '/') as c) -> Buffer.add_char buf c; advance ()
+        | Some 'b' -> Buffer.add_char buf '\b'; advance ()
+        | Some 'f' -> Buffer.add_char buf '\012'; advance ()
+        | Some 'n' -> Buffer.add_char buf '\n'; advance ()
+        | Some 'r' -> Buffer.add_char buf '\r'; advance ()
+        | Some 't' -> Buffer.add_char buf '\t'; advance ()
         | Some 'u' ->
           advance ();
+          let code = ref 0 in
           for _ = 1 to 4 do
-            match peek () with
-            | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-            | _ -> fail "bad \\u escape"
-          done
-        | _ -> fail "bad escape")
+            let d = match peek () with Some c -> hex_value c | None -> -1 in
+            if d < 0 then fail "bad \\u escape";
+            code := (!code lsl 4) lor d;
+            advance ()
+          done;
+          add_utf8 buf !code
+        | _ -> fail "bad escape");
+        escaped buf
       | Some c when Char.code c < 0x20 -> fail "control character in string"
-      | Some _ -> advance ()
-    done
-  in
-  let number () =
-    (match peek () with Some '-' -> advance () | _ -> ());
-    let digits () =
-      let start = !pos in
-      while (match peek () with Some '0' .. '9' -> true | _ -> false) do
-        advance ()
-      done;
-      if !pos = start then fail "expected digit"
+      | Some c ->
+        Buffer.add_char buf c;
+        advance ();
+        escaped buf
     in
+    let rec plain () =
+      if !pos >= n then fail "unterminated string"
+      else
+        match String.unsafe_get s !pos with
+        | '"' ->
+          let str = String.sub s start (!pos - start) in
+          advance ();
+          str
+        | '\\' ->
+          let buf = Buffer.create (!pos - start + 16) in
+          Buffer.add_substring buf s start (!pos - start);
+          escaped buf
+        | c when Char.code c < 0x20 -> fail "control character in string"
+        | _ ->
+          advance ();
+          plain ()
+    in
+    plain ()
+  in
+  let digits () =
+    let start = !pos in
+    while at_digit () do
+      advance ()
+    done;
+    if !pos = start then fail "expected digit"
+  in
+  (* An integer with no fraction or exponent is an [Int] (a [Float] when it
+     overflows the native int); anything else is a [Float]. *)
+  let number () =
+    let start = !pos in
+    if at '-' then advance ();
     (* integer part: a lone 0, or a nonzero-led digit run (no leading 0s) *)
     (match peek () with
-    | Some '0' -> (
+    | Some '0' ->
       advance ();
-      match peek () with
-      | Some '0' .. '9' -> fail "leading zero"
-      | _ -> ())
+      if at_digit () then fail "leading zero"
     | Some '1' .. '9' -> digits ()
     | _ -> fail "expected digit");
-    (match peek () with
-    | Some '.' ->
+    let int_end = !pos in
+    let frac = at '.' in
+    if frac then begin
       advance ();
       digits ()
-    | _ -> ());
-    match peek () with
-    | Some ('e' | 'E') ->
+    end;
+    let exp = at 'e' || at 'E' in
+    if exp then begin
       advance ();
-      (match peek () with Some ('+' | '-') -> advance () | _ -> ());
+      if at '+' || at '-' then advance ();
       digits ()
-    | _ -> ()
+    end;
+    let token () = String.sub s start (!pos - start) in
+    if frac || exp then Float (float_of_string (token ()))
+    else if int_end - start <= 18 then begin
+      (* at most 18 characters, sign included: cannot overflow *)
+      let neg = String.unsafe_get s start = '-' in
+      let v = ref 0 in
+      for i = (if neg then start + 1 else start) to int_end - 1 do
+        v := (!v * 10) + (Char.code (String.unsafe_get s i) - 48)
+      done;
+      Int (if neg then - !v else !v)
+    end
+    else
+      match int_of_string_opt (token ()) with
+      | Some i -> Int i
+      | None -> Float (float_of_string (token ()))
   in
   let rec value () =
     skip_ws ();
@@ -107,56 +194,67 @@ let well_formed s =
     | Some '{' ->
       advance ();
       skip_ws ();
-      if peek () = Some '}' then advance ()
-      else begin
-        let more = ref true in
-        while !more do
+      if at '}' then begin
+        advance ();
+        Obj []
+      end
+      else
+        let rec members acc =
           skip_ws ();
-          string_lit ();
+          let k = string_lit () in
           skip_ws ();
           expect ':';
-          value ();
+          let v = value () in
           skip_ws ();
           match peek () with
-          | Some ',' -> advance ()
+          | Some ',' ->
+            advance ();
+            members ((k, v) :: acc)
           | Some '}' ->
             advance ();
-            more := false
+            Obj (List.rev ((k, v) :: acc))
           | _ -> fail "expected ',' or '}'"
-        done
-      end
+        in
+        members []
     | Some '[' ->
       advance ();
       skip_ws ();
-      if peek () = Some ']' then advance ()
-      else begin
-        let more = ref true in
-        while !more do
-          value ();
+      if at ']' then begin
+        advance ();
+        List []
+      end
+      else
+        let rec elements acc =
+          let v = value () in
           skip_ws ();
           match peek () with
-          | Some ',' -> advance ()
+          | Some ',' ->
+            advance ();
+            elements (v :: acc)
           | Some ']' ->
             advance ();
-            more := false
+            List (List.rev (v :: acc))
           | _ -> fail "expected ',' or ']'"
-        done
-      end
-    | Some '"' -> string_lit ()
-    | Some 't' -> literal "true"
-    | Some 'f' -> literal "false"
-    | Some 'n' -> literal "null"
+        in
+        elements []
+    | Some '"' -> Str (string_lit ())
+    | Some 't' -> literal "true" (Bool true)
+    | Some 'f' -> literal "false" (Bool false)
+    | Some 'n' -> literal "null" Null
     | Some ('-' | '0' .. '9') -> number ()
     | Some c -> fail (Printf.sprintf "unexpected %C" c)
     | None -> fail "unexpected end of input"
   in
   match
-    value ();
-    skip_ws ()
+    let v = value () in
+    skip_ws ();
+    v
   with
-  | () when !pos = n -> Ok ()
-  | () -> Error (Printf.sprintf "trailing garbage at offset %d" !pos)
+  | v when !pos = n -> Ok v
+  | _ -> Error (Printf.sprintf "trailing garbage at offset %d" !pos)
   | exception Bad msg -> Error msg
+
+let well_formed s = match parse s with Ok _ -> Ok () | Error e -> Error e
 
 (* JSONL: every non-empty line must be a well-formed JSON value.
    Returns the number of validated lines, or the first offending line
@@ -173,3 +271,18 @@ let well_formed_lines s =
         | Error msg -> Error (lineno, msg))
   in
   go 1 0 lines
+
+(* -- accessors -- *)
+
+let mem v key = match v with Obj kvs -> List.assoc_opt key kvs | _ -> None
+let to_int = function Int i -> Some i | _ -> None
+let to_str = function Str s -> Some s | _ -> None
+
+let to_strings = function
+  | List l ->
+    let strs = List.filter_map to_str l in
+    if List.length strs = List.length l then Some strs else None
+  | _ -> None
+
+let int_mem v key = Option.bind (mem v key) to_int
+let str_mem v key = Option.bind (mem v key) to_str

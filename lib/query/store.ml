@@ -32,6 +32,8 @@
    unions all runs' nodes by identity (process display pids come from
    the lexicographically first run carrying the identity). *)
 
+module Json = Faros_obs.Json
+
 type erow = {
   mutable er_eord : int;
   er_src : int;
@@ -46,7 +48,7 @@ type erow = {
 type run = {
   run_id : string;
   r_seen : (int, unit) Hashtbl.t;  (* sequence numbers ingested *)
-  r_nodes : (int, (string, Jsonv.t) Hashtbl.t) Hashtbl.t;  (* by ordinal *)
+  r_nodes : (int, (string, Json.t) Hashtbl.t) Hashtbl.t;  (* by ordinal *)
   r_edges : (int * int * string, erow) Hashtbl.t;
   mutable r_rows : int;
   mutable r_dups : int;
@@ -85,8 +87,8 @@ let merge_field name a b =
   | "vlo" | "exit" -> if compare b a < 0 then b else a
   | "name" -> (
     match (a, b) with
-    | Jsonv.Str "?", _ -> b
-    | _, Jsonv.Str "?" -> a
+    | Json.Str "?", _ -> b
+    | _, Json.Str "?" -> a
     | _ -> if compare b a < 0 then b else a)
   | _ -> if compare b a < 0 then b else a
 
@@ -104,7 +106,7 @@ let merge_node_row fields kvs =
 (* -- ingestion ------------------------------------------------------------ *)
 
 let ingest_row t v =
-  match (Jsonv.str_mem v "type", Jsonv.str_mem v "run", Jsonv.int_mem v "seq") with
+  match (Json.str_mem v "type", Json.str_mem v "run", Json.int_mem v "seq") with
   | Some typ, Some run_id, Some seq
     when typ = "graph_node" || typ = "graph_edge" || typ = "graph_segment" ->
     let r = get_run t run_id in
@@ -118,8 +120,8 @@ let ingest_row t v =
       r.r_cache <- None;
       (match typ with
       | "graph_node" -> (
-        match (Jsonv.int_mem v "ord", v) with
-        | Some ord, Jsonv.Obj kvs ->
+        match (Json.int_mem v "ord", v) with
+        | Some ord, Json.Obj kvs ->
           let fields =
             match Hashtbl.find_opt r.r_nodes ord with
             | Some f -> f
@@ -132,16 +134,16 @@ let ingest_row t v =
         | _ -> ())
       | "graph_edge" -> (
         match
-          ( Jsonv.int_mem v "eord",
-            Jsonv.int_mem v "src",
-            Jsonv.int_mem v "dst",
-            Jsonv.str_mem v "kind" )
+          ( Json.int_mem v "eord",
+            Json.int_mem v "src",
+            Json.int_mem v "dst",
+            Json.str_mem v "kind" )
         with
         | Some eord, Some src, Some dst, Some kind ->
-          let tick = Option.value ~default:0 (Jsonv.int_mem v "tick") in
-          let last = Option.value ~default:tick (Jsonv.int_mem v "last_tick") in
-          let count = Option.value ~default:1 (Jsonv.int_mem v "count") in
-          let bytes = Option.value ~default:0 (Jsonv.int_mem v "bytes") in
+          let tick = Option.value ~default:0 (Json.int_mem v "tick") in
+          let last = Option.value ~default:tick (Json.int_mem v "last_tick") in
+          let count = Option.value ~default:1 (Json.int_mem v "count") in
+          let bytes = Option.value ~default:0 (Json.int_mem v "bytes") in
           let key = (src, dst, kind) in
           (match Hashtbl.find_opt r.r_edges key with
           | Some e ->
@@ -165,7 +167,7 @@ let ingest_row t v =
         | _ -> ())
       | _ ->
         (* graph_segment marker *)
-        if Jsonv.str_mem v "event" = Some "final" then r.r_final <- true);
+        if Json.str_mem v "event" = Some "final" then r.r_final <- true);
       Ok 1
     end
   | _ -> Ok 0 (* foreign row types (mixed telemetry streams) are fine *)
@@ -176,7 +178,7 @@ let ingest_lines t lines =
     | line :: rest ->
       if String.trim line = "" then loop (i + 1) added rest
       else begin
-        match Jsonv.parse line with
+        match Json.parse line with
         | Error msg -> Error (Printf.sprintf "line %d: %s" i msg)
         | Ok v -> (
           match ingest_row t v with
@@ -250,10 +252,10 @@ let req what = function
 let ( let* ) r f = Result.bind r f
 
 let field_int fields k =
-  match Hashtbl.find_opt fields k with Some v -> Jsonv.to_int v | None -> None
+  match Hashtbl.find_opt fields k with Some v -> Json.to_int v | None -> None
 
 let field_str fields k =
-  match Hashtbl.find_opt fields k with Some v -> Jsonv.to_str v | None -> None
+  match Hashtbl.find_opt fields k with Some v -> Json.to_str v | None -> None
 
 (* Intern one merged node row into [g]; with ordinal-dense rows applied
    in ordinal order the assigned id equals the ordinal. *)
@@ -302,7 +304,7 @@ let intern_node g fields =
     let* len = req "len" (field_int fields "len") in
     let types =
       match Hashtbl.find_opt fields "types" with
-      | Some v -> Option.value ~default:[] (Jsonv.to_strings v)
+      | Some v -> Option.value ~default:[] (Json.to_strings v)
       | None -> []
     in
     Ok (Graph.region_node g ~pid ~process ~vaddr ~len ~types)
@@ -610,7 +612,7 @@ let merged_graph t =
                   let* len = req "len" (field_int fields "len") in
                   let types =
                     match Hashtbl.find_opt fields "types" with
-                    | Some v -> Option.value ~default:[] (Jsonv.to_strings v)
+                    | Some v -> Option.value ~default:[] (Json.to_strings v)
                     | None -> []
                   in
                   Ok (Graph.region_node g ~pid ~process ~vaddr ~len ~types)

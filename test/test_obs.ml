@@ -99,14 +99,19 @@ let metrics_tests =
 
 (* -- json ----------------------------------------------------------------- *)
 
+(* Every case goes through both [parse] and [well_formed], so the store's
+   reader and the checker cannot drift apart. *)
 let json_tests =
   [
     Alcotest.test_case "accepts valid documents" `Quick (fun () ->
         List.iter
           (fun s ->
-            match Json.well_formed s with
+            (match Json.well_formed s with
             | Ok () -> ()
-            | Error e -> Alcotest.failf "%S rejected: %s" s e)
+            | Error e -> Alcotest.failf "%S rejected: %s" s e);
+            match Json.parse s with
+            | Ok _ -> ()
+            | Error e -> Alcotest.failf "%S not parsed: %s" s e)
           [
             "{}";
             "[]";
@@ -114,12 +119,21 @@ let json_tests =
             {|{"a":[1,-2.5e3,true,false,null],"b":{"c":"d\neA"}}|};
             {|"lone string"|};
             "3.14";
+            "0";
+            "-0";
+            "[0,10,-7]";
+            "1E+2";
+            {|"\u00e9\/"|};
+            "123456789012345678901234567890";
           ]);
     Alcotest.test_case "rejects malformed documents" `Quick (fun () ->
         List.iter
           (fun s ->
-            match Json.well_formed s with
+            (match Json.well_formed s with
             | Ok () -> Alcotest.failf "%S accepted" s
+            | Error _ -> ());
+            match Json.parse s with
+            | Ok _ -> Alcotest.failf "%S parsed" s
             | Error _ -> ())
           [
             "";
@@ -128,10 +142,40 @@ let json_tests =
             {|{"a":}|};
             {|{"a":1,}|};
             "[1] trailing";
+            {|{"a":1}x|};
             {|"unterminated|};
             "{1:2}";
+            "nul";
+            {|"\q"|};
+            {|"\u12"|};
+            {|"\u_123"|};
             "01";
+            "-01";
+            "[01,2]";
+            "1.";
+            "1e";
+            "-";
+            "\"a\x01b\"";
           ]);
+    Alcotest.test_case "errors name the offset" `Quick (fun () ->
+        check_s "parse" "expected '\"' at offset 7"
+          (match Json.parse {|{"a":1,}|} with Ok _ -> "ok" | Error e -> e);
+        check_s "well_formed" "leading zero at offset 6"
+          (match Json.well_formed {|{"a":01}|} with
+          | Ok () -> "ok"
+          | Error e -> e));
+    Alcotest.test_case "parses what the sinks emit" `Quick (fun () ->
+        let row =
+          {|{"v":1,"type":"graph_node","run":"r","seq":3,"ord":0,"ident":"proc|ab|x:0","kind":"process","pid":100,"name":"a \"b\" \\ c","tainted":0}|}
+        in
+        match Json.parse row with
+        | Error e -> Alcotest.failf "parse: %s" e
+        | Ok v ->
+          let geti k = Option.value ~default:(-1) (Json.int_mem v k) in
+          let gets k = Option.value ~default:"" (Json.str_mem v k) in
+          check "seq" 3 (geti "seq");
+          check_s "name unescaped" "a \"b\" \\ c" (gets "name");
+          check_s "ident" "proc|ab|x:0" (gets "ident"));
     Alcotest.test_case "escape round-trips through the checker" `Quick (fun () ->
         let s = "quote\" backslash\\ newline\n ctrl\x01" in
         match Json.well_formed (Printf.sprintf "\"%s\"" (Json.escape s)) with
