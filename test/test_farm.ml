@@ -353,7 +353,12 @@ let campaign_obs_tests =
         in
         check "requested workers gauge" 2 (gauge "farm.workers.requested");
         check "spawned gauge" observed.spawned (gauge "farm.workers.spawned");
-        check_b "per-worker jobs gauge" true (gauge "farm.worker.0.jobs" > 0);
+        (* with stealing, any one worker may legitimately run no job; the
+           per-worker gauges must account for every job between them *)
+        check "per-worker jobs gauges" (List.length samples)
+          (List.fold_left ( + ) 0
+             (List.init observed.spawned (fun i ->
+                  gauge (Printf.sprintf "farm.worker.%d.jobs" i))));
         check_b "per-worker steal gauge present" true
           (gauge "farm.worker.0.steals" >= 0);
         check_b "snapshot gauges present" true
