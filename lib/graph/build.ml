@@ -35,10 +35,9 @@ type pinfo = {
 }
 
 type t = {
-  b_sample : string;
   b_graph : Graph.t option;  (* the resident consumer's graph, if any *)
   b_resident : Delta.resident option;
-  mutable b_consumer : (Delta.t -> unit) option;  (* extra stream consumer *)
+  b_consumer : (Delta.t -> unit) option;  (* extra stream consumer *)
   c_events : Faros_obs.Metrics.counter option;
   c_flags : Faros_obs.Metrics.counter option;
   mutable b_kernel : Faros_os.Kernel.t option;
@@ -71,7 +70,6 @@ let create ?metrics ?(resident = true) ?consumer ~sample () =
     if resident then Some (Graph.create ?metrics ~sample ()) else None
   in
   {
-    b_sample = sample;
     b_graph = graph;
     b_resident = Option.map Delta.resident graph;
     b_consumer = consumer;
@@ -93,9 +91,6 @@ let create ?metrics ?(resident = true) ?consumer ~sample () =
     b_retired = Hashtbl.create 64;
   }
 
-let sample t = t.b_sample
-let set_consumer t consumer = t.b_consumer <- Some consumer
-
 let graph t =
   match t.b_graph with
   | Some g -> g
@@ -104,6 +99,11 @@ let graph t =
 let emit t delta =
   (match t.b_resident with Some r -> Delta.apply r delta | None -> ());
   match t.b_consumer with Some f -> f delta | None -> ()
+
+(* One interaction: a single observation in the coalesced edge shape. *)
+let edge t ?(bytes = 0) ~tick src dst kind =
+  emit t
+    (Delta.D_edge { src; dst; kind; tick; last_tick = tick; count = 1; bytes })
 
 let kernel_exn t =
   match t.b_kernel with
@@ -371,9 +371,7 @@ let tag_source t ~tick (tag : Faros_dift.Tag.t) =
 let record_os_event t (ev : Faros_os.Os_event.t) =
   Option.iter Faros_obs.Metrics.incr t.c_events;
   let tick = Faros_os.Kernel.tick (kernel_exn t) in
-  let edge ?(bytes = 0) src dst kind =
-    emit t (Delta.D_edge { src; dst; kind; tick; bytes })
-  in
+  let edge = edge t ~tick in
   match ev with
   | Proc_created { pid; name; parent; suspended; _ } ->
     (* register lineage before interning, so the child's stable identity
@@ -481,32 +479,15 @@ let on_flag t (flag : Core.Report.flag) =
   if not flag.f_whitelisted then begin
     let fnode = flag_ord t ~process:flag.f_process ~pc:flag.f_pc ~tick:flag.f_tick in
     Option.iter Faros_obs.Metrics.incr t.c_flags;
+    let tick = flag.f_tick in
     (match Faros_os.Kstate.proc_by_asid (kernel_exn t) flag.f_asid with
-    | Some p ->
-      emit t
-        (Delta.D_edge
-           {
-             src = proc_ord t p.Faros_os.Process.pid;
-             dst = fnode;
-             kind = Graph.Flagged;
-             tick = flag.f_tick;
-             bytes = 0;
-           })
+    | Some p -> edge t ~tick (proc_ord t p.Faros_os.Process.pid) fnode Graph.Flagged
     | None -> ());
     (* oldest tag first, so origin nodes intern before intermediaries *)
     List.iter
       (fun tag ->
-        match tag_source t ~tick:flag.f_tick tag with
-        | Some src when src <> fnode ->
-          emit t
-            (Delta.D_edge
-               {
-                 src;
-                 dst = fnode;
-                 kind = Graph.Tainted_by;
-                 tick = flag.f_tick;
-                 bytes = 0;
-               })
+        match tag_source t ~tick tag with
+        | Some src when src <> fnode -> edge t ~tick src fnode Graph.Tainted_by
         | _ -> ())
       (List.rev (Faros_dift.Provenance.to_list flag.f_instr_prov))
   end
@@ -548,10 +529,7 @@ let enrich_walk t (faros : Core.Faros_plugin.t) =
           List.iter
             (fun tag ->
               match tag_source t ~tick tag with
-              | Some src when src <> rn ->
-                emit t
-                  (Delta.D_edge
-                     { src; dst = rn; kind = Graph.Tainted_by; tick; bytes = 0 })
+              | Some src when src <> rn -> edge t ~tick src rn Graph.Tainted_by
               | _ -> ())
             (List.rev (Faros_dift.Provenance.to_list r.rt_sample)))
         regions;

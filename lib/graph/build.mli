@@ -51,11 +51,6 @@ val create :
     every {!Delta.t} as it is produced (after the resident graph, if any,
     applied it). *)
 
-val sample : t -> string
-
-val set_consumer : t -> (Delta.t -> unit) -> unit
-(** Attach (or replace) the stream consumer after creation. *)
-
 val graph : t -> Graph.t
 (** The resident graph.  @raise Invalid_argument if the builder was
     created with [~resident:false]. *)

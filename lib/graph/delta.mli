@@ -3,11 +3,11 @@
     The online builder ({!Build}) narrates graph construction as deltas:
     node first-encounters carrying a builder-assigned ordinal (the
     resident node id) and a run-independent stable identity string,
-    attribute refinements, uncoalesced edge observations, and retirement
-    hints for quiescent subgraphs.  {!resident}/{!apply} replay the
-    stream into a {!Graph.t}, byte-identical to the pre-stream in-place
-    construction; the segment writer in [lib/query] instead keeps only
-    the live subgraph resident and spills retired rows to JSONL. *)
+    attribute refinements, edge observations, and retirement hints for
+    quiescent subgraphs.  {!resident}/{!apply} replay the stream into a
+    {!Graph.t}; the segment writer in [lib/query] instead keeps only the
+    live subgraph resident and spills retired rows to JSONL, which the
+    store decodes back into deltas and replays through {!apply}. *)
 
 (** Immutable node payload at first encounter — consumers copy what they
     keep, so no mutable state is shared across consumers. *)
@@ -31,7 +31,18 @@ type t =
   | D_version of { ord : int; version : int }
   | D_exit of { ord : int; code : int }
   | D_taint of { ord : int; tainted : int; netflow : int }
-  | D_edge of { src : int; dst : int; kind : Graph.edge_kind; tick : int; bytes : int }
+  | D_edge of {
+      src : int;
+      dst : int;
+      kind : Graph.edge_kind;
+      tick : int;
+      last_tick : int;
+      count : int;
+      bytes : int;
+    }
+      (** [count] interactions over [tick..last_tick], in the coalesced
+          shape {!Graph.add_edge} takes; the builder emits each
+          interaction as [count = 1], [last_tick = tick]. *)
   | D_retire of { ord : int }
 
 val seed_kind : seed -> string
@@ -45,6 +56,7 @@ val resident : Graph.t -> resident
 (** A consumer applying the stream into [graph]. *)
 
 val apply : resident -> t -> unit
-(** Replay one delta.  Ordinals must arrive in first-encounter order
-    (which the builder guarantees), so resident node ids equal ordinals
-    and retirement hints are no-ops. *)
+(** Replay one delta — the only code that turns a seed into a graph node.
+    With ordinals arriving in first-encounter order (which the builder
+    guarantees) resident node ids equal ordinals; retirement hints are
+    no-ops.  @raise Invalid_argument on an ordinal no [D_node] named. *)

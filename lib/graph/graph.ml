@@ -123,112 +123,34 @@ let nodes t = List.rev t.rev_nodes
 let edges t = List.rev t.rev_edges
 let find t key = Hashtbl.find_opt t.nodes_by_key key
 
-let intern t key mk =
+let key_of_kind = function
+  | Flow f -> K_flow f
+  | Process p -> K_proc p.p_pid
+  | File fi -> K_file fi.fi_name
+  | Module m -> K_module (m.m_pid, m.m_image)
+  | Region r -> K_region (r.r_pid, r.r_vaddr)
+  | Flag_site fl -> K_flag (fl.fl_process, fl.fl_pc)
+
+(* The one node insertion: a payload whose key is already present returns
+   the existing node untouched. *)
+let add_node t kind =
+  let key = key_of_kind kind in
   match Hashtbl.find_opt t.nodes_by_key key with
   | Some n -> n
   | None ->
-    let n = { n_id = t.n_nodes; n_kind = mk () } in
+    let n = { n_id = t.n_nodes; n_kind = kind } in
     t.n_nodes <- t.n_nodes + 1;
     t.rev_nodes <- n :: t.rev_nodes;
     Hashtbl.replace t.nodes_by_key key n;
     Option.iter Faros_obs.Metrics.incr t.c_nodes;
     n
 
-let flow_node t flow = intern t (K_flow flow) (fun () -> Flow flow)
-
-let process_node t ~pid ~name =
-  let n =
-    intern t (K_proc pid) (fun () ->
-        Process
-          {
-            p_pid = pid;
-            p_name = name;
-            p_exit_code = None;
-            p_tainted_bytes = 0;
-            p_netflow_bytes = 0;
-          })
-  in
-  (* A pid referenced before its Proc_created (or resolved as "?") picks
-     up the real name once it is known. *)
-  (match n.n_kind with
-  | Process p when p.p_name = "?" && name <> "?" -> p.p_name <- name
-  | _ -> ());
-  n
-
-let file_node t ~name ~version =
-  let n =
-    intern t (K_file name) (fun () ->
-        File { fi_name = name; fi_version_lo = version; fi_version_hi = version })
-  in
-  (match n.n_kind with
-  | File fi ->
-    if version < fi.fi_version_lo then fi.fi_version_lo <- version;
-    if version > fi.fi_version_hi then fi.fi_version_hi <- version
-  | _ -> ());
-  n
-
-let module_node t ~pid ~image ~base =
-  intern t (K_module (pid, image)) (fun () ->
-      Module { m_pid = pid; m_image = image; m_base = base })
-
-let region_node t ~pid ~process ~vaddr ~len ~types =
-  intern t (K_region (pid, vaddr)) (fun () ->
-      Region
-        {
-          r_pid = pid;
-          r_process = process;
-          r_vaddr = vaddr;
-          r_len = len;
-          r_types = types;
-        })
-
-let flag_site_node t ~process ~pc ~tick =
-  intern t (K_flag (process, pc)) (fun () ->
-      Flag_site { fl_process = process; fl_pc = pc; fl_tick = tick })
-
-let set_exit_code n code =
-  match n.n_kind with
-  | Process p -> p.p_exit_code <- Some code
-  | _ -> invalid_arg "Graph.set_exit_code: not a process node"
-
-let set_process_taint n ~tainted_bytes ~netflow_bytes =
-  match n.n_kind with
-  | Process p ->
-    p.p_tainted_bytes <- tainted_bytes;
-    p.p_netflow_bytes <- netflow_bytes
-  | _ -> invalid_arg "Graph.set_process_taint: not a process node"
-
-let add_edge t ?(bytes = 0) ~src ~dst ~kind ~tick () =
-  let k = (src.n_id, dst.n_id, kind) in
-  match Hashtbl.find_opt t.edges_by_key k with
-  | Some e ->
-    e.e_last_tick <- tick;
-    e.e_count <- e.e_count + 1;
-    e.e_bytes <- e.e_bytes + bytes
-  | None ->
-    let e =
-      {
-        e_src = src.n_id;
-        e_dst = dst.n_id;
-        e_kind = kind;
-        e_tick = tick;
-        e_last_tick = tick;
-        e_count = 1;
-        e_bytes = bytes;
-      }
-    in
-    t.rev_edges <- e :: t.rev_edges;
-    t.n_edges <- t.n_edges + 1;
-    Hashtbl.replace t.edges_by_key k e;
-    Option.iter Faros_obs.Metrics.incr t.c_edges
-
-(* Raw edge insertion for graph reconstruction from segment rows: the
-   caller supplies the already-coalesced attributes.  A pre-existing
-   (src, dst, kind) edge absorbs the row (ticks widen, counts and bytes
-   accumulate) — the same merge the online coalescing performs, so
-   reconstruction is insensitive to how rows were split across
-   segments. *)
-let record_edge t ~src ~dst ~kind ~tick ~last_tick ~count ~bytes =
+(* The one edge insertion: the caller supplies coalesced attributes (a
+   single observation is [count = 1], [last_tick = tick]).  A pre-existing
+   (src, dst, kind) edge absorbs them — last tick widens, counts and bytes
+   accumulate, the first tick stays — so online observations, segment
+   rows split across segments and restricted copies all merge alike. *)
+let add_edge t ~src ~dst ~kind ~tick ~last_tick ~count ~bytes =
   let k = (src, dst, kind) in
   match Hashtbl.find_opt t.edges_by_key k with
   | Some e ->
@@ -265,19 +187,27 @@ let kind_name n =
   | Region _ -> "region"
   | Flag_site _ -> "flag"
 
-let edge_kind_name = function
-  | Spawned -> "spawned"
-  | Suspended -> "suspended"
-  | Resumed -> "resumed"
-  | Connected -> "connected"
-  | Received -> "received"
-  | Sent -> "sent"
-  | Read -> "read"
-  | Wrote -> "wrote"
-  | Mapped -> "mapped"
-  | Injected_into -> "injected-into"
-  | Tainted_by -> "tainted-by"
-  | Flagged -> "flagged"
+(* The edge kinds' rendered names, both directions from one table. *)
+let edge_kinds =
+  [
+    (Spawned, "spawned");
+    (Suspended, "suspended");
+    (Resumed, "resumed");
+    (Connected, "connected");
+    (Received, "received");
+    (Sent, "sent");
+    (Read, "read");
+    (Wrote, "wrote");
+    (Mapped, "mapped");
+    (Injected_into, "injected-into");
+    (Tainted_by, "tainted-by");
+    (Flagged, "flagged");
+  ]
+
+let edge_kind_name k = List.assq k edge_kinds
+
+let edge_kind_of_name s =
+  List.find_map (fun (k, n) -> if n = s then Some k else None) edge_kinds
 
 let node_label n =
   match n.n_kind with
@@ -298,15 +228,6 @@ let node_label n =
   | Region r -> Printf.sprintf "%s 0x%08X+%d" r.r_process r.r_vaddr r.r_len
   | Flag_site fl -> Printf.sprintf "flag 0x%08X in %s" fl.fl_pc fl.fl_process
 
-let key_of n =
-  match n.n_kind with
-  | Flow f -> K_flow f
-  | Process p -> K_proc p.p_pid
-  | File fi -> K_file fi.fi_name
-  | Module m -> K_module (m.m_pid, m.m_image)
-  | Region r -> K_region (r.r_pid, r.r_vaddr)
-  | Flag_site fl -> K_flag (fl.fl_process, fl.fl_pc)
-
 (* The kept nodes are re-interned in id order, so the restricted graph is
    renumbered densely but keeps the relative order (and shares the
    original's mutable node payloads — it is a view for export, not an
@@ -317,18 +238,16 @@ let restrict t ~keep =
   List.iter
     (fun n ->
       if keep n then begin
-        let n' = intern g (key_of n) (fun () -> n.n_kind) in
+        let n' = add_node g n.n_kind in
         Hashtbl.replace remap n.n_id n'.n_id
       end)
     (nodes t);
   List.iter
     (fun e ->
       match (Hashtbl.find_opt remap e.e_src, Hashtbl.find_opt remap e.e_dst) with
-      | Some s, Some d ->
-        let e' = { e with e_src = s; e_dst = d } in
-        g.rev_edges <- e' :: g.rev_edges;
-        g.n_edges <- g.n_edges + 1;
-        Hashtbl.replace g.edges_by_key (s, d, e.e_kind) e'
+      | Some src, Some dst ->
+        add_edge g ~src ~dst ~kind:e.e_kind ~tick:e.e_tick
+          ~last_tick:e.e_last_tick ~count:e.e_count ~bytes:e.e_bytes
       | _ -> ())
     (edges t);
   g

@@ -103,28 +103,14 @@ val edges : t -> edge list
 
 val find : t -> key -> node option
 
-(** {2 Interning constructors} — idempotent per key. *)
+(** {2 Insertion} — graphs are built by {!Delta.apply}, the one caller
+    that turns node seeds into payloads. *)
 
-val flow_node : t -> flow -> node
-val process_node : t -> pid:int -> name:string -> node
-val file_node : t -> name:string -> version:int -> node
-val module_node : t -> pid:int -> image:string -> base:int -> node
-
-val region_node :
-  t -> pid:int -> process:string -> vaddr:int -> len:int -> types:string list -> node
-
-val flag_site_node : t -> process:string -> pc:int -> tick:int -> node
-
-val set_exit_code : node -> int -> unit
-val set_process_taint : node -> tainted_bytes:int -> netflow_bytes:int -> unit
+val add_node : t -> node_kind -> node
+(** Intern a payload under its identity key, numbered in first-encounter
+    order.  A key already present returns the existing node untouched. *)
 
 val add_edge :
-  t -> ?bytes:int -> src:node -> dst:node -> kind:edge_kind -> tick:int -> unit -> unit
-(** Record one interaction.  An edge with the same (src, dst, kind)
-    already present absorbs it: count + 1, bytes accumulated, last tick
-    advanced. *)
-
-val record_edge :
   t ->
   src:int ->
   dst:int ->
@@ -134,15 +120,19 @@ val record_edge :
   count:int ->
   bytes:int ->
   unit
-(** Raw edge insertion for reconstruction from segment rows: the caller
-    supplies already-coalesced attributes.  A pre-existing (src, dst,
-    kind) edge absorbs the row (ticks widen, counts/bytes accumulate). *)
+(** The one edge insertion, between node ids, with coalesced attributes
+    (one interaction is [~count:1 ~last_tick:tick]).  An edge with the
+    same (src, dst, kind) already present absorbs it: last tick widens,
+    counts and bytes accumulate, the first tick stays. *)
 
 val flag_nodes : t -> node list
 (** The flag-site nodes, id order — the slice entry points. *)
 
 val kind_name : node -> string
 val edge_kind_name : edge_kind -> string
+
+val edge_kind_of_name : string -> edge_kind option
+(** The inverse of {!edge_kind_name}. *)
 
 val node_label : node -> string
 (** Short human label ("inject_client.exe (pid 100)", "NetFlow a:p -> b:q",

@@ -320,12 +320,12 @@ let consume t (delta : Faros_graph.Delta.t) =
       if Bits.mem t.w_spilled ord then
         patch t ~ord
           (Printf.sprintf {|"tainted":%d,"netflow":%d|} tainted netflow))
-  | D_edge { src; dst; kind; tick; bytes } -> (
+  | D_edge { src; dst; kind; tick; last_tick; count; bytes } -> (
     let key = (src, dst, kind) in
     match Hashtbl.find_opt t.w_edges key with
     | Some le ->
-      le.le_last <- tick;
-      le.le_count <- le.le_count + 1;
+      if last_tick > le.le_last then le.le_last <- last_tick;
+      le.le_count <- le.le_count + count;
       le.le_bytes <- le.le_bytes + bytes
     | None ->
       let eord = t.w_next_eord in
@@ -337,8 +337,8 @@ let consume t (delta : Faros_graph.Delta.t) =
           le_dst = dst;
           le_kind = kind;
           le_tick = tick;
-          le_last = tick;
-          le_count = 1;
+          le_last = last_tick;
+          le_count = count;
           le_bytes = bytes;
         };
       add_incident t src key;
@@ -383,3 +383,94 @@ let close t =
     Hashtbl.reset t.w_incident;
     marker t "final"
   end
+
+(* -- reading rows back: the inverse of [node_fields] ----------------------- *)
+
+module Json = Faros_obs.Json
+
+(* Commutative per-field merge of the rows one ordinal accumulates: taint
+   totals and the version ceiling take the maximum, names prefer the
+   resolved ("?"-free) value, everything else — the version floor, the
+   exit code, and the fields constant per ordinal — the minimum. *)
+let merge_field name a b =
+  match name with
+  | "tainted" | "netflow" | "vhi" -> if compare b a > 0 then b else a
+  | "name" -> (
+    match (a, b) with
+    | Json.Str "?", _ -> b
+    | _, Json.Str "?" -> a
+    | _ -> if compare b a < 0 then b else a)
+  | _ -> if compare b a < 0 then b else a
+
+let merge_row fields kvs =
+  List.iter
+    (fun (k, v) ->
+      match k with
+      | "run" | "seq" -> ()
+      | _ -> (
+        match Hashtbl.find_opt fields k with
+        | None -> Hashtbl.replace fields k v
+        | Some old -> Hashtbl.replace fields k (merge_field k old v)))
+    kvs
+
+let ( let* ) = Result.bind
+
+let decode_node fields =
+  let open Faros_graph.Delta in
+  let opt conv k = Option.bind (Hashtbl.find_opt fields k) conv in
+  let get conv k =
+    match opt conv k with
+    | Some v -> Ok v
+    | None -> Error ("node row missing " ^ k)
+  in
+  let int = get Json.to_int and str = get Json.to_str in
+  let total k = Option.value ~default:0 (opt Json.to_int k) in
+  let none _ = [] in
+  let* kind = str "kind" in
+  match kind with
+  | "flow" ->
+    let ip k =
+      let* s = str k in
+      match Faros_os.Types.Ip.of_string s with
+      | ip -> Ok ip
+      | exception (Invalid_argument _ | Failure _) ->
+        Error (Printf.sprintf "node row has a malformed %s %S" k s)
+    in
+    let* src_ip = ip "src" in
+    let* src_port = int "sport" in
+    let* dst_ip = ip "dst" in
+    let* dst_port = int "dport" in
+    Ok (S_flow { src_ip; src_port; dst_ip; dst_port }, none)
+  | "process" ->
+    let* pid = int "pid" in
+    let* name = str "name" in
+    let attrs ord =
+      D_taint { ord; tainted = total "tainted"; netflow = total "netflow" }
+      :: List.map
+           (fun code -> D_exit { ord; code })
+           (Option.to_list (opt Json.to_int "exit"))
+    in
+    Ok (S_proc { pid; name }, attrs)
+  | "file" ->
+    let* name = str "name" in
+    let* vlo = int "vlo" in
+    let* vhi = int "vhi" in
+    Ok (S_file { name; version = vlo }, fun ord -> [ D_version { ord; version = vhi } ])
+  | "module" ->
+    let* pid = int "pid" in
+    let* image = str "image" in
+    let* base = int "base" in
+    Ok (S_module { pid; image; base }, none)
+  | "region" ->
+    let* pid = int "pid" in
+    let* process = str "process" in
+    let* vaddr = int "vaddr" in
+    let* len = int "len" in
+    let types = Option.value ~default:[] (opt Json.to_strings "types") in
+    Ok (S_region { pid; process; vaddr; len; types }, none)
+  | "flag" ->
+    let* process = str "process" in
+    let* pc = int "pc" in
+    let* tick = int "tick" in
+    Ok (S_flag { process; pc; tick }, none)
+  | k -> Error (Printf.sprintf "unknown node kind %S" k)

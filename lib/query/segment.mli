@@ -38,3 +38,21 @@ val run : t -> string
 val live_nodes : t -> int
 val live_edges : t -> int
 val stats : t -> stats
+
+(** {2 Reading node rows back}
+
+    The inverse of the writer's node rendering, kept beside it so a
+    node row's field names live in this one module. *)
+
+val merge_row :
+  (string, Faros_obs.Json.t) Hashtbl.t -> (string * Faros_obs.Json.t) list -> unit
+(** Fold one [graph_node] row's members into its ordinal's merged fields
+    under commutative per-field operators ([docs/query.md]). *)
+
+val decode_node :
+  (string, Faros_obs.Json.t) Hashtbl.t ->
+  (Faros_graph.Delta.seed * (int -> Faros_graph.Delta.t list), string) result
+(** Merged fields back to [(seed, attrs)]: [attrs ord] are the attribute
+    deltas that bring the node a [D_node] with [seed] interns under
+    ordinal [ord] to the merged state.  [Error] names a missing field or
+    an unknown kind. *)

@@ -11,7 +11,7 @@
                        are equal in practice), names prefer the resolved
                        ("?"-free) value, version ranges widen
                        (min lo / max hi), taint totals take the maximum,
-                       exit codes the minimum;
+                       exit codes the minimum ({!Segment.merge_row});
      edges             keyed by (src, dst, kind): creation ordinal and
                        first tick take the minimum, last tick the
                        maximum, counts and bytes add
@@ -19,13 +19,13 @@
    — so any shuffle of segment files, or of lines within them, produces
    the same store and byte-identical query output.
 
-   Per-run reconstruction rebuilds the producing run's resident
-   {!Faros_graph.Graph.t} exactly: ordinals are dense first-encounter
-   ids, so interning node rows in ordinal order reproduces the ids, and
-   replaying edge rows in creation-ordinal order through
-   {!Faros_graph.Graph.record_edge} reproduces the insertion order.
-   Whodunit slices over the reconstruction are therefore byte-identical
-   to slices over the live graph.
+   Reconstruction has no graph constructors of its own: merged rows
+   decode back into the delta stream ({!Segment.decode_node}) and are
+   applied through the builder's resident consumer ({!Faros_graph.Delta.apply}).
+   Ordinals are dense first-encounter ids, so applying node rows in
+   ordinal order reproduces the ids, and edge rows in creation-ordinal
+   order reproduce the insertion order: whodunit slices over the
+   reconstruction are byte-identical to slices over the live graph.
 
    Cross-run queries join on the stable identity strings: --origins
    ranks slice origins by how many runs they reached; the merged export
@@ -79,30 +79,6 @@ let get_run t id =
     Hashtbl.replace t.runs id r;
     r
 
-(* -- commutative field merge ---------------------------------------------- *)
-
-let merge_field name a b =
-  match name with
-  | "tainted" | "netflow" | "vhi" -> if compare b a > 0 then b else a
-  | "vlo" | "exit" -> if compare b a < 0 then b else a
-  | "name" -> (
-    match (a, b) with
-    | Json.Str "?", _ -> b
-    | _, Json.Str "?" -> a
-    | _ -> if compare b a < 0 then b else a)
-  | _ -> if compare b a < 0 then b else a
-
-let merge_node_row fields kvs =
-  List.iter
-    (fun (k, v) ->
-      match k with
-      | "run" | "seq" -> ()
-      | _ -> (
-        match Hashtbl.find_opt fields k with
-        | None -> Hashtbl.replace fields k v
-        | Some old -> Hashtbl.replace fields k (merge_field k old v)))
-    kvs
-
 (* -- ingestion ------------------------------------------------------------ *)
 
 let ingest_row t v =
@@ -130,7 +106,7 @@ let ingest_row t v =
               Hashtbl.replace r.r_nodes ord f;
               f
           in
-          merge_node_row fields kvs
+          Segment.merge_row fields kvs
         | _ -> ())
       | "graph_edge" -> (
         match
@@ -230,90 +206,10 @@ let load ~dir =
 
 (* -- reconstruction ------------------------------------------------------- *)
 
-let edge_kind_of_name = function
-  | "spawned" -> Some Faros_graph.Graph.Spawned
-  | "suspended" -> Some Faros_graph.Graph.Suspended
-  | "resumed" -> Some Faros_graph.Graph.Resumed
-  | "connected" -> Some Faros_graph.Graph.Connected
-  | "received" -> Some Faros_graph.Graph.Received
-  | "sent" -> Some Faros_graph.Graph.Sent
-  | "read" -> Some Faros_graph.Graph.Read
-  | "wrote" -> Some Faros_graph.Graph.Wrote
-  | "mapped" -> Some Faros_graph.Graph.Mapped
-  | "injected-into" -> Some Faros_graph.Graph.Injected_into
-  | "tainted-by" -> Some Faros_graph.Graph.Tainted_by
-  | "flagged" -> Some Faros_graph.Graph.Flagged
-  | _ -> None
-
-let req what = function
-  | Some v -> Ok v
-  | None -> Error (Printf.sprintf "node row missing %s" what)
-
 let ( let* ) r f = Result.bind r f
-
-let field_int fields k =
-  match Hashtbl.find_opt fields k with Some v -> Json.to_int v | None -> None
 
 let field_str fields k =
   match Hashtbl.find_opt fields k with Some v -> Json.to_str v | None -> None
-
-(* Intern one merged node row into [g]; with ordinal-dense rows applied
-   in ordinal order the assigned id equals the ordinal. *)
-let intern_node g fields =
-  let open Faros_graph in
-  let* kind = req "kind" (field_str fields "kind") in
-  match kind with
-  | "flow" ->
-    let* src = req "src" (field_str fields "src") in
-    let* sport = req "sport" (field_int fields "sport") in
-    let* dst = req "dst" (field_str fields "dst") in
-    let* dport = req "dport" (field_int fields "dport") in
-    Ok
-      (Graph.flow_node g
-         {
-           src_ip = Faros_os.Types.Ip.of_string src;
-           src_port = sport;
-           dst_ip = Faros_os.Types.Ip.of_string dst;
-           dst_port = dport;
-         })
-  | "process" ->
-    let* pid = req "pid" (field_int fields "pid") in
-    let* name = req "name" (field_str fields "name") in
-    let n = Graph.process_node g ~pid ~name in
-    Option.iter (Graph.set_exit_code n) (field_int fields "exit");
-    Graph.set_process_taint n
-      ~tainted_bytes:(Option.value ~default:0 (field_int fields "tainted"))
-      ~netflow_bytes:(Option.value ~default:0 (field_int fields "netflow"));
-    Ok n
-  | "file" ->
-    let* name = req "name" (field_str fields "name") in
-    let* vlo = req "vlo" (field_int fields "vlo") in
-    let* vhi = req "vhi" (field_int fields "vhi") in
-    let n = Graph.file_node g ~name ~version:vlo in
-    ignore (Graph.file_node g ~name ~version:vhi);
-    Ok n
-  | "module" ->
-    let* pid = req "pid" (field_int fields "pid") in
-    let* image = req "image" (field_str fields "image") in
-    let* base = req "base" (field_int fields "base") in
-    Ok (Graph.module_node g ~pid ~image ~base)
-  | "region" ->
-    let* pid = req "pid" (field_int fields "pid") in
-    let* process = req "process" (field_str fields "process") in
-    let* vaddr = req "vaddr" (field_int fields "vaddr") in
-    let* len = req "len" (field_int fields "len") in
-    let types =
-      match Hashtbl.find_opt fields "types" with
-      | Some v -> Option.value ~default:[] (Json.to_strings v)
-      | None -> []
-    in
-    Ok (Graph.region_node g ~pid ~process ~vaddr ~len ~types)
-  | "flag" ->
-    let* process = req "process" (field_str fields "process") in
-    let* pc = req "pc" (field_int fields "pc") in
-    let* tick = req "tick" (field_int fields "tick") in
-    Ok (Graph.flag_site_node g ~process ~pc ~tick)
-  | k -> Error (Printf.sprintf "unknown node kind %S" k)
 
 let sorted_ords r =
   Hashtbl.fold (fun ord _ acc -> ord :: acc) r.r_nodes [] |> List.sort compare
@@ -322,39 +218,81 @@ let sorted_erows r =
   Hashtbl.fold (fun _ e acc -> e :: acc) r.r_edges []
   |> List.sort (fun a b -> compare a.er_eord b.er_eord)
 
-let reconstruct r =
-  let g = Faros_graph.Graph.create ~sample:r.run_id () in
-  let ords = sorted_ords r in
-  let rec nodes expect = function
-    | [] -> Ok ()
-    | ord :: rest ->
-      if ord <> expect then
-        Error
-          (Printf.sprintf "run %s: node ordinals not dense (missing %d)"
-             r.run_id expect)
+(* A run's merged rows in replay order: its node rows by ordinal as
+   [(ident, fields)], then its edges in creation order as deltas.  Whatever
+   would trip the replay is an [Error] naming the run: ordinals not dense
+   from 0, a node row without an identity, an unknown edge kind, an edge
+   naming an ordinal with no node row. *)
+let run_rows r =
+  let err fmt =
+    Printf.ksprintf (fun s -> Error (Printf.sprintf "run %s: %s" r.run_id s)) fmt
+  in
+  let rec nodes expect acc = function
+    | [] -> Ok (List.rev acc)
+    | ord :: rest -> (
+      if ord <> expect then err "node ordinals not dense (missing %d)" expect
       else
         let fields = Hashtbl.find r.r_nodes ord in
-        let* node = Result.map_error (Printf.sprintf "run %s ord %d: %s" r.run_id ord) (intern_node g fields) in
-        if node.Faros_graph.Graph.n_id <> ord then
-          Error
-            (Printf.sprintf "run %s: ordinal %d interned as id %d (key clash)"
-               r.run_id ord node.Faros_graph.Graph.n_id)
-        else nodes (expect + 1) rest
+        match field_str fields "ident" with
+        | None -> err "ord %d: node row missing ident" ord
+        | Some ident -> nodes (expect + 1) ((ident, fields) :: acc) rest)
   in
-  let* () = nodes 0 ords in
-  let rec edges = function
-    | [] -> Ok ()
+  let* nodes = nodes 0 [] (sorted_ords r) in
+  let n = List.length nodes in
+  let rec edges acc = function
+    | [] -> Ok (nodes, List.rev acc)
     | e :: rest -> (
-      match edge_kind_of_name e.er_kind with
-      | None -> Error (Printf.sprintf "run %s: unknown edge kind %S" r.run_id e.er_kind)
-      | Some kind ->
-        Faros_graph.Graph.record_edge g ~src:e.er_src ~dst:e.er_dst ~kind
-          ~tick:e.er_tick ~last_tick:e.er_last ~count:e.er_count
-          ~bytes:e.er_bytes;
-        edges rest)
+      match
+        ( Faros_graph.Graph.edge_kind_of_name e.er_kind,
+          List.find_opt (fun o -> o < 0 || o >= n) [ e.er_src; e.er_dst ] )
+      with
+      | None, _ -> err "unknown edge kind %S" e.er_kind
+      | _, Some o -> err "edge row names ordinal %d, which has no node row" o
+      | Some kind, None ->
+        edges
+          (Faros_graph.Delta.D_edge
+             {
+               src = e.er_src;
+               dst = e.er_dst;
+               kind;
+               tick = e.er_tick;
+               last_tick = e.er_last;
+               count = e.er_count;
+               bytes = e.er_bytes;
+             }
+          :: acc)
+          rest)
   in
-  let* () = edges (sorted_erows r) in
-  Ok g
+  edges [] (sorted_erows r)
+
+(* Decode run [r]'s node row [row] back to deltas and apply them under
+   ordinal [ord], passing the seed through [remap] first. *)
+let apply_node apply ?(remap = Fun.id) r ~row ~ord (ident, fields) =
+  match Segment.decode_node fields with
+  | Error e -> Error (Printf.sprintf "run %s: ord %d: %s" r.run_id row e)
+  | Ok (seed, attrs) ->
+    apply (Faros_graph.Delta.D_node { ord; ident; seed = remap seed });
+    List.iter apply (attrs ord);
+    Ok ()
+
+let reconstruct r =
+  let* nodes, edges = run_rows r in
+  let g = Faros_graph.Graph.create ~sample:r.run_id () in
+  let apply = Faros_graph.Delta.apply (Faros_graph.Delta.resident g) in
+  let rec replay ord = function
+    | [] ->
+      List.iter apply edges;
+      Ok g
+    | node :: rest ->
+      let* () = apply_node apply r ~row:ord ~ord node in
+      (* each ordinal interns a fresh node, unless its key clashed *)
+      if Faros_graph.Graph.node_count g <> ord + 1 then
+        Error
+          (Printf.sprintf "run %s: ordinal %d clashes with an earlier node's key"
+             r.run_id ord)
+      else replay (ord + 1) rest
+  in
+  replay 0 nodes
 
 let runs t =
   Hashtbl.fold (fun id _ acc -> id :: acc) t.runs [] |> List.sort compare
@@ -526,130 +464,77 @@ let flows t ~spec =
 
 (* Union of every run's nodes keyed by stable identity, realized as a
    plain {!Faros_graph.Graph.t} so the DOT/JSON exporters apply as-is.
-   Nodes intern in (run, ordinal) order over sorted run ids — fully
-   determined by the ingested row set, so ingest order cannot show
-   through.  Graph keys are narrower than identities (a pid can recur
-   across runs naming different processes), so key clashes remap the
-   display pid (resp. perturb the flow tuple) deterministically; the
+   Each run's decoded stream is renumbered onto merged ordinals (one per
+   identity) and applied through the resident consumer in (run, ordinal)
+   order over sorted run ids — fully determined by the ingested row set,
+   so ingest order cannot show through.  Graph keys are narrower than
+   identities (a pid can recur across runs naming different processes),
+   so a seed whose key clashes has its display pid remapped (resp. its
+   flow tuple perturbed) deterministically before it is applied; the
    identity, which is what queries join on, is untouched. *)
 let merged_graph t =
   let open Faros_graph in
   let g = Graph.create ~sample:"store" () in
-  let by_ident : (string, Graph.node) Hashtbl.t = Hashtbl.create 256 in
+  let apply = Delta.apply (Delta.resident g) in
+  let by_ident : (string, int) Hashtbl.t = Hashtbl.create 256 in
   let pid_map : (string * int, int) Hashtbl.t = Hashtbl.create 64 in
   let next_pid = ref 900_000 in
   let fresh_pid () =
     while Graph.find g (Graph.K_proc !next_pid) <> None do incr next_pid done;
     !next_pid
   in
-  let maps : (string, int array) Hashtbl.t = Hashtbl.create 16 in
-  let rec merge_nodes = function
-    | [] -> Ok ()
-    | run_id :: rest ->
-      let* r = find_run t run_id in
-      let ords = sorted_ords r in
-      let map = Array.make (List.length ords) (-1) in
-      Hashtbl.replace maps run_id map;
-      let rec per_ord = function
-        | [] -> Ok ()
-        | ord :: more ->
-          let fields = Hashtbl.find r.r_nodes ord in
-          let* id = req "ident" (field_str fields "ident") in
-          let* node =
-            match Hashtbl.find_opt by_ident id with
-            | Some n -> Ok n
-            | None ->
-              let* kind = req "kind" (field_str fields "kind") in
-              let remapped k =
-                match field_int fields k with
-                | Some pid -> (
-                  match Hashtbl.find_opt pid_map (run_id, pid) with
-                  | Some pid' -> Some pid'
-                  | None -> Some pid)
-                | None -> None
-              in
-              let* n =
-                match kind with
-                | "process" -> (
-                  let* pid = req "pid" (field_int fields "pid") in
-                  let* name = req "name" (field_str fields "name") in
-                  let pid' =
-                    if Graph.find g (Graph.K_proc pid) = None then pid
-                    else fresh_pid ()
-                  in
-                  Hashtbl.replace pid_map (run_id, pid) pid';
-                  let n = Graph.process_node g ~pid:pid' ~name in
-                  Option.iter (Graph.set_exit_code n) (field_int fields "exit");
-                  Graph.set_process_taint n
-                    ~tainted_bytes:
-                      (Option.value ~default:0 (field_int fields "tainted"))
-                    ~netflow_bytes:
-                      (Option.value ~default:0 (field_int fields "netflow"));
-                  Ok n)
-                | "flow" ->
-                  let* src = req "src" (field_str fields "src") in
-                  let* sport = req "sport" (field_int fields "sport") in
-                  let* dst = req "dst" (field_str fields "dst") in
-                  let* dport = req "dport" (field_int fields "dport") in
-                  let rec place k =
-                    let f =
-                      {
-                        Faros_os.Types.src_ip = Faros_os.Types.Ip.of_string src;
-                        src_port = sport + (k * 100_000);
-                        dst_ip = Faros_os.Types.Ip.of_string dst;
-                        dst_port = dport;
-                      }
-                    in
-                    if Graph.find g (Graph.K_flow f) = None then
-                      Graph.flow_node g f
-                    else place (k + 1)
-                  in
-                  Ok (place 0)
-                | "region" ->
-                  let* pid = req "pid" (remapped "pid") in
-                  let* process = req "process" (field_str fields "process") in
-                  let* vaddr = req "vaddr" (field_int fields "vaddr") in
-                  let* len = req "len" (field_int fields "len") in
-                  let types =
-                    match Hashtbl.find_opt fields "types" with
-                    | Some v -> Option.value ~default:[] (Json.to_strings v)
-                    | None -> []
-                  in
-                  Ok (Graph.region_node g ~pid ~process ~vaddr ~len ~types)
-                | "module" ->
-                  let* pid = req "pid" (remapped "pid") in
-                  let* image = req "image" (field_str fields "image") in
-                  let* base = req "base" (field_int fields "base") in
-                  Ok (Graph.module_node g ~pid ~image ~base)
-                | _ -> intern_node g fields
-              in
-              Hashtbl.replace by_ident id n;
-              Ok n
-          in
-          map.(ord) <- node.Graph.n_id;
-          per_ord more
+  (* modules and regions follow their process's remapped pid *)
+  let remap run_id : Delta.seed -> Delta.seed =
+    let owner pid =
+      Option.value ~default:pid (Hashtbl.find_opt pid_map (run_id, pid))
+    in
+    function
+    | S_proc p ->
+      let pid =
+        if Graph.find g (Graph.K_proc p.pid) = None then p.pid else fresh_pid ()
       in
-      let* () =
-        Result.map_error (Printf.sprintf "run %s: %s" run_id) (per_ord ords)
+      Hashtbl.replace pid_map (run_id, p.pid) pid;
+      S_proc { p with pid }
+    | S_flow f ->
+      let rec place k =
+        let f' = { f with src_port = f.src_port + (k * 100_000) } in
+        if Graph.find g (Graph.K_flow f') = None then f' else place (k + 1)
       in
-      merge_nodes rest
+      S_flow (place 0)
+    | S_module m -> S_module { m with pid = owner m.pid }
+    | S_region rg -> S_region { rg with pid = owner rg.pid }
+    | (S_file _ | S_flag _) as seed -> seed
   in
-  let* () = merge_nodes (runs t) in
-  List.iter
-    (fun run_id ->
-      match (Hashtbl.find_opt t.runs run_id, Hashtbl.find_opt maps run_id) with
-      | Some r, Some map ->
-        List.iter
-          (fun e ->
-            match edge_kind_of_name e.er_kind with
-            | Some kind
-              when e.er_src < Array.length map && e.er_dst < Array.length map
-                   && map.(e.er_src) >= 0 && map.(e.er_dst) >= 0 ->
-              Graph.record_edge g ~src:map.(e.er_src) ~dst:map.(e.er_dst) ~kind
-                ~tick:e.er_tick ~last_tick:e.er_last ~count:e.er_count
-                ~bytes:e.er_bytes
-            | _ -> ())
-          (sorted_erows r)
-      | _ -> ())
-    (runs t);
+  let merge_run run_id =
+    let* r = find_run t run_id in
+    let* nodes, edges = run_rows r in
+    let map = Array.make (List.length nodes) 0 in
+    (* only an identity's first row is decoded and applied *)
+    let rec place row = function
+      | [] -> Ok ()
+      | ((ident, _) as node) :: rest -> (
+        match Hashtbl.find_opt by_ident ident with
+        | Some ord ->
+          map.(row) <- ord;
+          place (row + 1) rest
+        | None ->
+          let ord = Hashtbl.length by_ident in
+          Hashtbl.replace by_ident ident ord;
+          map.(row) <- ord;
+          let* () = apply_node apply ~remap:(remap run_id) r ~row ~ord node in
+          place (row + 1) rest)
+    in
+    let* () = place 0 nodes in
+    List.iter
+      (function
+        | Delta.D_edge e -> apply (D_edge { e with src = map.(e.src); dst = map.(e.dst) })
+        | d -> apply d)
+      edges;
+    Ok ()
+  in
+  let* () =
+    List.fold_left
+      (fun acc run_id -> Result.bind acc (fun () -> merge_run run_id))
+      (Ok ()) (runs t)
+  in
   Ok g

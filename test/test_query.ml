@@ -1,7 +1,8 @@
 (* Streaming forensic store tests: segment round-trips back to the exact
    resident graph, the store's merge is commutative and idempotent under
-   row shuffles, campaign-shipped segments equal locally-written ones,
-   and the 2000-connection acceptance sample stays bounded-memory. *)
+   row shuffles, malformed stores are refused with an Error, campaign-
+   shipped segments equal locally-written ones, and the 2000-connection
+   acceptance sample stays bounded-memory. *)
 
 let check = Alcotest.(check int)
 let check_b = Alcotest.(check bool)
@@ -12,10 +13,11 @@ let sample id =
   | Some s -> s
   | None -> Alcotest.failf "unknown sample %s" id
 
-(* One analysis, two consumers: the resident graph and the segment
-   writer.  Returns the resident graph, the JSONL rows and the writer's
-   stats. *)
-let dual_build (s : Faros_corpus.Registry.sample) =
+(* One analysis through the segment writer.  Returns the builder, the
+   JSONL rows, the writer's stats and the outcome; by default the builder
+   also keeps the resident graph ([Build.graph]), [~resident:false] is the
+   bounded-memory path with no resident graph at all. *)
+let build ?resident (s : Faros_corpus.Registry.sample) =
   let sink = Faros_obs.Sink.create () in
   let builder = ref None in
   let writer = ref None in
@@ -25,7 +27,7 @@ let dual_build (s : Faros_corpus.Registry.sample) =
         let w = Faros_query.Segment.writer ~sink ~run:s.id () in
         writer := Some w;
         let b =
-          Faros_graph.Build.create
+          Faros_graph.Build.create ?resident
             ~consumer:(Faros_query.Segment.consume w)
             ~sample:s.id ()
         in
@@ -36,34 +38,14 @@ let dual_build (s : Faros_corpus.Registry.sample) =
   let b = Option.get !builder and w = Option.get !writer in
   Faros_graph.Build.enrich b outcome.faros;
   Faros_query.Segment.close w;
-  ( Faros_graph.Build.graph b,
-    Faros_obs.Sink.lines sink,
-    Faros_query.Segment.stats w,
-    outcome )
+  (b, Faros_obs.Sink.lines sink, Faros_query.Segment.stats w, outcome)
 
-(* Streaming-only: no resident graph at all — the bounded-memory path. *)
-let stream_build (s : Faros_corpus.Registry.sample) =
-  let sink = Faros_obs.Sink.create () in
-  let builder = ref None in
-  let writer = ref None in
-  let outcome =
-    Faros_corpus.Scenario.analyze
-      ~extra_plugins:(fun kernel faros ->
-        let w = Faros_query.Segment.writer ~sink ~run:s.id () in
-        writer := Some w;
-        let b =
-          Faros_graph.Build.create ~resident:false
-            ~consumer:(Faros_query.Segment.consume w)
-            ~sample:s.id ()
-        in
-        builder := Some b;
-        [ Faros_graph.Build.plugin b ~kernel ~faros ])
-      s.scenario
+let contains s sub =
+  let n = String.length sub in
+  let rec scan i =
+    i + n <= String.length s && (String.sub s i n = sub || scan (i + 1))
   in
-  let b = Option.get !builder and w = Option.get !writer in
-  Faros_graph.Build.enrich b outcome.faros;
-  Faros_query.Segment.close w;
-  (Faros_obs.Sink.lines sink, Faros_query.Segment.stats w, outcome)
+  scan 0
 
 let store_of_lines lines =
   let st = Faros_query.Store.create () in
@@ -122,7 +104,8 @@ let roundtrip_tests =
     (fun id ->
       Alcotest.test_case (id ^ ": segment stream round-trips") `Quick
         (fun () ->
-          let g, lines, st, _ = dual_build (sample id) in
+          let b, lines, st, _ = build (sample id) in
+          let g = Faros_graph.Build.graph b in
           check_b "rows written" true (lines <> []);
           check_b "peak bounded by totals" true
             (st.st_peak_live_nodes <= Faros_graph.Graph.node_count g);
@@ -148,8 +131,8 @@ let merge_tests =
   [
     Alcotest.test_case "shuffled + duplicated ingest is byte-identical"
       `Quick (fun () ->
-        let _, l1, _, _ = dual_build (sample "reflective_dll_inject") in
-        let _, l2, _, _ = dual_build (sample "darkcomet_injection") in
+        let _, l1, _, _ = build (sample "reflective_dll_inject") in
+        let _, l2, _, _ = build (sample "darkcomet_injection") in
         let lines = l1 @ l2 in
         let reference = store_of_lines lines in
         let ref_text =
@@ -179,7 +162,7 @@ let merge_tests =
         QCheck.Test.check_exn prop);
     Alcotest.test_case "re-ingesting a whole file is a no-op" `Quick
       (fun () ->
-        let _, lines, _, _ = dual_build (sample "process_hollowing") in
+        let _, lines, _, _ = build (sample "process_hollowing") in
         let st = store_of_lines lines in
         let t1 = Faros_query.Store.totals st in
         (match Faros_query.Store.ingest_lines st lines with
@@ -192,17 +175,7 @@ let merge_tests =
         let st = Faros_query.Store.create () in
         match Faros_query.Store.ingest_lines st [ "{\"v\":1}"; "{nope" ] with
         | Ok _ -> Alcotest.fail "expected a parse error"
-        | Error e ->
-          let contains_line2 =
-            let sub = "line 2" in
-            let n = String.length sub in
-            let rec scan i =
-              i + n <= String.length e
-              && (String.sub e i n = sub || scan (i + 1))
-            in
-            scan 0
-          in
-          check_b "line 2 named" true contains_line2);
+        | Error e -> check_b "line 2 named" true (contains e "line 2"));
     Alcotest.test_case "a leading-zero number is a malformed row" `Quick
       (fun () ->
         let st = Faros_query.Store.create () in
@@ -214,6 +187,57 @@ let merge_tests =
         with
         | Ok _ -> Alcotest.fail "ingested a row check-json rejects"
         | Error _ -> ());
+  ]
+
+(* -- hand-written bad rows: Error, never an exception ---------------------- *)
+
+let node_row ~seq ~ord =
+  Printf.sprintf
+    {|{"v":1,"type":"graph_node","run":"bad","seq":%d,"ord":%d,"ident":"proc|p%d","kind":"process","pid":%d,"name":"p.exe","tainted":0,"netflow":0}|}
+    seq ord ord (100 + ord)
+
+let bad_row_tests =
+  [
+    Alcotest.test_case "an edge naming an ordinal with no node row" `Quick
+      (fun () ->
+        let st =
+          store_of_lines
+            [
+              node_row ~seq:0 ~ord:0;
+              node_row ~seq:1 ~ord:1;
+              {|{"v":1,"type":"graph_edge","run":"bad","seq":2,"eord":0,"src":0,"dst":3,"kind":"spawned","tick":1,"last_tick":1,"count":1,"bytes":0}|};
+            ]
+        in
+        (match Faros_query.Store.run_graph st "bad" with
+        | Ok _ -> Alcotest.fail "run_graph accepted a dangling edge"
+        | Error e ->
+          check_b ("run and ordinal named: " ^ e) true
+            (contains e "run bad" && contains e "ordinal 3"));
+        check_b "merged_graph refuses it too" true
+          (Result.is_error (Faros_query.Store.merged_graph st)));
+    Alcotest.test_case "merged_graph over non-dense or negative ordinals"
+      `Quick (fun () ->
+        List.iter
+          (fun ords ->
+            let st =
+              store_of_lines
+                (List.mapi (fun seq ord -> node_row ~seq ~ord) ords)
+            in
+            check_b "run_graph is an Error" true
+              (Result.is_error (Faros_query.Store.run_graph st "bad"));
+            check_b "merged_graph is an Error" true
+              (Result.is_error (Faros_query.Store.merged_graph st)))
+          [ [ 0; 5 ]; [ -1; 0 ] ]);
+    Alcotest.test_case "a flow row with a malformed address" `Quick (fun () ->
+        let st =
+          store_of_lines
+            [
+              {|{"v":1,"type":"graph_node","run":"bad","seq":0,"ord":0,"ident":"flow|x","kind":"flow","src":"10.0.0","sport":1,"dst":"10.0.0.2","dport":80}|};
+            ]
+        in
+        match Faros_query.Store.run_graph st "bad" with
+        | Ok _ -> Alcotest.fail "run_graph accepted a malformed address"
+        | Error e -> check_b ("field named: " ^ e) true (contains e "src"));
   ]
 
 (* -- the campaign pipeline ------------------------------------------------- *)
@@ -245,7 +269,8 @@ let campaign_tests =
         List.iter
           (fun (r : Faros_farm.Campaign.job_result) ->
             if r.jr_verdict = Faros_farm.Campaign.Flagged then begin
-              let g, lines, _, _ = dual_build (sample r.jr_id) in
+              let b, lines, _, _ = build (sample r.jr_id) in
+              let g = Faros_graph.Build.graph b in
               check_b
                 (r.jr_id ^ ": worker rows = local rows")
                 true
@@ -273,7 +298,7 @@ let acceptance_tests =
       "netd_inject_2000: O(live) residency, one guilty 5-tuple" `Slow
       (fun () ->
         let s = sample "netd_inject_2000" in
-        let lines, st, outcome = stream_build s in
+        let _, lines, st, outcome = build ~resident:false s in
         check_b "flagged" true (Core.Analysis.flagged outcome);
         check_b "ran within its own budget" true
           (outcome.replay.replay_ticks < s.scenario.max_ticks);
@@ -338,7 +363,8 @@ let acceptance_tests =
             scenario = scn;
           }
         in
-        let g, lines, st, _ = dual_build s in
+        let b, lines, st, _ = build s in
+        let g = Faros_graph.Build.graph b in
         (* some nodes retired before the final drain *)
         check_b "spills happened before close" true
           (st.st_peak_live_nodes < Faros_graph.Graph.node_count g);
@@ -368,6 +394,7 @@ let () =
       ("jsonv", jsonv_tests);
       ("roundtrip", roundtrip_tests);
       ("merge", merge_tests);
+      ("bad rows", bad_row_tests);
       ("campaign", campaign_tests);
       ("acceptance", acceptance_tests);
     ]
