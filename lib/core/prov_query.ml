@@ -20,69 +20,94 @@ let ty_name = function
   | Ty_file -> "file"
   | Ty_export -> "export-table"
 
-(* Walk one process's mapped memory and coalesce contiguous tainted bytes
-   into runs. *)
+(* Walk one process's mapped user pages, clipped page by page at the
+   kernel region (the stack ends exactly where the shared stubs begin, so
+   [Mmu.mapped_ranges] can merge the two), and coalesce contiguous tainted
+   bytes into runs.  Cost: one page-table and one shadow probe per mapped
+   page, plus an int scan of the shadow pages that carry taint.  A run's
+   sample provenance is resolved once, and its type union grows only when
+   the interned id changes.  Shadow pages are frame-sized (4 KiB), so one
+   frame's bytes are exactly one shadow page. *)
 let regions_of_process (faros : Faros_plugin.t) (p : Faros_os.Process.t) =
-  let mmu = faros.kernel.machine.mmu in
   let shadow = faros.engine.shadow in
-  let asid = Faros_os.Process.asid p in
+  let store = Faros_dift.Shadow.interner shadow in
+  let page_size = Faros_vm.Mmu.page_size in
   let runs = ref [] in
-  let flush start len types sample =
-    if len > 0 then
+  (* the open run: start, length, first byte's id, type union, last id *)
+  let start = ref 0 and len = ref 0 and first = ref 0 in
+  let types = ref [] and last = ref 0 in
+  let flush () =
+    if !len > 0 then begin
       runs :=
         {
           rt_pid = p.pid;
           rt_process = p.proc_name;
-          rt_vaddr = start;
-          rt_len = len;
-          rt_types = List.sort_uniq compare types;
-          rt_sample = sample;
+          rt_vaddr = !start;
+          rt_len = !len;
+          rt_types = !types;
+          rt_sample = Faros_dift.Prov_intern.resolve store !first;
         }
-        :: !runs
+        :: !runs;
+      len := 0;
+      types := [];
+      last := 0
+    end
+  in
+  let scan base id_at =
+    for off = 0 to page_size - 1 do
+      let id = id_at off in
+      if id = 0 then flush ()
+      else begin
+        if !len = 0 then begin
+          start := base + off;
+          first := id
+        end;
+        incr len;
+        if id <> !last then begin
+          last := id;
+          types :=
+            List.sort_uniq compare
+              (Faros_dift.Provenance.distinct_types
+                 (Faros_dift.Prov_intern.resolve store id)
+              @ !types)
+        end
+      end
+    done
   in
   List.iter
     (fun (vaddr, size) ->
-      let start = ref 0 and len = ref 0 in
-      let types = ref [] and sample = ref Faros_dift.Provenance.empty in
-      for i = 0 to size - 1 do
-        let paddr = Faros_vm.Mmu.translate mmu ~asid (vaddr + i) in
-        let prov = Faros_dift.Shadow.get_mem shadow paddr in
-        if Faros_dift.Provenance.is_empty prov then begin
-          flush !start !len !types !sample;
-          len := 0;
-          types := [];
-          sample := Faros_dift.Provenance.empty
-        end
-        else begin
-          if !len = 0 then begin
-            start := vaddr + i;
-            sample := prov
-          end;
-          incr len;
-          types := Faros_dift.Provenance.distinct_types prov @ !types
-        end
-      done;
-      flush !start !len !types !sample)
-    (Faros_vm.Mmu.mapped_ranges p.space
-    |> List.filter (fun (vaddr, _) -> vaddr < Faros_os.Export_table.kernel_base));
+      let pages =
+        (min (vaddr + size) Faros_os.Export_table.kernel_base - vaddr) / page_size
+      in
+      if pages > 0 then begin
+        List.iteri
+          (fun i pfn ->
+            match
+              Faros_dift.Shadow.live_page shadow (pfn lsl Faros_vm.Mmu.page_shift)
+            with
+            | Some id_at -> scan (vaddr + (i * page_size)) id_at
+            | None -> flush ())
+          (Faros_vm.Mmu.frames_of p.space ~vaddr ~pages);
+        flush ()
+      end)
+    (Faros_vm.Mmu.mapped_ranges p.space);
   List.rev !runs
 
 let tainted_regions (faros : Faros_plugin.t) =
   List.concat_map (regions_of_process faros) (Faros_os.Kstate.processes faros.kernel)
 
-(* Per process: (name, tainted bytes, bytes carrying netflow taint). *)
+let totals regions =
+  List.fold_left
+    (fun (total, netflow) r ->
+      ( total + r.rt_len,
+        if List.mem Faros_dift.Tag.Ty_netflow r.rt_types then netflow + r.rt_len
+        else netflow ))
+    (0, 0) regions
+
 let summary_by_process (faros : Faros_plugin.t) =
   List.map
     (fun (p : Faros_os.Process.t) ->
-      let regions = regions_of_process faros p in
-      let total = List.fold_left (fun acc r -> acc + r.rt_len) 0 regions in
-      let netflow =
-        List.fold_left
-          (fun acc r ->
-            if List.mem Faros_dift.Tag.Ty_netflow r.rt_types then acc + r.rt_len
-            else acc)
-          0 regions
-      in
+      let total, netflow = totals (regions_of_process faros p) in
       (p.proc_name, total, netflow))
     (Faros_os.Kstate.processes faros.kernel)
 

@@ -17,9 +17,15 @@ val ty_name : Faros_dift.Tag.ty -> string
 
 val regions_of_process :
   Faros_plugin.t -> Faros_os.Process.t -> region_taint list
-(** Contiguous tainted runs in one process's user-space mappings. *)
+(** Contiguous tainted runs in one process's user-space mappings (below
+    {!Faros_os.Export_table.kernel_base}), in address order.  A page walk:
+    one page-table and one shadow probe per mapped page, plus an int scan
+    of the shadow pages that carry taint. *)
 
 val tainted_regions : Faros_plugin.t -> region_taint list
+
+val totals : region_taint list -> int * int
+(** (tainted bytes, bytes carrying netflow taint) over a set of runs. *)
 
 val summary_by_process : Faros_plugin.t -> (string * int * int) list
 (** Per process: (name, tainted bytes, bytes carrying netflow taint). *)

@@ -199,6 +199,11 @@ let page_tainted_bytes t paddr =
   | None -> 0
   | Some page -> page.live
 
+let live_page t paddr =
+  match Hashtbl.find_opt t.mem_dir (paddr lsr page_shift) with
+  | Some page when page.live > 0 -> Some (Array.get page.data)
+  | _ -> None
+
 let page_tainted t paddr = page_tainted_bytes t paddr > 0
 
 let byte_tainted t paddr =

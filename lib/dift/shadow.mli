@@ -59,6 +59,14 @@ val page_tainted_bytes : t -> int -> int
     never-materialized page).  Kept exact on every mutation path; the
     property suite cross-checks it against a brute-force page scan. *)
 
+val live_page : t -> int -> (int -> int) option
+(** [live_page t paddr] reads the shadow page containing [paddr] when it
+    carries any taint: [Some id_at], where [id_at off] is the interned id
+    ({!interner}; 0 = empty) of the byte at page offset [off].  [None] for
+    a never-materialized page or one whose live count fell back to 0.  One
+    directory probe; [id_at] reads the page as it is when called.  The
+    page-at-a-time walk behind the provenance queries. *)
+
 val page_tainted : t -> int -> bool
 (** [page_tainted t paddr]: does the shadow page containing [paddr] carry
     any taint at all?  The fast-path pre-check's O(1) page probe. *)

@@ -508,44 +508,34 @@ let enrich_walk t (faros : Core.Faros_plugin.t) =
     (fun (p : Faros_os.Process.t) ->
       let regions = Core.Prov_query.regions_of_process faros p in
       let pn = proc_ord t p.pid in
-      let tainted =
-        List.fold_left (fun acc (r : Core.Prov_query.region_taint) -> acc + r.rt_len) 0 regions
-      in
-      let netflow =
-        List.fold_left
-          (fun acc (r : Core.Prov_query.region_taint) ->
-            if List.mem Faros_dift.Tag.Ty_netflow r.rt_types then acc + r.rt_len
-            else acc)
-          0 regions
-      in
+      let tainted, netflow = Core.Prov_query.totals regions in
       emit t (Delta.D_taint { ord = pn; tainted; netflow });
-      List.iter
-        (fun (r : Core.Prov_query.region_taint) ->
-          let rn =
-            region_ord t ~pid:r.rt_pid ~process:r.rt_process ~vaddr:r.rt_vaddr
-              ~len:r.rt_len
-              ~types:(List.map Core.Prov_query.ty_name r.rt_types)
-          in
-          List.iter
-            (fun tag ->
-              match tag_source t ~tick tag with
-              | Some src when src <> rn -> edge t ~tick src rn Graph.Tainted_by
-              | _ -> ())
-            (List.rev (Faros_dift.Provenance.to_list r.rt_sample)))
-        regions;
+      let ords =
+        List.map
+          (fun (r : Core.Prov_query.region_taint) ->
+            let rn =
+              region_ord t ~pid:r.rt_pid ~process:r.rt_process ~vaddr:r.rt_vaddr
+                ~len:r.rt_len
+                ~types:(List.map Core.Prov_query.ty_name r.rt_types)
+            in
+            List.iter
+              (fun tag ->
+                match tag_source t ~tick tag with
+                | Some src when src <> rn -> edge t ~tick src rn Graph.Tainted_by
+                | _ -> ())
+              (List.rev (Faros_dift.Provenance.to_list r.rt_sample));
+            rn)
+          regions
+      in
       (* an exited process's enrichment is final the moment its walk
          ends: quiesce its regions so the live set stays O(live procs) *)
-      if Hashtbl.mem t.b_exited p.pid then
-        List.iter
-          (fun (r : Core.Prov_query.region_taint) ->
-            match Hashtbl.find_opt t.b_ords (Graph.K_region (r.rt_pid, r.rt_vaddr)) with
-            | Some o -> retire t o
-            | None -> ())
-          regions)
+      if Hashtbl.mem t.b_exited p.pid then List.iter (retire t) ords)
     (Faros_os.Kstate.processes kernel)
 
-(* Offline enrichment is a whole shadow-memory walk: one top-level-ish
-   [graph.enrich] span (it runs after the replay, outside [kernel.*]). *)
+(* Offline enrichment walks every process's mapped pages (one page-table
+   and one shadow probe per page, plus an int scan of the shadow pages
+   that carry taint): one top-level-ish [graph.enrich] span (it runs after
+   the replay, outside [kernel.*]). *)
 let enrich t (faros : Core.Faros_plugin.t) =
   if Faros_obs.Profile.enabled t.b_profile then
     Faros_obs.Profile.with_span t.b_profile "graph.enrich" (fun () ->

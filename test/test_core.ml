@@ -467,6 +467,40 @@ let query_tests =
         List.iter
           (fun (_, _, netflow) -> check "no netflow" 0 netflow)
           summary);
+    Alcotest.test_case "tainted regions stop below the kernel region" `Quick
+      (fun () ->
+        (* the stack ends exactly where the shared kernel stubs begin, so
+           one mapped range covers both *)
+        let k = Faros_os.Kernel.create () in
+        let faros = Core.Faros_plugin.create k in
+        let spawn name =
+          Faros_os.Kernel.install_image k ~path:name
+            (Faros_os.Pe.of_program ~name ~base:Faros_os.Process.image_base
+               [ Faros_vm.Asm.I Faros_vm.Isa.Halt ]);
+          Option.get (Faros_os.Kstate.proc k (Faros_os.Kernel.spawn k name))
+        in
+        let p = spawn "t.exe" in
+        ignore (spawn "u.exe");
+        let kernel_base = Faros_os.Export_table.kernel_base in
+        List.iter
+          (fun vaddr ->
+            Shadow.set_mem faros.engine.shadow
+              (Faros_vm.Mmu.translate k.machine.mmu ~asid:(Faros_os.Process.asid p)
+                 vaddr)
+              (Provenance.singleton (Tag.Netflow 0)))
+          [ kernel_base - 1; kernel_base ];
+        match Core.Prov_query.tainted_regions faros with
+        | [ r ] ->
+          check_s "process" "t.exe" r.rt_process;
+          check "stack top" (kernel_base - 1) r.rt_vaddr;
+          check "one byte" 1 r.rt_len
+        | regions ->
+          Alcotest.failf "expected the stack-top byte alone, got %s"
+            (String.concat "; "
+               (List.map
+                  (fun (r : Core.Prov_query.region_taint) ->
+                    Printf.sprintf "%s 0x%08X +%d" r.rt_process r.rt_vaddr r.rt_len)
+                  regions)));
     Alcotest.test_case "tainted strings locate the payload's artifacts" `Slow
       (fun () ->
         let outcome = analyze "reflective_dll_inject" in
