@@ -119,10 +119,10 @@ let run_cmd id policy whitelist_jit verbose json trace_out series_out =
       prerr_endline e;
       1
     | Ok config ->
-      let trace_sink =
+      let sink =
         match trace_out with
-        | None -> Faros_obs.Trace.null
-        | Some _ -> Faros_obs.Trace.collector ()
+        | None -> Faros_obs.Sink.null
+        | Some _ -> Faros_obs.Sink.create ()
       in
       let telemetry =
         match series_out with
@@ -130,8 +130,7 @@ let run_cmd id policy whitelist_jit verbose json trace_out series_out =
         | Some _ -> Some (Core.Telemetry.create ())
       in
       let outcome =
-        Faros_corpus.Scenario.analyze ~config ~trace_sink ?telemetry
-          sample.scenario
+        Faros_corpus.Scenario.analyze ~config ~sink ?telemetry sample.scenario
       in
       let status =
         if json then print_outcome_json outcome
@@ -139,10 +138,10 @@ let run_cmd id policy whitelist_jit verbose json trace_out series_out =
       in
       (match trace_out with
       | Some path ->
-        write_file path (Faros_obs.Trace.to_chrome_json trace_sink);
+        write_file path (Faros_obs.Sink.to_chrome_json sink);
         Fmt.pf pp "trace:        %d events (%d dropped) -> %s@."
-          (Faros_obs.Trace.count trace_sink)
-          (Faros_obs.Trace.dropped trace_sink)
+          (Faros_obs.Sink.events sink)
+          (Faros_obs.Sink.dropped sink)
           path
       | None -> ());
       (match (series_out, telemetry) with
@@ -414,15 +413,11 @@ let campaign_cmd workers corpus filter policy json_out csv_out tick_budget
       prerr_endline "no samples match the filter (try `faros list`)";
       1
     | samples ->
+      (* One stream serves both outputs: --jsonl-out writes its lines,
+         --trace-out renders its trace_event rows as a Chrome trace. *)
       let sink =
-        match jsonl_out with
-        | None -> Faros_obs.Sink.null
-        | Some _ -> Faros_obs.Sink.create ()
-      in
-      let trace =
-        match trace_out with
-        | None -> Faros_obs.Trace.null
-        | Some _ -> Faros_obs.Trace.collector ()
+        if jsonl_out = None && trace_out = None then Faros_obs.Sink.null
+        else Faros_obs.Sink.create ()
       in
       let on_progress =
         if not progress then None
@@ -434,7 +429,7 @@ let campaign_cmd workers corpus filter policy json_out csv_out tick_budget
       in
       let c =
         Faros_farm.Campaign.run ~workers ~config ?tick_budget ?deadline
-          ~graph_segments:(graph_out <> None) ~profile ~sink ~trace
+          ~graph_segments:(graph_out <> None) ~profile ~sink
           ~farm_metrics:(profile || stats || jsonl_out <> None)
           ?on_progress samples
       in
@@ -484,9 +479,9 @@ let campaign_cmd workers corpus filter policy json_out csv_out tick_budget
         jsonl_out;
       Option.iter
         (fun path ->
-          write_file path (Faros_obs.Trace.to_chrome_json trace);
+          write_file path (Faros_obs.Sink.to_chrome_json sink);
           Fmt.pf pp "wrote %s (%d trace events)@." path
-            (Faros_obs.Trace.count trace))
+            (List.length (Faros_obs.Sink.trace_rows sink)))
         trace_out;
       if Faros_farm.Campaign.ok c then 0 else 1)
 
@@ -506,13 +501,8 @@ let profile_run_cmd id policy top tree json_out jsonl_out =
       1
     | Ok config ->
       let profile = Faros_obs.Profile.create () in
-      let sink =
-        match jsonl_out with
-        | None -> Faros_obs.Sink.null
-        | Some _ -> Faros_obs.Sink.create ()
-      in
       let outcome =
-        Faros_corpus.Scenario.analyze ~config ~profile ~sink sample.scenario
+        Faros_corpus.Scenario.analyze ~config ~profile sample.scenario
       in
       Fmt.pf pp "sample:   %s@." sample.id;
       Fmt.pf pp "verdict:  %s@."
@@ -534,6 +524,7 @@ let profile_run_cmd id policy top tree json_out jsonl_out =
         json_out;
       Option.iter
         (fun path ->
+          let sink = Faros_obs.Sink.create () in
           List.iter
             (fun sp -> Faros_obs.Sink.profile_span sink ~source:sample.id sp)
             (Faros_obs.Profile.spans profile);

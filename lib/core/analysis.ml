@@ -32,13 +32,14 @@ exception Deadline_exceeded
 (* [profile] and [sink] are the whole-pipeline observability hooks: the
    profiler wraps the three phases ([record] / [replay] / [finalize]) as
    top-level spans with the per-layer spans nested inside, and the sink
-   is handed to the plugin so its health lands in the registry.  Both
-   default to their disabled constants, in which case this function is
-   byte-identical in behaviour and output to the uninstrumented driver
-   (pinned by the overhead regression test). *)
+   is handed to the plugin, which routes every layer's trace events into
+   it and gauges its health at finalize.  Both default to their disabled
+   constants, in which case this function is byte-identical in behaviour
+   and output to the uninstrumented driver (pinned by the overhead
+   regression test). *)
 let analyze ?(config = Config.default) ?max_ticks ?timeslice ?metrics
-    ?(trace_sink = Faros_obs.Trace.null) ?telemetry ?deadline
-    ?(profile = Faros_obs.Profile.disabled) ?(sink = Faros_obs.Sink.null)
+    ?telemetry ?deadline ?(profile = Faros_obs.Profile.disabled)
+    ?(sink = Faros_obs.Sink.null)
     ?(extra_plugins = fun _kernel _faros -> []) ~setup_record ~setup_replay
     ~boot () =
   let check_deadline =
@@ -72,8 +73,7 @@ let analyze ?(config = Config.default) ?max_ticks ?timeslice ?metrics
         Faros_replay.Replayer.replay ?max_ticks ?timeslice ?sample ~profile
           ~plugins:(fun kernel ->
             let faros =
-              Faros_plugin.create ~config ?metrics ~trace:trace_sink ~profile
-                ~sink kernel
+              Faros_plugin.create ~config ?metrics ~profile ~sink kernel
             in
             faros_ref := Some faros;
             Faros_plugin.plugin faros :: extra_plugins kernel faros)

@@ -21,7 +21,6 @@ val analyze :
   ?max_ticks:int ->
   ?timeslice:int ->
   ?metrics:Faros_obs.Metrics.t ->
-  ?trace_sink:Faros_obs.Trace.t ->
   ?telemetry:Telemetry.t ->
   ?deadline:float ->
   ?profile:Faros_obs.Profile.t ->
@@ -38,15 +37,17 @@ val analyze :
     trace).  [boot] spawns the initial processes and must be identical in
     both phases.
 
-    Observability: [metrics] and [trace_sink] thread into the plugin (and
-    from there into the engine, detector and kernel); [telemetry] records
-    one row every [config.sample_interval] replay ticks plus a final row
-    at the end of the replay.  [profile] (default disabled) wraps the
-    phases in top-level [record] / [replay] / [finalize] spans with the
-    per-layer spans nested inside; [sink] (default null) is the unified
-    JSONL stream whose health gauges land in the registry at finalize.
-    With both at their defaults the function is byte-identical in
-    behaviour and output to the uninstrumented driver.
+    Observability: [metrics] and [sink] thread into the plugin (and from
+    there into the engine, shadow, detector and kernel); [sink] (default
+    null) receives the replay's [trace_event] rows, timestamped by kernel
+    tick, and its health gauges land in the registry at finalize.
+    [telemetry] records one row every [config.sample_interval] replay
+    ticks plus a final row at the end of the replay.  [profile] (default
+    disabled) wraps the phases in top-level [record] / [replay] /
+    [finalize] spans with the per-layer spans nested inside.  With
+    [profile] and [sink] at their defaults the function is
+    byte-identical in behaviour and output to the uninstrumented
+    driver.
 
     [extra_plugins] attaches more replay plugins next to the FAROS plugin
     (e.g. the attack-graph builder); it runs inside the replayer's plugin

@@ -19,7 +19,7 @@ type t = {
   flag_observers : (Report.flag -> unit) Queue.t;
       (* run on every recorded flag, registration order (the attack-graph
          builder hangs off this) *)
-  trace : Faros_obs.Trace.t;
+  sink : Faros_obs.Sink.t;
   profile : Faros_obs.Profile.t;
   c_loads_checked : Faros_obs.Metrics.counter;
   c_flags : Faros_obs.Metrics.counter;
@@ -28,14 +28,14 @@ type t = {
 }
 
 let create ?(metrics = Faros_obs.Metrics.create ())
-    ?(trace = Faros_obs.Trace.null) ?(profile = Faros_obs.Profile.disabled)
+    ?(sink = Faros_obs.Sink.null) ?(profile = Faros_obs.Profile.disabled)
     ~config ~name_of_asid () =
   {
     config;
     report = Report.create ();
     name_of_asid;
     flag_observers = Queue.create ();
-    trace;
+    sink;
     profile;
     c_loads_checked = Faros_obs.Metrics.counter metrics "detector.loads_checked";
     c_flags = Faros_obs.Metrics.counter metrics "detector.flags";
@@ -72,10 +72,10 @@ let check_load t ~tick (info : Faros_dift.Engine.load_info) =
      export-tag gate — the candidate confluence evaluations — so enabling
      tracing does not buffer one event per executed load. *)
   if
-    Faros_obs.Trace.enabled t.trace
+    Faros_obs.Sink.enabled t.sink
     && Faros_dift.Provenance.has_export info.li_read_prov
   then
-    Faros_obs.Trace.emit t.trace ~cat:"detector" ~name:"confluence_check"
+    Faros_obs.Sink.trace_event t.sink ~cat:"detector" ~name:"confluence_check"
       ~pid:info.li_asid
       [
         ("pc", Int info.li_pc);
@@ -92,8 +92,8 @@ let check_load t ~tick (info : Faros_dift.Engine.load_info) =
       Whitelist.is_whitelisted ~whitelist:t.config.whitelist process
     in
     if whitelisted then Faros_obs.Metrics.incr t.c_suppressed;
-    if Faros_obs.Trace.enabled t.trace then
-      Faros_obs.Trace.emit t.trace ~cat:"detector"
+    if Faros_obs.Sink.enabled t.sink then
+      Faros_obs.Sink.trace_event t.sink ~cat:"detector"
         ~name:(if whitelisted then "whitelist_suppression" else "flag")
         ~pid:info.li_asid
         [

@@ -17,7 +17,7 @@
     ([detector.loads_checked], [detector.flags], [detector.suppressed]) and
     the [detector.instr_prov_len] histogram in the registry it was created
     with, and emits [confluence_check] / [flag] / [whitelist_suppression]
-    events (category ["detector"]) through its trace sink. *)
+    trace events (category ["detector"]) through its sink. *)
 
 type t = {
   config : Config.t;
@@ -26,7 +26,7 @@ type t = {
   flag_observers : (Report.flag -> unit) Queue.t;
       (** run on every recorded flag (whitelisted ones included),
           registration order *)
-  trace : Faros_obs.Trace.t;
+  sink : Faros_obs.Sink.t;
   profile : Faros_obs.Profile.t;
       (** span profiler: {!on_load} runs under [detector.check] *)
   c_loads_checked : Faros_obs.Metrics.counter;
@@ -38,7 +38,7 @@ type t = {
 
 val create :
   ?metrics:Faros_obs.Metrics.t ->
-  ?trace:Faros_obs.Trace.t ->
+  ?sink:Faros_obs.Sink.t ->
   ?profile:Faros_obs.Profile.t ->
   config:Config.t ->
   name_of_asid:(int -> string) ->

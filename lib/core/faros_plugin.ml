@@ -10,9 +10,8 @@ type t = {
   kernel : Faros_os.Kernel.t;
   config : Config.t;
   metrics : Faros_obs.Metrics.t;
-  trace : Faros_obs.Trace.t;
   profile : Faros_obs.Profile.t;
-  sink : Faros_obs.Sink.t;  (* JSONL stream; gauged at finalize *)
+  sink : Faros_obs.Sink.t;  (* trace-event channel; gauged at finalize *)
 }
 
 let name_of_asid (kernel : Faros_os.Kernel.t) asid =
@@ -24,17 +23,17 @@ let resolve_asid (kernel : Faros_os.Kernel.t) pid =
   Option.map Faros_os.Process.asid (Faros_os.Kstate.proc kernel pid)
 
 let create ?(config = Config.default) ?(metrics = Faros_obs.Metrics.create ())
-    ?(trace = Faros_obs.Trace.null) ?(profile = Faros_obs.Profile.disabled)
-    ?(sink = Faros_obs.Sink.null) ?interner (kernel : Faros_os.Kernel.t) =
+    ?(profile = Faros_obs.Profile.disabled) ?(sink = Faros_obs.Sink.null)
+    ?interner (kernel : Faros_os.Kernel.t) =
   (* One registry and one sink serve every layer; the kernel tick is the
-     trace's time base, and the kernel itself emits syscall events.  The
+     sink's time base, and the kernel itself emits syscall events.  The
      profiler is shared by the kernel, the machine and every DIFT layer,
      so one tree covers the whole replay. *)
-  Faros_obs.Trace.set_clock trace (fun () -> Faros_os.Kernel.tick kernel);
-  Faros_os.Kstate.set_trace kernel trace;
+  Faros_obs.Sink.set_clock sink (fun () -> Faros_os.Kernel.tick kernel);
+  Faros_os.Kstate.set_sink kernel sink;
   Faros_os.Kstate.set_profile kernel profile;
   let engine =
-    Faros_dift.Engine.create ~policy:config.policy ~metrics ~trace ~profile
+    Faros_dift.Engine.create ~policy:config.policy ~metrics ~sink ~profile
       ?interner ()
   in
   (* The untainted fast path only exists over cached blocks; the machine
@@ -46,15 +45,14 @@ let create ?(config = Config.default) ?(metrics = Faros_obs.Metrics.create ())
     else None
   in
   let detector =
-    Detector.create ~metrics ~trace ~profile ~config
+    Detector.create ~metrics ~sink ~profile ~config
       ~name_of_asid:(name_of_asid kernel) ()
   in
   Faros_dift.Engine.taint_export_pointers engine
     kernel.exports.Faros_os.Export_table.pointers_by_name;
   Faros_dift.Engine.add_load_observer engine (fun info ->
       Detector.on_load detector ~tick:(Faros_os.Kernel.tick kernel) info);
-  { engine; fastpath; detector; kernel; config; metrics; trace;
-    profile; sink }
+  { engine; fastpath; detector; kernel; config; metrics; profile; sink }
 
 (* The fast path, when present, fronts the engine's exec hook; OS events
    keep their direct route (they insert taint regardless of what execution
@@ -96,7 +94,7 @@ let finalize t =
   set "dift.fastpath.misses" fp_misses;
   set "dift.fastpath.blocks_summarized" tb.Faros_vm.Tb_cache.st_summarized;
   (* Sink health is part of the stable gauge set too: zeros when the
-     JSONL stream is off, and an explicit (never silent) drop count when
+     event channel is off, and an explicit (never silent) drop count when
      it is on. *)
   set "obs.sink.events" (Faros_obs.Sink.events t.sink);
   set "obs.sink.dropped" (Faros_obs.Sink.dropped t.sink)

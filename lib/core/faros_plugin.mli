@@ -13,12 +13,12 @@ type t = {
   config : Config.t;
   metrics : Faros_obs.Metrics.t;
       (** the shared registry: engine and detector metrics *)
-  trace : Faros_obs.Trace.t;
-      (** the shared event sink, clocked by the kernel tick *)
   profile : Faros_obs.Profile.t;
       (** the shared span profiler (kernel, machine and DIFT layers) *)
   sink : Faros_obs.Sink.t;
-      (** the JSONL stream; {!finalize} publishes its health gauges *)
+      (** the shared event channel, clocked by the kernel tick: engine,
+          shadow, detector and kernel write their [trace_event] rows here,
+          and {!finalize} publishes its health gauges *)
 }
 
 val name_of_asid : Faros_os.Kernel.t -> int -> string
@@ -30,7 +30,6 @@ val resolve_asid : Faros_os.Kernel.t -> int -> int option
 val create :
   ?config:Config.t ->
   ?metrics:Faros_obs.Metrics.t ->
-  ?trace:Faros_obs.Trace.t ->
   ?profile:Faros_obs.Profile.t ->
   ?sink:Faros_obs.Sink.t ->
   ?interner:Faros_dift.Prov_intern.store ->
@@ -38,13 +37,13 @@ val create :
   t
 (** Build the analysis against a freshly constructed kernel, before any
     guest instruction runs (the export-table scan happens here).  The
-    registry, trace sink and profiler thread through every layer: the
-    sink's clock is pointed at the kernel tick, the kernel's own
-    syscall-dispatch events are routed into it, and the profiler is
-    shared by kernel, machine and DIFT so one span tree covers the whole
-    replay.  [interner] is the provenance store the engine works against
-    (default: the calling domain's current store — campaign jobs install
-    a fresh one per job). *)
+    registry, sink and profiler thread through every layer: the sink's
+    clock is pointed at the kernel tick, the kernel's own syscall-dispatch
+    events are routed into it, and the profiler is shared by kernel,
+    machine and DIFT so one span tree covers the whole replay.
+    [interner] is the provenance store the engine works against (default:
+    the calling domain's current store — campaign jobs install a fresh
+    one per job). *)
 
 val plugin : t -> Faros_replay.Plugin.t
 (** The attachable plugin carrying the execution and event hooks. *)

@@ -56,10 +56,10 @@ let replay_with t ?tb_cache ?dift_fast ?sample ~plugins trace =
    [max_ticks] overrides the scenario's own tick budget (campaign jobs cap
    runaway samples with it); [deadline] is a wall-clock budget in seconds
    (see {!Core.Analysis.analyze}). *)
-let analyze ?config ?metrics ?trace_sink ?telemetry ?max_ticks ?deadline
-    ?profile ?sink ?extra_plugins t =
-  Core.Analysis.analyze ?config ?metrics ?trace_sink ?telemetry ?deadline
-    ?profile ?sink ?extra_plugins
+let analyze ?config ?metrics ?telemetry ?max_ticks ?deadline ?profile ?sink
+    ?extra_plugins t =
+  Core.Analysis.analyze ?config ?metrics ?telemetry ?deadline ?profile ?sink
+    ?extra_plugins
     ~max_ticks:(Option.value max_ticks ~default:t.max_ticks)
     ~setup_record:(setup_record t) ~setup_replay:(setup_replay t)
     ~boot:(boot t) ()

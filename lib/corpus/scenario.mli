@@ -61,7 +61,6 @@ val replay_with :
 val analyze :
   ?config:Core.Config.t ->
   ?metrics:Faros_obs.Metrics.t ->
-  ?trace_sink:Faros_obs.Trace.t ->
   ?telemetry:Core.Telemetry.t ->
   ?max_ticks:int ->
   ?deadline:float ->
@@ -72,7 +71,7 @@ val analyze :
   t ->
   Core.Analysis.outcome
 (** Full FAROS workflow: record, then replay under the FAROS plugin.
-    [metrics], [trace_sink], [telemetry], [deadline], [profile], [sink]
-    and [extra_plugins] thread through to {!Core.Analysis.analyze};
+    [metrics], [telemetry], [deadline], [profile], [sink] and
+    [extra_plugins] thread through to {!Core.Analysis.analyze};
     [max_ticks] overrides the scenario's own tick budget (a campaign
     job's tick cap). *)

@@ -33,7 +33,7 @@ type t = {
   control : (int, int * Provenance.t) Hashtbl.t;  (* asid -> window left, prov *)
   load_observers : (load_info -> unit) Queue.t;  (* invoked in registration order *)
   metrics : Faros_obs.Metrics.t;
-  trace : Faros_obs.Trace.t;
+  sink : Faros_obs.Sink.t;
   profile : Faros_obs.Profile.t;  (* span profiler; shared with the machine *)
   c_instrs : Faros_obs.Metrics.counter;
   c_os_events : Faros_obs.Metrics.counter;
@@ -43,10 +43,10 @@ type t = {
 }
 
 let create ?(policy = Policy.faros_default) ?(metrics = Faros_obs.Metrics.create ())
-    ?(trace = Faros_obs.Trace.null) ?(profile = Faros_obs.Profile.disabled)
+    ?(sink = Faros_obs.Sink.null) ?(profile = Faros_obs.Profile.disabled)
     ?(interner = Prov_intern.current_store ()) () =
   {
-    shadow = Shadow.create ~trace ~interner ();
+    shadow = Shadow.create ~sink ~interner ();
     store = Tag_store.create ();
     interner;
     policy;
@@ -54,7 +54,7 @@ let create ?(policy = Policy.faros_default) ?(metrics = Faros_obs.Metrics.create
     control = Hashtbl.create 8;
     load_observers = Queue.create ();
     metrics;
-    trace;
+    sink;
     profile;
     c_instrs = Faros_obs.Metrics.counter metrics "engine.instrs";
     c_os_events = Faros_obs.Metrics.counter metrics "engine.os_events";
@@ -297,8 +297,8 @@ let file_array t path len_hint =
 let handle_os_event t ~resolve_asid (ev : Faros_os.Os_event.t) =
   Faros_obs.Metrics.incr t.c_os_events;
   let trace_tag_insert ~pid ~ty ~subject ~bytes =
-    if Faros_obs.Trace.enabled t.trace then
-      Faros_obs.Trace.emit t.trace ~cat:"engine" ~name:"tag_insert" ~pid
+    if Faros_obs.Sink.enabled t.sink then
+      Faros_obs.Sink.trace_event t.sink ~cat:"engine" ~name:"tag_insert" ~pid
         [ ("type", Str ty); ("subject", Str subject); ("bytes", Int bytes) ]
   in
   match ev with
@@ -390,8 +390,9 @@ let taint_export_pointers t entries =
   List.iter
     (fun (name, paddrs) ->
       Faros_obs.Metrics.incr t.c_export_inserts;
-      if Faros_obs.Trace.enabled t.trace then
-        Faros_obs.Trace.emit t.trace ~cat:"engine" ~name:"tag_insert" ~pid:0
+      if Faros_obs.Sink.enabled t.sink then
+        Faros_obs.Sink.trace_event t.sink ~cat:"engine" ~name:"tag_insert"
+          ~pid:0
           [
             ("type", Str "export");
             ("subject", Str name);

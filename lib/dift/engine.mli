@@ -37,7 +37,7 @@ type t = {
   control : (int, int * Provenance.t) Hashtbl.t;
   load_observers : (load_info -> unit) Queue.t;
   metrics : Faros_obs.Metrics.t;  (** registry backing {!stats} *)
-  trace : Faros_obs.Trace.t;  (** structured-event sink (null when off) *)
+  sink : Faros_obs.Sink.t;  (** trace-event channel (null when off) *)
   profile : Faros_obs.Profile.t;
       (** span profiler (disabled by default); [on_exec] runs under
           [dift.propagate], [on_os_event] under [dift.os_event] *)
@@ -51,13 +51,13 @@ type t = {
 val create :
   ?policy:Policy.t ->
   ?metrics:Faros_obs.Metrics.t ->
-  ?trace:Faros_obs.Trace.t ->
+  ?sink:Faros_obs.Sink.t ->
   ?profile:Faros_obs.Profile.t ->
   ?interner:Prov_intern.store ->
   unit ->
   t
 (** [metrics] is the registry the engine's counters and gauges live in (a
-    fresh one by default); [trace] receives ["tag_insert"] events
+    fresh one by default); [sink] receives ["tag_insert"] trace events
     (category ["engine"]) and the shadow's ["page_alloc"] events, and
     defaults to the disabled sink.  [interner] is the provenance store
     the engine's shadow resolves against (default: the calling domain's

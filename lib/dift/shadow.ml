@@ -38,11 +38,11 @@ type t = {
   mutable gen : int;  (* bumped on every taint-creation event *)
   regs : (int, Provenance.t) Hashtbl.t;  (* asid * num_regs + reg *)
   flags : (int, Provenance.t) Hashtbl.t;  (* asid -> provenance *)
-  trace : Faros_obs.Trace.t;  (* page-allocation events *)
+  sink : Faros_obs.Sink.t;  (* page-allocation trace events *)
   interner : Prov_intern.store;  (* the store the page ids resolve against *)
 }
 
-let create ?(trace = Faros_obs.Trace.null)
+let create ?(sink = Faros_obs.Sink.null)
     ?(interner = Prov_intern.current_store ()) () =
   {
     mem_dir = Hashtbl.create 64;
@@ -50,7 +50,7 @@ let create ?(trace = Faros_obs.Trace.null)
     gen = 0;
     regs = Hashtbl.create 64;
     flags = Hashtbl.create 8;
-    trace;
+    sink;
     interner;
   }
 
@@ -71,8 +71,9 @@ let page_for t pno =
   | None ->
     let page = { data = Array.make page_size 0; live = 0 } in
     Hashtbl.replace t.mem_dir pno page;
-    if Faros_obs.Trace.enabled t.trace then
-      Faros_obs.Trace.emit t.trace ~cat:"shadow" ~name:"page_alloc" ~pid:0
+    if Faros_obs.Sink.enabled t.sink then
+      Faros_obs.Sink.trace_event t.sink ~cat:"shadow" ~name:"page_alloc"
+        ~pid:0
         [ ("page", Int pno); ("base", Int (pno lsl page_shift)) ];
     page
 

@@ -18,9 +18,9 @@ val page_shift : int
 (** [log2 page_size] (12): [paddr lsr page_shift] is a shadow page number. *)
 
 val create :
-  ?trace:Faros_obs.Trace.t -> ?interner:Prov_intern.store -> unit -> t
-(** [trace] receives a ["page_alloc"] event (category ["shadow"]) each
-    time a shadow page materializes; defaults to the disabled sink.
+  ?sink:Faros_obs.Sink.t -> ?interner:Prov_intern.store -> unit -> t
+(** [sink] receives a ["page_alloc"] trace event (category ["shadow"])
+    each time a shadow page materializes; defaults to the disabled sink.
     [interner] is the {!Prov_intern.store} the page ids resolve against
     (default: the calling domain's current store); provenance written
     into this shadow must be interned under that same store. *)

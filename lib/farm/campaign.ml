@@ -16,11 +16,11 @@
 
    Observability rides the same one-way data flow.  Each job owns its
    whole instrumentation state — a private span profiler and a private
-   bounded trace collector — and ships it back as part of its plain-data
-   result; the driver then merges profiles, re-emits trace events with
-   worker/guest pid lanes, and streams everything onto the unified JSONL
-   sink, all single-threaded and in submission order.  Nothing mutable is
-   ever shared between a worker domain and the driver while a job runs. *)
+   bounded sink whose trace rows carry worker/guest pid lanes — and ships
+   it back as part of its plain-data result; the driver then merges
+   profiles and sinks and streams everything onto the unified JSONL sink,
+   all single-threaded and in submission order.  Nothing mutable is ever
+   shared between a worker domain and the driver while a job runs. *)
 
 type verdict = Flagged | Clean | Error of string | Timeout
 
@@ -63,7 +63,7 @@ type job_result = {
   jr_worker : int;  (* pool worker index that ran the job; -1 if unknown *)
   jr_metrics : Faros_obs.Metrics.t;  (* this job's private registry *)
   jr_profile : Faros_obs.Profile.t;  (* this job's span tree (or disabled) *)
-  jr_trace : Faros_obs.Trace.event list;  (* this job's trace events *)
+  jr_sink : Faros_obs.Sink.t;  (* this job's trace rows (or null) *)
   jr_segments : string list;  (* graph segment JSONL rows (graph_segments
      runs only) — plain strings, written driver-side in submission order *)
 }
@@ -149,10 +149,53 @@ let summarize_graph g =
     gs_netflow_origin = List.exists Faros_graph.Slice.has_netflow_origin slices;
   }
 
-(* Per-job trace collectors stay small on purpose: a campaign over 130
-   samples folds every surviving event into the fleet trace and the JSONL
-   stream, so the per-job cap — not the fleet cap — bounds the volume. *)
+(* Per-job sinks stay small on purpose: a campaign over 130 samples folds
+   every surviving row into the campaign stream, so the per-job cap — not
+   the campaign cap — bounds the volume.  What a job drops past it is
+   counted, and the count travels with the sink. *)
 let job_trace_limit = 4096
+
+(* A job's result.  The measured fields default to zero, which is what a
+   job that produced no verdict reports. *)
+let job_result ~tick_budget (s : Faros_corpus.Registry.sample) ~worker
+    ~wall_s ~metrics ~profile ~sink ?(diverged = false) ?(record_ticks = 0)
+    ?(replay_ticks = 0) ?(syscalls = 0) ?(tainted_bytes = 0) ?(interned = 0)
+    ?(gs = no_graph) ?(segments = []) verdict =
+  let expected_flag = s.expected = Faros_corpus.Registry.Expect_flag in
+  (* The cap actually in force, for the exports: long-running server
+     scenarios are judged against it (budget_exhausted means the run was
+     truncated, whatever the verdict says). *)
+  let budget =
+    Option.value tick_budget ~default:s.scenario.Faros_corpus.Scenario.max_ticks
+  in
+  {
+    jr_id = s.id;
+    jr_family = s.family;
+    jr_category = Fmt.str "%a" Faros_corpus.Registry.pp_category s.category;
+    jr_expected_flag = expected_flag;
+    jr_verdict = verdict;
+    jr_diverged = diverged;
+    jr_mismatch = mismatch ~expected_flag ~diverged verdict;
+    jr_record_ticks = record_ticks;
+    jr_replay_ticks = replay_ticks;
+    jr_tick_budget = budget;
+    jr_budget_exhausted = record_ticks >= budget || replay_ticks >= budget;
+    jr_syscalls = syscalls;
+    jr_tainted_bytes = tainted_bytes;
+    jr_interned_provs = interned;
+    jr_graph_nodes = gs.gs_nodes;
+    jr_graph_edges = gs.gs_edges;
+    jr_flag_sites = gs.gs_flag_sites;
+    jr_slice_nodes = gs.gs_slice_nodes;
+    jr_slice_origins = gs.gs_slice_origins;
+    jr_netflow_origin = gs.gs_netflow_origin;
+    jr_wall_s = wall_s;
+    jr_worker = worker;
+    jr_metrics = metrics;
+    jr_profile = profile;
+    jr_sink = sink;
+    jr_segments = segments;
+  }
 
 let run_job ~config ~graph ~graph_segments ~tick_budget ~deadline ~profile
     ~want_trace ~worker (s : Faros_corpus.Registry.sample) =
@@ -164,54 +207,15 @@ let run_job ~config ~graph ~graph_segments ~tick_budget ~deadline ~profile
      previous job on this worker). *)
   Faros_obs.Profile.with_span prof "farm.job.setup" (fun () ->
       Faros_dift.Prov_intern.set_store (Faros_dift.Prov_intern.create_store ()));
-  let trace_sink =
-    if want_trace then Faros_obs.Trace.collector ~limit:job_trace_limit ()
-    else Faros_obs.Trace.null
+  let sink =
+    if want_trace then
+      Faros_obs.Sink.create ~limit:job_trace_limit ~sample:s.id ~worker ()
+    else Faros_obs.Sink.null
   in
   let metrics = Faros_obs.Metrics.create () in
-  let expected_flag = s.expected = Faros_corpus.Registry.Expect_flag in
-  (* The cap actually in force, for the exports: long-running server
-     scenarios are judged against it (budget_exhausted means the run was
-     truncated, whatever the verdict says). *)
-  let budget =
-    Option.value tick_budget ~default:s.scenario.Faros_corpus.Scenario.max_ticks
-  in
   let t0 = Unix.gettimeofday () in
-  let finish verdict ~diverged ~record_ticks ~replay_ticks ~syscalls
-      ~tainted_bytes ~interned ~gs ~segments =
-    {
-      jr_id = s.id;
-      jr_family = s.family;
-      jr_category = Fmt.str "%a" Faros_corpus.Registry.pp_category s.category;
-      jr_expected_flag = expected_flag;
-      jr_verdict = verdict;
-      jr_diverged = diverged;
-      jr_mismatch = mismatch ~expected_flag ~diverged verdict;
-      jr_record_ticks = record_ticks;
-      jr_replay_ticks = replay_ticks;
-      jr_tick_budget = budget;
-      jr_budget_exhausted = record_ticks >= budget || replay_ticks >= budget;
-      jr_syscalls = syscalls;
-      jr_tainted_bytes = tainted_bytes;
-      jr_interned_provs = interned;
-      jr_graph_nodes = gs.gs_nodes;
-      jr_graph_edges = gs.gs_edges;
-      jr_flag_sites = gs.gs_flag_sites;
-      jr_slice_nodes = gs.gs_slice_nodes;
-      jr_slice_origins = gs.gs_slice_origins;
-      jr_netflow_origin = gs.gs_netflow_origin;
-      jr_wall_s = Unix.gettimeofday () -. t0;
-      jr_worker = worker;
-      jr_metrics = metrics;
-      jr_profile = prof;
-      jr_trace = Faros_obs.Trace.events trace_sink;
-      jr_segments = segments;
-    }
-  in
-  let failed verdict =
-    finish verdict ~diverged:false ~record_ticks:0 ~replay_ticks:0 ~syscalls:0
-      ~tainted_bytes:0 ~interned:0 ~gs:no_graph ~segments:[]
-  in
+  let elapsed () = Unix.gettimeofday () -. t0 in
+  let finish = job_result ~tick_budget s ~worker ~metrics ~profile:prof ~sink in
   let builder = ref None in
   let seg = ref None in
   let extra_plugins kernel faros =
@@ -223,9 +227,9 @@ let run_job ~config ~graph ~graph_segments ~tick_budget ~deadline ~profile
          writes them out in submission order. *)
       let consumer =
         if graph_segments then begin
-          let sink = Faros_obs.Sink.create () in
-          let w = Faros_query.Segment.writer ~sink ~run:s.id () in
-          seg := Some (sink, w);
+          let rows = Faros_obs.Sink.create () in
+          let w = Faros_query.Segment.writer ~sink:rows ~run:s.id () in
+          seg := Some (rows, w);
           Some (Faros_query.Segment.consume w)
         end
         else None
@@ -240,9 +244,8 @@ let run_job ~config ~graph ~graph_segments ~tick_budget ~deadline ~profile
        [graph.enrich] span nests under the job like everything else. *)
     Faros_obs.Profile.with_span prof "farm.job.run" (fun () ->
         let outcome =
-          Faros_corpus.Scenario.analyze ~config ~metrics ~trace_sink
-            ~profile:prof ?max_ticks:tick_budget ?deadline ~extra_plugins
-            s.scenario
+          Faros_corpus.Scenario.analyze ~config ~metrics ~sink ~profile:prof
+            ?max_ticks:tick_budget ?deadline ~extra_plugins s.scenario
         in
         let gs =
           match !builder with
@@ -254,17 +257,16 @@ let run_job ~config ~graph ~graph_segments ~tick_budget ~deadline ~profile
         let segments =
           match !seg with
           | None -> []
-          | Some (sink, w) ->
+          | Some (rows, w) ->
             Faros_query.Segment.close w;
-            Faros_obs.Sink.lines sink
+            Faros_obs.Sink.lines rows
         in
         (outcome, gs, segments))
   with
   | outcome, gs, segments ->
     let stats = Faros_dift.Engine.stats outcome.faros.engine in
-    finish
-      (if Core.Report.flagged outcome.report then Flagged else Clean)
-      ~diverged:outcome.replay.diverged ~record_ticks:outcome.record_ticks
+    finish ~wall_s:(elapsed ()) ~diverged:outcome.replay.diverged
+      ~record_ticks:outcome.record_ticks
       ~replay_ticks:outcome.replay.replay_ticks
       ~syscalls:outcome.replay.replay_syscalls
       ~tainted_bytes:stats.tainted_bytes
@@ -272,8 +274,10 @@ let run_job ~config ~graph ~graph_segments ~tick_budget ~deadline ~profile
         (Faros_dift.Prov_intern.store_interned_count
            outcome.faros.engine.interner)
       ~gs ~segments
-  | exception Core.Analysis.Deadline_exceeded -> failed Timeout
-  | exception e -> failed (Error (Printexc.to_string e))
+      (if Core.Report.flagged outcome.report then Flagged else Clean)
+  | exception Core.Analysis.Deadline_exceeded ->
+    finish ~wall_s:(elapsed ()) Timeout
+  | exception e -> finish ~wall_s:(elapsed ()) (Error (Printexc.to_string e))
 
 (* -- the campaign -------------------------------------------------------- *)
 
@@ -309,11 +313,11 @@ let publish_farm_metrics ~workers ~spawned ~peak_depth ~worker_stats ~results
     results
 
 (* Stream one completed campaign onto the JSONL sink, in submission
-   order: per-job lifecycle, trace events, one series point, the graph
-   flag summary for flagged jobs; then the merged profile's spans; then —
-   after the stream-health gauges are frozen into the registry — the
-   final metric snapshot.  All driver-side: the sink never crosses a
-   domain boundary. *)
+   order: per-job lifecycle, the job's own sink (its trace rows and its
+   drop count), one series point, the graph flag summary for flagged
+   jobs; then the merged profile's spans; then — after the stream-health
+   gauges are frozen into the registry — the final metric snapshot.  All
+   driver-side: a job's sink is handed over only once the job is done. *)
 let emit_sink sink ~results ~profile ~metrics =
   let series_columns =
     [
@@ -327,9 +331,7 @@ let emit_sink sink ~results ~profile ~metrics =
       life "submit" ();
       life "start" ();
       life "finish" ~verdict:(verdict_name r.jr_verdict) ~wall_s:r.jr_wall_s ();
-      List.iter
-        (fun e -> Faros_obs.Sink.trace_event sink ~sample:r.jr_id e)
-        r.jr_trace;
+      Faros_obs.Sink.merge ~into:sink r.jr_sink;
       Faros_obs.Sink.series_point sink ~sample:r.jr_id ~columns:series_columns
         ~row:
           [|
@@ -356,12 +358,10 @@ let emit_sink sink ~results ~profile ~metrics =
 
 let run ?(workers = 1) ?(config = Core.Config.default) ?(graph = true)
     ?(graph_segments = false) ?tick_budget ?deadline ?(profile = false)
-    ?(sink = Faros_obs.Sink.null) ?(trace = Faros_obs.Trace.null)
-    ?(farm_metrics = false) ?on_progress samples =
+    ?(sink = Faros_obs.Sink.null) ?(farm_metrics = false) ?on_progress
+    samples =
   let t0 = Unix.gettimeofday () in
-  let want_trace =
-    Faros_obs.Trace.enabled trace || Faros_obs.Sink.enabled sink
-  in
+  let want_trace = Faros_obs.Sink.enabled sink in
   let total = List.length samples in
   (* Freeze the shared corpus snapshot before any domain exists: from
      here on the artifact tables are read-only, so the scenario values
@@ -390,38 +390,10 @@ let run ?(workers = 1) ?(config = Core.Config.default) ?(graph = true)
               | Error e ->
                 (* run_job contains its own exception barrier, so this only
                    fires on failures outside it; record, don't abort. *)
-                {
-                  jr_id = s.id;
-                  jr_family = s.family;
-                  jr_category =
-                    Fmt.str "%a" Faros_corpus.Registry.pp_category s.category;
-                  jr_expected_flag =
-                    s.expected = Faros_corpus.Registry.Expect_flag;
-                  jr_verdict = Error (Printexc.to_string e);
-                  jr_diverged = false;
-                  jr_mismatch = true;
-                  jr_record_ticks = 0;
-                  jr_replay_ticks = 0;
-                  jr_tick_budget =
-                    Option.value tick_budget
-                      ~default:s.scenario.Faros_corpus.Scenario.max_ticks;
-                  jr_budget_exhausted = false;
-                  jr_syscalls = 0;
-                  jr_tainted_bytes = 0;
-                  jr_interned_provs = 0;
-                  jr_graph_nodes = 0;
-                  jr_graph_edges = 0;
-                  jr_flag_sites = 0;
-                  jr_slice_nodes = 0;
-                  jr_slice_origins = 0;
-                  jr_netflow_origin = false;
-                  jr_wall_s = 0.0;
-                  jr_worker = -1;
-                  jr_metrics = Faros_obs.Metrics.create ();
-                  jr_profile = Faros_obs.Profile.disabled;
-                  jr_trace = [];
-                  jr_segments = [];
-                }
+                job_result ~tick_budget s ~worker:(-1) ~wall_s:0.0
+                  ~metrics:(Faros_obs.Metrics.create ())
+                  ~profile:Faros_obs.Profile.disabled ~sink:Faros_obs.Sink.null
+                  (Error (Printexc.to_string e))
             in
             incr completed;
             Option.iter (fun f -> f ~completed:!completed ~total r) on_progress;
@@ -446,17 +418,6 @@ let run ?(workers = 1) ?(config = Core.Config.default) ?(graph = true)
   if farm_metrics then
     publish_farm_metrics ~workers ~spawned ~peak_depth ~worker_stats ~results
       metrics;
-  (* Fold per-job trace events into the fleet trace: worker index becomes
-     the process lane, the guest pid the thread lane. *)
-  if Faros_obs.Trace.enabled trace then
-    List.iter
-      (fun r ->
-        List.iter
-          (fun (e : Faros_obs.Trace.event) ->
-            Faros_obs.Trace.add_event trace
-              { e with ev_pid = r.jr_worker; ev_tid = e.ev_pid })
-          r.jr_trace)
-      results;
   if Faros_obs.Sink.enabled sink then
     emit_sink sink ~results ~profile:cam_profile ~metrics;
   {

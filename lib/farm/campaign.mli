@@ -16,11 +16,11 @@
     adds per-worker timing gauges, which naturally vary.)
 
     Observability: each job carries its own span profiler and bounded
-    trace collector and ships them back as plain data; the driver merges
-    profiles into one fleet-wide hotspot tree, folds trace events into a
-    campaign trace with the worker index as the process lane, and
-    streams lifecycle/trace/series/profile/metric lines onto the unified
-    JSONL {!Faros_obs.Sink} — all single-threaded, in submission
+    {!Faros_obs.Sink} and ships them back; the job's trace rows carry the
+    worker index as [pid] and the guest pid as [tid].  The driver merges
+    profiles into one fleet-wide hotspot tree and folds every job's sink
+    (rows and drop count) into the campaign stream between that job's
+    lifecycle and series lines — all single-threaded, in submission
     order. *)
 
 type verdict =
@@ -72,9 +72,10 @@ type job_result = {
   jr_profile : Faros_obs.Profile.t;
       (** this job's span tree; {!Faros_obs.Profile.disabled} unless the
           campaign ran with [profile:true] *)
-  jr_trace : Faros_obs.Trace.event list;
-      (** this job's trace events (bounded per job); empty unless a
-          campaign trace or JSONL sink was requested *)
+  jr_sink : Faros_obs.Sink.t;
+      (** this job's [trace_event] rows, stamped with the sample id and
+          the worker/guest lanes, and bounded per job with drops counted;
+          {!Faros_obs.Sink.null} unless the campaign ran with a [sink] *)
   jr_segments : string list;
       (** this job's graph segment JSONL rows ({!Faros_query.Segment}
           format); empty unless run with [graph_segments:true].  Plain
@@ -105,7 +106,6 @@ val run :
   ?deadline:float ->
   ?profile:bool ->
   ?sink:Faros_obs.Sink.t ->
-  ?trace:Faros_obs.Trace.t ->
   ?farm_metrics:bool ->
   ?on_progress:(completed:int -> total:int -> job_result -> unit) ->
   Faros_corpus.Registry.sample list ->
@@ -124,8 +124,9 @@ val run :
     spans) and merges them all — plus the driver's [farm.merge] span —
     into the result's [profile].  [sink] (default null) receives the
     unified JSONL stream, written entirely driver-side after all jobs
-    complete; [trace] (default null) receives every job's trace events
-    with the worker index as [pid] and the guest pid as [tid].
+    complete; it includes every job's trace rows with the worker index
+    as [pid] and the guest pid as [tid], and its drop count includes
+    what each job dropped past its own cap.
     [farm_metrics] (default [false]) adds [farm.workers.*],
     [farm.worker.<i>.*], [farm.queue.peak_depth] gauges and the
     [farm.job.wall_us] histogram to the merged registry.  [on_progress]

@@ -256,6 +256,21 @@ let parse s =
 
 let well_formed s = match parse s with Ok _ -> Ok () | Error e -> Error e
 
+(* Compact rendering: [parse (to_string v)] gives [v] back for every
+   value our emitters build (no floats, no surrogate pairs). *)
+let rec to_string = function
+  | Null -> "null"
+  | Bool b -> string_of_bool b
+  | Int i -> string_of_int i
+  | Float f -> if Float.is_finite f then Printf.sprintf "%.17g" f else "null"
+  | Str s -> "\"" ^ escape s ^ "\""
+  | List vs -> "[" ^ String.concat "," (List.map to_string vs) ^ "]"
+  | Obj kvs ->
+    "{"
+    ^ String.concat ","
+        (List.map (fun (k, v) -> "\"" ^ escape k ^ "\":" ^ to_string v) kvs)
+    ^ "}"
+
 (* JSONL: every non-empty line must be a well-formed JSON value.
    Returns the number of validated lines, or the first offending line
    (1-based) with its error. *)

@@ -28,6 +28,10 @@ val parse : string -> (t, string) result
 val well_formed : string -> (unit, string) result
 (** [parse] with the value dropped. *)
 
+val to_string : t -> string
+(** Compact rendering (no whitespace, members in list order); a
+    non-finite [Float] renders as [null]. *)
+
 val well_formed_lines : string -> (int, int * string) result
 (** Validate a JSONL document: every non-empty line must be one
     well-formed JSON value.  [Ok n] is the number of validated lines;

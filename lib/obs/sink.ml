@@ -1,10 +1,11 @@
-(* Unified streaming JSONL sink.
+(* Unified streaming JSONL sink: the one event channel.
 
    One append-only channel that every observability producer — metrics,
-   trace, series, profiler, farm, graph — writes through, so a whole
-   campaign lands in a single stream a fleet-side consumer can tail.
-   Each line is one self-describing JSON object carrying a schema
-   version ("v") and a type tag ("type"); the six event types are
+   structured trace events, series, profiler, farm, graph — writes
+   through, so a whole campaign lands in a single stream a fleet-side
+   consumer can tail.  Each line is one self-describing JSON object
+   carrying a schema version ("v") and a type tag ("type"); the nine
+   event types are
 
      metric_snapshot   a whole registry, rendered once per source
      trace_event       one structured trace event (worker/guest lanes)
@@ -16,62 +17,100 @@
      graph_node        one spilled graph node row (or attribute patch)
      graph_edge        one spilled, coalesced graph edge row
 
-   The null sink is a constant constructor — emission points cost one
-   branch and allocate nothing — and the buffering sink is bounded with
-   an explicit drop counter, so loss is visible, never silent.  The
-   channel sink streams every line straight to an [out_channel] and
-   retains nothing, which is what makes bounded-memory graph spilling
-   actually bounded.  Lines are validated downstream by the same
-   [Json.well_formed] checker the tests use (`faros check-json
-   --jsonl`). *)
+   The null sink is a constant constructor, so the hot-path discipline
+   of every instrumented layer is
+
+     if Sink.enabled sink then Sink.trace_event sink ~cat ~name ~pid args
+
+   — one branch and no allocation when the channel is off.  The
+   buffering sink is bounded with an explicit drop counter, so loss is
+   visible, never silent.  The channel sink streams every line straight
+   to an [out_channel] and retains nothing, which is what makes
+   bounded-memory graph spilling actually bounded.  Lines are validated
+   downstream by the same [Json.well_formed] checker the tests use
+   (`faros check-json --jsonl`).
+
+   Trace-event timestamps come from the sink's clock — the FAROS plugin
+   points it at the kernel tick counter, so event times are instruction
+   counts, the only meaningful time base a deterministic replay has.  The
+   Chrome trace_event export is a second rendering of the same rows:
+   they are parsed back with [Json.parse], so the JSONL stream and the
+   trace viewer (chrome://tracing, Perfetto) cannot disagree. *)
 
 let schema_version = 1
 
-type buffer = {
+type live = {
+  out : out_channel option;  (* Some: stream each line, retain nothing *)
+  limit : int;
   mutable rev_lines : string list;  (* newest first *)
   mutable count : int;
-  limit : int;
   mutable dropped : int;
+  mutable clock : unit -> int;  (* trace_event timestamps *)
+  sample : string;  (* rendered "sample" member of trace rows, or "" *)
+  worker : int option;  (* Some w: trace rows take pid w, tid guest pid *)
 }
 
-type channel = { ch_oc : out_channel; mutable ch_count : int }
-
-type t = Null | Buffer of buffer | Channel of channel
+type t = Null | Live of live
 
 let null = Null
 
-let create ?(limit = 1_000_000) () =
-  Buffer { rev_lines = []; count = 0; limit; dropped = 0 }
+let live ?out ?(limit = 1_000_000) ?sample ?worker () =
+  Live
+    {
+      out;
+      limit;
+      rev_lines = [];
+      count = 0;
+      dropped = 0;
+      clock = (fun () -> 0);
+      sample =
+        (match sample with
+        | Some s -> Printf.sprintf {|"sample":"%s",|} (Json.escape s)
+        | None -> "");
+      worker;
+    }
 
-let channel oc = Channel { ch_oc = oc; ch_count = 0 }
+let create ?limit ?sample ?worker () = live ?limit ?sample ?worker ()
+let channel oc = live ~out:oc ~limit:max_int ()
 
-let enabled = function Null -> false | Buffer _ | Channel _ -> true
-let events = function Null -> 0 | Buffer b -> b.count | Channel c -> c.ch_count
-let dropped = function Null | Channel _ -> 0 | Buffer b -> b.dropped
-
-let lines = function Null | Channel _ -> [] | Buffer b -> List.rev b.rev_lines
+let enabled = function Null -> false | Live _ -> true
+let events = function Null -> 0 | Live l -> l.count
+let dropped = function Null -> 0 | Live l -> l.dropped
+let lines = function Null -> [] | Live l -> List.rev l.rev_lines
 
 let contents t =
   match lines t with [] -> "" | ls -> String.concat "\n" ls ^ "\n"
 
+let set_clock t clock = match t with Null -> () | Live l -> l.clock <- clock
+
 let push t line =
   match t with
   | Null -> ()
-  | Buffer b ->
-    if b.count >= b.limit then b.dropped <- b.dropped + 1
+  | Live l ->
+    if l.count >= l.limit then l.dropped <- l.dropped + 1
     else begin
-      b.rev_lines <- line :: b.rev_lines;
-      b.count <- b.count + 1
+      l.count <- l.count + 1;
+      match l.out with
+      | Some oc ->
+        output_string oc line;
+        output_char oc '\n'
+      | None -> l.rev_lines <- line :: l.rev_lines
     end
-  | Channel c ->
-    output_string c.ch_oc line;
-    output_char c.ch_oc '\n';
-    c.ch_count <- c.ch_count + 1
+
+(* Fold a finished sink into [into], the way [Metrics.merge] and
+   [Profile.merge] fold registries: every row is pushed again under
+   [into]'s own limit, and [src]'s drops add to [into]'s. *)
+let merge ~into src =
+  match (into, src) with
+  | Null, _ | _, Null -> ()
+  | Live l, Live s ->
+    List.iter (push into) (List.rev s.rev_lines);
+    l.dropped <- l.dropped + s.dropped
 
 let line t typ body =
   match t with
   | Null -> ()
-  | Buffer _ | Channel _ ->
+  | Live _ ->
     push t
       (Printf.sprintf {|{"v":%d,"type":"%s",%s}|} schema_version typ body)
 
@@ -85,27 +124,15 @@ let metric_snapshot t ~source metrics =
          (let j = Metrics.to_json metrics in
           String.sub j 1 (String.length j - 2)))
 
-let trace_event t ?sample (e : Trace.event) =
-  if enabled t then begin
-    let args =
-      e.Trace.ev_args
-      |> List.map (fun (k, v) ->
-             Printf.sprintf {|"%s":%s|} (Json.escape k) (Trace.arg_json v))
-      |> String.concat ","
-    in
-    let sample =
-      match sample with
-      | Some s -> Printf.sprintf {|"sample":"%s",|} (Json.escape s)
-      | None -> ""
-    in
+let trace_event t ~cat ~name ~pid args =
+  match t with
+  | Null -> ()
+  | Live l ->
+    let pid, tid = match l.worker with Some w -> (w, pid) | None -> (pid, pid) in
     line t "trace_event"
-      (Printf.sprintf
-         {|%s"name":"%s","cat":"%s","ts":%d,"pid":%d,"tid":%d,"args":{%s}|}
-         sample
-         (Json.escape e.Trace.ev_name)
-         (Json.escape e.Trace.ev_cat)
-         e.Trace.ev_ts e.Trace.ev_pid e.Trace.ev_tid args)
-  end
+      (Printf.sprintf {|%s"name":"%s","cat":"%s","ts":%d,"pid":%d,"tid":%d,"args":%s|}
+         l.sample (Json.escape name) (Json.escape cat) (l.clock ()) pid tid
+         (Json.to_string (Json.Obj args)))
 
 let series_point t ~sample ~columns ~row =
   if enabled t then begin
@@ -198,10 +225,36 @@ let graph_edge t ~run ~seq ~eord ~src ~dst ~kind ~tick ~last_tick ~count ~bytes 
          (Json.escape run) seq eord src dst (Json.escape kind) tick last_tick
          count bytes)
 
-let write_file t path =
-  match t with
-  | Channel c -> flush c.ch_oc
-  | Null | Buffer _ ->
-    let oc = open_out path in
-    output_string oc (contents t);
-    close_out oc
+(* -- Chrome trace_event export -------------------------------------------- *)
+
+let trace_row line =
+  match Json.parse line with
+  | Ok row when Json.str_mem row "type" = Some "trace_event" -> Some row
+  | Ok _ | Error _ -> None
+
+let trace_rows t = List.filter_map trace_row (lines t)
+
+(* One instant event per row; [ts] is the kernel tick, which the viewer
+   renders as microseconds — a tick is the natural time unit of a
+   deterministic replay.  pid and tid are distinct fields: a campaign row
+   carries the worker index in pid and the guest pid in tid, so each
+   worker renders as its own process lane with per-guest thread rows
+   inside it. *)
+let chrome_event row =
+  let str k = Json.escape (Option.value ~default:"" (Json.str_mem row k)) in
+  let int k = Option.value ~default:0 (Json.int_mem row k) in
+  Printf.sprintf
+    {|{"name":"%s","cat":"%s","ph":"i","s":"g","ts":%d,"pid":%d,"tid":%d,"args":%s}|}
+    (str "name") (str "cat") (int "ts") (int "pid") (int "tid")
+    (Json.to_string (Option.value ~default:(Json.Obj []) (Json.mem row "args")))
+
+let to_chrome_json t =
+  (* Parse and render row by row, so no parsed row outlives its event. *)
+  let events =
+    List.filter_map
+      (fun line -> Option.map chrome_event (trace_row line))
+      (lines t)
+  in
+  Printf.sprintf
+    {|{"traceEvents":[%s],"displayTimeUnit":"ms","otherData":{"events":%d,"dropped":%d}}|}
+    (String.concat "," events) (List.length events) (dropped t)

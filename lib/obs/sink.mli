@@ -1,4 +1,4 @@
-(** Unified streaming JSONL sink.
+(** Unified streaming JSONL sink: the one event channel.
 
     One append-only channel all observability producers share: each line
     is a self-describing JSON object with a schema version ["v"] and a
@@ -8,7 +8,16 @@
     [graph_node], [graph_edge]).  {!null} costs one branch per emission;
     the buffering sink is bounded with an explicit drop counter — loss is
     counted, never silent; the {!channel} sink streams each line straight
-    to an [out_channel] and retains nothing. *)
+    to an [out_channel] and retains nothing.
+
+    Instrumented layers (engine, shadow, detector, syscall dispatch)
+    guard every emission with {!enabled}:
+
+    {[ if Sink.enabled sink then Sink.trace_event sink ~cat ~name ~pid args ]}
+
+    Trace rows are timestamped by the sink's clock (the FAROS plugin
+    points it at the kernel tick), and {!to_chrome_json} renders the
+    buffered rows, parsed back, as a Chrome trace_event document. *)
 
 type t
 
@@ -17,8 +26,11 @@ val schema_version : int
 val null : t
 (** The disabled sink: every emitter is a no-op. *)
 
-val create : ?limit:int -> unit -> t
-(** A buffering sink holding at most [limit] lines (default 1e6). *)
+val create : ?limit:int -> ?sample:string -> ?worker:int -> unit -> t
+(** A buffering sink holding at most [limit] lines (default 1e6).
+    [sample] is stamped on every [trace_event] row; with [worker] a row
+    takes the worker index as [pid] and the guest pid as [tid] (a
+    campaign job's lanes), otherwise both are the guest pid. *)
 
 val channel : out_channel -> t
 (** A streaming sink: each line goes straight to the channel (with a
@@ -31,7 +43,8 @@ val events : t -> int
 (** Lines buffered (or streamed) so far. *)
 
 val dropped : t -> int
-(** Lines rejected because the buffer was full. *)
+(** Lines rejected because the buffer was full, plus the drops of every
+    sink {!merge}d in. *)
 
 val lines : t -> string list
 (** Buffered lines, oldest first; [[]] for a channel sink. *)
@@ -39,16 +52,24 @@ val lines : t -> string list
 val contents : t -> string
 (** The whole stream, newline-terminated; [""] when empty or channel. *)
 
-val write_file : t -> string -> unit
-(** Write the buffered stream to [path]; for a channel sink this just
-    flushes the underlying channel. *)
+val set_clock : t -> (unit -> int) -> unit
+(** Set the [trace_event] timestamp source (no-op on {!null}; the
+    default clock reads 0). *)
+
+val merge : into:t -> t -> unit
+(** Append the source's buffered lines to [into] (under [into]'s limit)
+    and add the source's drop count to [into]'s. *)
 
 (** {2 Typed emitters} — each appends exactly one line. *)
 
 val metric_snapshot : t -> source:string -> Metrics.t -> unit
 (** A whole registry, sorted by name as [Metrics.to_json] renders it. *)
 
-val trace_event : t -> ?sample:string -> Trace.event -> unit
+val trace_event :
+  t -> cat:string -> name:string -> pid:int -> (string * Json.t) list -> unit
+(** One structured event from an instrumented layer: [pid] is the guest
+    process (pid or asid), [ts] comes from the clock, and [args] should
+    hold scalar values ([Int], [Str], [Bool]). *)
 
 val series_point :
   t -> sample:string -> columns:string list -> row:int array -> unit
@@ -118,3 +139,14 @@ val graph_edge :
 (** One coalesced edge row; [src]/[dst] are node ordinals, [eord] the
     writer-local edge creation ordinal (merge on minimum recovers the
     resident insertion order). *)
+
+(** {2 Chrome trace_event export} *)
+
+val trace_rows : t -> Json.t list
+(** The buffered [trace_event] rows, parsed back, oldest first. *)
+
+val to_chrome_json : t -> string
+(** The {!trace_rows} as one Chrome trace_event JSON document
+    (chrome://tracing, Perfetto): one instant event per row, with [pid]
+    and [tid] as distinct fields and [otherData] carrying the row count
+    and {!dropped}. *)

@@ -79,9 +79,9 @@ let dispatch (k : t) (p : Process.t) (eff : Faros_vm.Cpu.effect) =
   Kstate.emit k
     (Os_event.Sys_enter
        { pid = p.pid; sysno; sysname = Syscall.name sysno; args; via_stub });
-  if Faros_obs.Trace.enabled k.trace then
-    Faros_obs.Trace.emit k.trace ~cat:"syscall" ~name:(Syscall.name sysno)
-      ~pid:p.pid
+  if Faros_obs.Sink.enabled k.sink then
+    Faros_obs.Sink.trace_event k.sink ~cat:"syscall"
+      ~name:(Syscall.name sysno) ~pid:p.pid
       [ ("class", Str (Syscall.category sysno)); ("via_stub", Bool via_stub) ];
   let ret =
     match handler sysno with

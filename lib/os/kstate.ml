@@ -11,7 +11,7 @@ type t = {
   mutable subscribers : (Os_event.t -> unit) list;
   mutable tick : int;  (* instructions executed, whole system *)
   mutable run_queue : Types.pid list;
-  mutable trace : Faros_obs.Trace.t;  (* syscall-dispatch events *)
+  mutable sink : Faros_obs.Sink.t;  (* syscall-dispatch trace events *)
   mutable profile : Faros_obs.Profile.t;  (* span profiler; disabled by default *)
 }
 
@@ -29,13 +29,13 @@ let create ~local_ip =
     subscribers = [];
     tick = 0;
     run_queue = [];
-    trace = Faros_obs.Trace.null;
+    sink = Faros_obs.Sink.null;
     profile = Faros_obs.Profile.disabled;
   }
 
 let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 
-let set_trace t trace = t.trace <- trace
+let set_sink t sink = t.sink <- sink
 
 (* The machine shares the profiler so [vm.step]/[vm.hooks] spans land in
    the same tree as [kernel.syscall]. *)

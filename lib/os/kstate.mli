@@ -12,8 +12,9 @@ type t = {
   mutable subscribers : (Os_event.t -> unit) list;
   mutable tick : int;  (** instructions executed, whole system *)
   mutable run_queue : Types.pid list;
-  mutable trace : Faros_obs.Trace.t;
-      (** sink for syscall-dispatch events; the disabled sink by default *)
+  mutable sink : Faros_obs.Sink.t;
+      (** receives one [trace_event] row per syscall dispatch; the
+          disabled sink by default *)
   mutable profile : Faros_obs.Profile.t;
       (** span profiler; the disabled profiler by default *)
 }
@@ -23,9 +24,9 @@ val create : local_ip:Types.Ip.t -> t
 val subscribe : t -> (Os_event.t -> unit) -> unit
 val emit : t -> Os_event.t -> unit
 
-val set_trace : t -> Faros_obs.Trace.t -> unit
-(** Point the kernel's structured-event sink somewhere (see
-    {!Faros_obs.Trace}); syscall dispatch emits one event per call. *)
+val set_sink : t -> Faros_obs.Sink.t -> unit
+(** Point the kernel's event channel somewhere (see {!Faros_obs.Sink});
+    syscall dispatch emits one [trace_event] row per call. *)
 
 val set_profile : t -> Faros_obs.Profile.t -> unit
 (** Attach a span profiler to the kernel {e and} its machine: syscall

@@ -263,6 +263,32 @@ let contains ~needle hay =
   let rec go i = i + n <= len && (String.sub hay i n = needle || go (i + 1)) in
   go 0
 
+(* Every line of the stream, parsed back. *)
+let parsed_lines sink =
+  List.map
+    (fun line ->
+      match Faros_obs.Json.parse line with
+      | Ok row -> row
+      | Error e -> Alcotest.failf "unparsable stream line: %s" e)
+    (Faros_obs.Sink.lines sink)
+
+let of_type ty rows =
+  List.filter (fun row -> Faros_obs.Json.str_mem row "type" = Some ty) rows
+
+(* A gauge's value in the stream's closing metric_snapshot row. *)
+let snapshot_gauge sink name =
+  match List.rev (of_type "metric_snapshot" (parsed_lines sink)) with
+  | closing :: _ -> (
+    match Faros_obs.Json.mem closing "metrics" with
+    | Some (Faros_obs.Json.List ms) -> (
+      match
+        List.find_opt (fun m -> Faros_obs.Json.str_mem m "name" = Some name) ms
+      with
+      | Some m -> Option.value ~default:0 (Faros_obs.Json.int_mem m "value")
+      | None -> Alcotest.failf "snapshot has no %s" name)
+    | _ -> Alcotest.fail "snapshot without metrics")
+  | [] -> Alcotest.fail "no metric_snapshot row"
+
 let campaign_obs_tests =
   [
     Alcotest.test_case
@@ -275,10 +301,9 @@ let campaign_obs_tests =
         check_b "slice non-trivial" true (List.length samples >= 2);
         let plain = Campaign.run ~workers:2 samples in
         let sink = Faros_obs.Sink.create () in
-        let trace = Faros_obs.Trace.collector () in
         let progress = ref 0 in
         let observed =
-          Campaign.run ~workers:2 ~profile:true ~sink ~trace ~farm_metrics:true
+          Campaign.run ~workers:2 ~profile:true ~sink ~farm_metrics:true
             ~on_progress:(fun ~completed ~total:_ _ -> progress := completed)
             samples
         in
@@ -339,13 +364,33 @@ let campaign_obs_tests =
             "metric_snapshot"; "trace_event"; "series_point"; "profile_span";
             "job_lifecycle"; "graph_flag";
           ];
-        (* the campaign trace uses worker lanes: pid = worker index *)
-        check_b "trace collected" true (Faros_obs.Trace.count trace > 0);
+        (* the trace rows use worker lanes (pid = worker index), and the
+           Chrome export renders exactly those rows, in stream order *)
+        let rows = of_type "trace_event" (parsed_lines sink) in
+        check_b "trace rows streamed" true (rows <> []);
         List.iter
-          (fun (e : Faros_obs.Trace.event) ->
-            check_b "pid is a worker lane" true
-              (e.ev_pid >= 0 && e.ev_pid < observed.spawned))
-          (Faros_obs.Trace.events trace);
+          (fun row ->
+            match Faros_obs.Json.int_mem row "pid" with
+            | Some pid ->
+              check_b "pid is a worker lane" true
+                (pid >= 0 && pid < observed.spawned)
+            | None -> Alcotest.fail "trace row without pid")
+          rows;
+        let chrome_events =
+          match Faros_obs.Json.parse (Faros_obs.Sink.to_chrome_json sink) with
+          | Ok doc -> (
+            match Faros_obs.Json.mem doc "traceEvents" with
+            | Some (Faros_obs.Json.List evs) -> evs
+            | _ -> Alcotest.fail "no traceEvents array")
+          | Error e -> Alcotest.failf "Chrome export malformed: %s" e
+        in
+        let lanes row =
+          (Faros_obs.Json.int_mem row "pid", Faros_obs.Json.int_mem row "tid")
+        in
+        check "one Chrome event per trace row" (List.length rows)
+          (List.length chrome_events);
+        check_b "same lanes in the same order" true
+          (List.map lanes rows = List.map lanes chrome_events);
         (* farm telemetry gauges landed in the merged registry *)
         let gauge name =
           Faros_obs.Metrics.gauge_value
@@ -380,8 +425,28 @@ let campaign_obs_tests =
           (fun (r : Campaign.job_result) ->
             check_b "job profile disabled" false
               (Faros_obs.Profile.enabled r.jr_profile);
-            Alcotest.(check (list reject)) "no trace shipped" [] r.jr_trace)
+            check_b "no sink shipped" false
+              (Faros_obs.Sink.enabled r.jr_sink))
           c.results);
+    Alcotest.test_case "trace rows a job drops past its cap are counted"
+      `Slow (fun () ->
+        let sample =
+          match Faros_corpus.Registry.find "netd_inject_500" with
+          | Some s -> s
+          | None -> Alcotest.fail "missing corpus sample"
+        in
+        (* the same sample analyzed alone, into an unbounded sink *)
+        let alone = Faros_obs.Sink.create () in
+        ignore (Faros_corpus.Scenario.analyze ~sink:alone sample.scenario);
+        let events = Faros_obs.Sink.events alone in
+        let sink = Faros_obs.Sink.create () in
+        ignore (Campaign.run ~sink [ sample ]);
+        let kept = List.length (Faros_obs.Sink.trace_rows sink) in
+        check_b "the job hit its cap" true (kept < events);
+        check "kept + dropped = every event" events
+          (kept + Faros_obs.Sink.dropped sink);
+        check_b "the closing snapshot counts the drops" true
+          (snapshot_gauge sink "obs.sink.dropped" > 0));
   ]
 
 (* -- serial/parallel equivalence ------------------------------------------ *)

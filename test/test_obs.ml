@@ -1,5 +1,6 @@
-(* Tests for the observability layer: metrics registry, time series, trace
-   sinks, the JSON checker, and the telemetry sampled from a real replay. *)
+(* Tests for the observability layer: metrics registry, time series, the
+   event sink and its Chrome export, the JSON checker, and the telemetry
+   sampled from a real replay. *)
 
 open Faros_obs
 
@@ -231,48 +232,66 @@ let series_tests =
         | Error e -> Alcotest.fail e);
   ]
 
-(* -- trace ------------------------------------------------------------------ *)
+(* -- trace events on the sink ------------------------------------------------ *)
+
+let int_field row k =
+  match Json.int_mem row k with
+  | Some i -> i
+  | None -> Alcotest.failf "row has no int %s" k
+
+let str_field row k =
+  match Json.str_mem row k with
+  | Some v -> v
+  | None -> Alcotest.failf "row has no string %s" k
 
 let trace_tests =
   [
     Alcotest.test_case "null sink is disabled and collects nothing" `Quick
       (fun () ->
-        let t = Trace.null in
-        check_b "disabled" false (Trace.enabled t);
-        Trace.emit t ~cat:"c" ~name:"n" ~pid:1 [];
-        check "no events" 0 (Trace.count t);
-        Alcotest.(check (list reject)) "empty" [] (Trace.events t));
+        let t = Sink.null in
+        check_b "disabled" false (Sink.enabled t);
+        Sink.trace_event t ~cat:"c" ~name:"n" ~pid:1 [];
+        check "no events" 0 (Sink.events t);
+        Alcotest.(check (list string)) "empty" [] (Sink.lines t));
     Alcotest.test_case "collector records events with the clock" `Quick
       (fun () ->
-        let t = Trace.collector () in
-        check_b "enabled" true (Trace.enabled t);
+        let t = Sink.create () in
+        check_b "enabled" true (Sink.enabled t);
         let now = ref 0 in
-        Trace.set_clock t (fun () -> !now);
+        Sink.set_clock t (fun () -> !now);
         now := 5;
-        Trace.emit t ~cat:"engine" ~name:"tag_insert" ~pid:7
+        Sink.trace_event t ~cat:"engine" ~name:"tag_insert" ~pid:7
           [ ("bytes", Int 3) ];
         now := 9;
-        Trace.emit t ~cat:"detector" ~name:"flag" ~pid:7 [];
-        check "count" 2 (Trace.count t);
-        (match Trace.events t with
+        Sink.trace_event t ~cat:"detector" ~name:"flag" ~pid:7 [];
+        check "count" 2 (Sink.events t);
+        match Sink.trace_rows t with
         | [ e1; e2 ] ->
-          check "ts1" 5 e1.Trace.ev_ts;
-          check "ts2" 9 e2.Trace.ev_ts;
-          check_s "name1" "tag_insert" e1.Trace.ev_name
-        | _ -> Alcotest.fail "expected two events");
-        check "by_category" 1 (List.length (Trace.by_category t "detector")));
+          check "ts1" 5 (int_field e1 "ts");
+          check "ts2" 9 (int_field e2 "ts");
+          check_s "name1" "tag_insert" (str_field e1 "name");
+          check_s "cat2" "detector" (str_field e2 "cat");
+          check "tid defaults to pid" 7 (int_field e1 "tid")
+        | _ -> Alcotest.fail "expected two rows");
     Alcotest.test_case "collector drops past its limit" `Quick (fun () ->
-        let t = Trace.collector ~limit:2 () in
+        let t = Sink.create ~limit:2 () in
         for i = 1 to 5 do
-          Trace.emit t ~cat:"c" ~name:"n" ~pid:i []
+          Sink.trace_event t ~cat:"c" ~name:"n" ~pid:i []
         done;
-        check "kept" 2 (Trace.count t);
-        check "dropped" 3 (Trace.dropped t));
+        check "kept" 2 (Sink.events t);
+        check "dropped" 3 (Sink.dropped t);
+        Alcotest.(check (list int))
+          "the oldest rows are kept" [ 1; 2 ]
+          (List.map (fun row -> int_field row "pid") (Sink.trace_rows t)));
     Alcotest.test_case "chrome export is well-formed JSON" `Quick (fun () ->
-        let t = Trace.collector () in
-        Trace.emit t ~cat:"engine" ~name:"tag \"quoted\"" ~pid:1
-          [ ("s", Str "a\nb"); ("i", Int 3); ("b", Bool true) ];
-        match Json.well_formed (Trace.to_chrome_json t) with
+        let t = Sink.create () in
+        Sink.trace_event t ~cat:"engine" ~name:"tag \"quoted\"" ~pid:1
+          [ ("s", Str "q\"n\nc\001"); ("i", Int 3); ("b", Bool true) ];
+        let chrome = Sink.to_chrome_json t in
+        check_s "pinned"
+          {|{"traceEvents":[{"name":"tag \"quoted\"","cat":"engine","ph":"i","s":"g","ts":0,"pid":1,"tid":1,"args":{"s":"q\"n\nc\u0001","i":3,"b":true}}],"displayTimeUnit":"ms","otherData":{"events":1,"dropped":0}}|}
+          chrome;
+        match Json.well_formed chrome with
         | Ok () -> ()
         | Error e -> Alcotest.fail e);
   ]
@@ -438,15 +457,8 @@ let emit_all_types t =
   let m = Metrics.create () in
   Metrics.incr (Metrics.counter m "c");
   Sink.metric_snapshot t ~source:"test" m;
-  Sink.trace_event t ~sample:"s0"
-    {
-      Trace.ev_name = "tag_insert";
-      ev_cat = "engine";
-      ev_ts = 3;
-      ev_pid = 0;
-      ev_tid = 7;
-      ev_args = [ ("bytes", Trace.Int 4); ("who", Trace.Str "a\"b") ];
-    };
+  Sink.trace_event t ~cat:"engine" ~name:"tag_insert" ~pid:7
+    [ ("bytes", Int 4); ("who", Str "a\"b") ];
   Sink.series_point t ~sample:"s0" ~columns:[ "tick"; "tainted" ]
     ~row:[| 64; 12 |];
   let p = Profile.create ~clock:(fun () -> 0) () in
@@ -513,6 +525,23 @@ let sink_tests =
         check "kept" 2 (Sink.events t);
         check "dropped" 3 (Sink.dropped t);
         check "buffer holds the oldest" 2 (List.length (Sink.lines t)));
+    Alcotest.test_case "merge copies rows and adds the drop count" `Quick
+      (fun () ->
+        let job = Sink.create ~limit:1 ~sample:"s0" ~worker:3 () in
+        Sink.trace_event job ~cat:"engine" ~name:"a" ~pid:101 [];
+        Sink.trace_event job ~cat:"engine" ~name:"b" ~pid:101 [];
+        let into = Sink.create () in
+        Sink.job_lifecycle into ~job:"s0" ~worker:3 ~event:"finish" ();
+        Sink.merge ~into job;
+        check "rows" 2 (Sink.events into);
+        check "drops carried over" 1 (Sink.dropped into);
+        match Sink.trace_rows into with
+        | [ row ] ->
+          check_s "sample stamped" "s0" (str_field row "sample");
+          check_s "the kept row is the oldest" "a" (str_field row "name");
+          check "worker lane" 3 (int_field row "pid");
+          check "guest lane" 101 (int_field row "tid")
+        | _ -> Alcotest.fail "one trace row expected");
     Alcotest.test_case "jsonl checker pinpoints the offending line" `Quick
       (fun () ->
         match Json.well_formed_lines "{}\n{\"a\":1}\nnot json\n{}\n" with
@@ -625,7 +654,7 @@ let overhead_tests =
         let j_disabled, ticks_disabled, sys_disabled =
           run (fun scn ->
               Faros_corpus.Scenario.analyze ~profile:Profile.disabled
-                ~sink:Sink.null ~trace_sink:Trace.null scn)
+                ~sink:Sink.null scn)
         in
         check_s "report JSON byte-identical" j_default j_disabled;
         check "ticks" ticks_default ticks_disabled;
@@ -671,9 +700,9 @@ let telemetry_tests =
           | None -> Alcotest.fail "missing corpus sample"
         in
         let telemetry = Core.Telemetry.create () in
-        let trace_sink = Faros_obs.Trace.collector () in
+        let sink = Sink.create () in
         let outcome =
-          Faros_corpus.Scenario.analyze ~telemetry ~trace_sink sample.scenario
+          Faros_corpus.Scenario.analyze ~telemetry ~sink sample.scenario
         in
         let series = Core.Telemetry.series telemetry in
         check_b "sampled at least twice" true (Series.total series >= 2);
@@ -699,26 +728,29 @@ let telemetry_tests =
         check "final instrs"
           (Faros_dift.Engine.instrs_processed outcome.faros.engine)
           (col "instrs");
-        (* the trace sink saw the events the acceptance demands *)
+        (* the sink saw the events the acceptance demands, one
+           trace_event row each *)
+        let rows = Sink.trace_rows sink in
+        check "every line is a trace row" (Sink.events sink) (List.length rows);
         let has cat name =
           List.exists
-            (fun (e : Trace.event) -> e.ev_cat = cat && e.ev_name = name)
-            (Trace.events trace_sink)
+            (fun row -> str_field row "cat" = cat && str_field row "name" = name)
+            rows
         in
         check_b "tag_insert events" true (has "engine" "tag_insert");
+        check_b "page_alloc events" true (has "shadow" "page_alloc");
         check_b "confluence_check events" true
           (has "detector" "confluence_check");
         check_b "flag events" true (has "detector" "flag");
         check_b "syscall events" true
-          (List.exists
-             (fun (e : Trace.event) -> e.ev_cat = "syscall")
-             (Trace.events trace_sink));
+          (List.exists (fun row -> str_field row "cat" = "syscall") rows);
         (* event timestamps are valid replay ticks *)
         check_b "timestamps within replay" true
           (List.for_all
-             (fun (e : Trace.event) ->
-               e.ev_ts >= 0 && e.ev_ts <= outcome.replay.replay_ticks)
-             (Trace.events trace_sink)));
+             (fun row ->
+               let ts = int_field row "ts" in
+               ts >= 0 && ts <= outcome.replay.replay_ticks)
+             rows));
     Alcotest.test_case "disabled sinks leave no observable trace" `Slow
       (fun () ->
         let sample =
@@ -730,8 +762,8 @@ let telemetry_tests =
            disabled and nothing is buffered anywhere *)
         let outcome = Faros_corpus.Scenario.analyze sample.scenario in
         check_b "plugin sink disabled" false
-          (Trace.enabled outcome.faros.trace);
-        check "plugin sink empty" 0 (Trace.count outcome.faros.trace);
+          (Sink.enabled outcome.faros.sink);
+        check "plugin sink empty" 0 (Sink.events outcome.faros.sink);
         check_b "still flags" true (Core.Report.flagged outcome.report));
   ]
 
