@@ -485,10 +485,18 @@ let campaign_cmd workers corpus filter policy json_out csv_out tick_budget
         trace_out;
       if Faros_farm.Campaign.ok c then 0 else 1)
 
+(* The registry counters that report instruction-level work in
+   [profile run]: a span per instruction would time its own clock reads. *)
+let instr_counters =
+  [ "engine.instrs"; "dift.fastpath.hits"; "dift.fastpath.misses";
+    "detector.loads_checked" ]
+
 (* Profile one sample end to end: record, replay under FAROS, and render
    the span tree plus the hotspot table.  The span structure is
    deterministic (it mirrors the deterministic replay); only the numbers
-   carry wall time. *)
+   carry wall time.  The vm/dift split is Table V's: the recorded trace
+   is replayed once more without plugins, and the rest of the profiled
+   [replay] span is the analysis. *)
 let profile_run_cmd id policy top tree json_out jsonl_out =
   match find_sample id with
   | Error e ->
@@ -517,6 +525,29 @@ let profile_run_cmd id policy top tree json_out jsonl_out =
       end;
       Fmt.pf pp "@.hotspots (self time):@.";
       Faros_obs.Profile.pp_hotspots ?top pp profile;
+      Fmt.pf pp "@.instruction level (counters):@.";
+      Faros_obs.Metrics.fold outcome.faros.metrics
+        (fun () name m ->
+          if List.mem name instr_counters then
+            match m with
+            | Faros_obs.Metrics.Counter c ->
+              Fmt.pf pp "  %-24s %12d@." name (Faros_obs.Metrics.counter_value c)
+            | Gauge g ->
+              Fmt.pf pp "  %-24s %12d@." name (Faros_obs.Metrics.gauge_value g)
+            | Histogram _ -> ())
+        ();
+      let t0 = Unix.gettimeofday () in
+      ignore (Faros_corpus.Scenario.replay_plain sample.scenario outcome.trace);
+      let vm_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+      let replay_ms =
+        List.fold_left
+          (fun acc (sp : Faros_obs.Profile.span) ->
+            if sp.sp_path = "replay" then float sp.sp_total_ns /. 1e6 else acc)
+          0. (Faros_obs.Profile.spans profile)
+      in
+      Fmt.pf pp "@.replay split (vm: the trace replayed without plugins):@.";
+      Fmt.pf pp "  %-24s %12.3f ms@." "vm" vm_ms;
+      Fmt.pf pp "  %-24s %12.3f ms@." "dift" (replay_ms -. vm_ms);
       Option.iter
         (fun path ->
           write_file path (Faros_obs.Profile.to_json profile);
@@ -1187,15 +1218,18 @@ let profile_t =
   let run =
     Cmd.v
       (Cmd.info "run"
-         ~doc:"Analyze one sample under the span profiler and print hotspots")
+         ~doc:
+           "Analyze one sample under the span profiler; print hotspots, \
+            instruction counters and the vm/dift replay split")
       Term.(
         const profile_run_cmd $ id_arg $ policy_arg $ top $ tree
         $ json_out $ jsonl_out)
   in
   Cmd.group
     (Cmd.info "profile"
-       ~doc:"Whole-pipeline span profiling (fetch/translate, propagate, \
-             detect, kernel, graph)")
+       ~doc:"Whole-pipeline span profiling at phase and syscall \
+             granularity (record, replay, kernel, DIFT tag insertion, \
+             graph)")
     [ run ]
 
 let policies_t =

@@ -20,7 +20,6 @@ type t = {
       (* run on every recorded flag, registration order (the attack-graph
          builder hangs off this) *)
   sink : Faros_obs.Sink.t;
-  profile : Faros_obs.Profile.t;
   c_loads_checked : Faros_obs.Metrics.counter;
   c_flags : Faros_obs.Metrics.counter;
   c_suppressed : Faros_obs.Metrics.counter;
@@ -28,15 +27,13 @@ type t = {
 }
 
 let create ?(metrics = Faros_obs.Metrics.create ())
-    ?(sink = Faros_obs.Sink.null) ?(profile = Faros_obs.Profile.disabled)
-    ~config ~name_of_asid () =
+    ?(sink = Faros_obs.Sink.null) ~config ~name_of_asid () =
   {
     config;
     report = Report.create ();
     name_of_asid;
     flag_observers = Queue.create ();
     sink;
-    profile;
     c_loads_checked = Faros_obs.Metrics.counter metrics "detector.loads_checked";
     c_flags = Faros_obs.Metrics.counter metrics "detector.flags";
     c_suppressed = Faros_obs.Metrics.counter metrics "detector.suppressed";
@@ -65,7 +62,7 @@ let matches t (info : Faros_dift.Engine.load_info) =
     >= t.config.min_process_tags
     && has_source
 
-let check_load t ~tick (info : Faros_dift.Engine.load_info) =
+let on_load t ~tick (info : Faros_dift.Engine.load_info) =
   Faros_obs.Metrics.incr t.c_loads_checked;
   let hit = matches t info in
   (* The confluence-check event fires only for loads that pass the cheap
@@ -118,14 +115,3 @@ let check_load t ~tick (info : Faros_dift.Engine.load_info) =
     Report.add t.report flag;
     Queue.iter (fun observe -> observe flag) t.flag_observers
   end
-
-(* One [detector.check] span per observed load: its count is the number
-   of confluence checks, its self time the whole flagging-rule cost. *)
-let on_load t ~tick info =
-  let prof = t.profile in
-  if Faros_obs.Profile.enabled prof then begin
-    Faros_obs.Profile.enter prof "detector.check";
-    check_load t ~tick info;
-    Faros_obs.Profile.exit prof
-  end
-  else check_load t ~tick info

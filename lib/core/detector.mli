@@ -27,8 +27,6 @@ type t = {
       (** run on every recorded flag (whitelisted ones included),
           registration order *)
   sink : Faros_obs.Sink.t;
-  profile : Faros_obs.Profile.t;
-      (** span profiler: {!on_load} runs under [detector.check] *)
   c_loads_checked : Faros_obs.Metrics.counter;
   c_flags : Faros_obs.Metrics.counter;
   c_suppressed : Faros_obs.Metrics.counter;
@@ -39,7 +37,6 @@ type t = {
 val create :
   ?metrics:Faros_obs.Metrics.t ->
   ?sink:Faros_obs.Sink.t ->
-  ?profile:Faros_obs.Profile.t ->
   config:Config.t ->
   name_of_asid:(int -> string) ->
   unit ->

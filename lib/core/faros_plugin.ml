@@ -27,11 +27,12 @@ let create ?(config = Config.default) ?(metrics = Faros_obs.Metrics.create ())
     ?interner (kernel : Faros_os.Kernel.t) =
   (* One registry and one sink serve every layer; the kernel tick is the
      sink's time base, and the kernel itself emits syscall events.  The
-     profiler is shared by the kernel, the machine and every DIFT layer,
-     so one tree covers the whole replay. *)
+     profiler is shared by the kernel, the DIFT engine and the graph
+     builder, so one tree covers the whole replay at syscall
+     granularity. *)
   Faros_obs.Sink.set_clock sink (fun () -> Faros_os.Kernel.tick kernel);
   Faros_os.Kstate.set_sink kernel sink;
-  Faros_os.Kstate.set_profile kernel profile;
+  kernel.profile <- profile;
   let engine =
     Faros_dift.Engine.create ~policy:config.policy ~metrics ~sink ~profile
       ?interner ()
@@ -45,7 +46,7 @@ let create ?(config = Config.default) ?(metrics = Faros_obs.Metrics.create ())
     else None
   in
   let detector =
-    Detector.create ~metrics ~sink ~profile ~config
+    Detector.create ~metrics ~sink ~config
       ~name_of_asid:(name_of_asid kernel) ()
   in
   Faros_dift.Engine.taint_export_pointers engine

@@ -14,7 +14,8 @@ type t = {
   metrics : Faros_obs.Metrics.t;
       (** the shared registry: engine and detector metrics *)
   profile : Faros_obs.Profile.t;
-      (** the shared span profiler (kernel, machine and DIFT layers) *)
+      (** the shared span profiler (kernel, DIFT engine and graph
+          builder) *)
   sink : Faros_obs.Sink.t;
       (** the shared event channel, clocked by the kernel tick: engine,
           shadow, detector and kernel write their [trace_event] rows here,
@@ -39,8 +40,9 @@ val create :
     guest instruction runs (the export-table scan happens here).  The
     registry, sink and profiler thread through every layer: the sink's
     clock is pointed at the kernel tick, the kernel's own syscall-dispatch
-    events are routed into it, and the profiler is shared by kernel,
-    machine and DIFT so one span tree covers the whole replay.
+    events are routed into it, and the profiler is shared by the
+    kernel, the DIFT engine and the graph builder so one span tree
+    covers the whole replay at syscall granularity.
     [interner] is the provenance store the engine works against (default:
     the calling domain's current store — campaign jobs install a fresh
     one per job). *)

@@ -34,7 +34,7 @@ type t = {
   load_observers : (load_info -> unit) Queue.t;  (* invoked in registration order *)
   metrics : Faros_obs.Metrics.t;
   sink : Faros_obs.Sink.t;
-  profile : Faros_obs.Profile.t;  (* span profiler; shared with the machine *)
+  profile : Faros_obs.Profile.t;  (* span profiler; shared with the kernel *)
   c_instrs : Faros_obs.Metrics.counter;
   c_os_events : Faros_obs.Metrics.counter;
   c_netflow_inserts : Faros_obs.Metrics.counter;
@@ -128,7 +128,7 @@ let control_active t ~asid = t.policy.control_deps && Hashtbl.mem t.control asid
 
 (* -- per-instruction propagation -- *)
 
-let propagate_exec t (_cpu : Faros_vm.Cpu.t) (eff : Faros_vm.Cpu.effect) =
+let on_exec t (_cpu : Faros_vm.Cpu.t) (eff : Faros_vm.Cpu.effect) =
   Faros_obs.Metrics.incr t.c_instrs;
   let asid = eff.e_asid in
   let ptag = lazy (Tag_store.process t.store asid) in
@@ -226,18 +226,6 @@ let propagate_exec t (_cpu : Faros_vm.Cpu.t) (eff : Faros_vm.Cpu.effect) =
     | acc :: _ -> Shadow.set_mem_range t.shadow acc.paddr acc.width Provenance.empty
     | [] -> ())
   | Ret -> ()
-
-(* [dift.propagate] is the slow path proper — what the fast path exists
-   to avoid; its self time is the headline DIFT cost in the hotspot
-   table. *)
-let on_exec t cpu eff =
-  let prof = t.profile in
-  if Faros_obs.Profile.enabled prof then begin
-    Faros_obs.Profile.enter prof "dift.propagate";
-    propagate_exec t cpu eff;
-    Faros_obs.Profile.exit prof
-  end
-  else propagate_exec t cpu eff
 
 (* -- fast-path support -- *)
 
@@ -374,13 +362,9 @@ let handle_os_event t ~resolve_asid (ev : Faros_os.Os_event.t) =
    event while its span is open), so the tree separates syscall handling
    proper from the DIFT work it triggers. *)
 let on_os_event t ~resolve_asid ev =
-  let prof = t.profile in
-  if Faros_obs.Profile.enabled prof then begin
-    Faros_obs.Profile.enter prof "dift.os_event";
-    handle_os_event t ~resolve_asid ev;
-    Faros_obs.Profile.exit prof
-  end
-  else handle_os_event t ~resolve_asid ev
+  Faros_obs.Profile.enter t.profile "dift.os_event";
+  handle_os_event t ~resolve_asid ev;
+  Faros_obs.Profile.exit t.profile
 
 (* Mark the kernel export directory's function pointers (taint insertion for
    the export-table tag; the paper scans loaded modules at startup).  Each

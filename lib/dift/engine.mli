@@ -39,8 +39,8 @@ type t = {
   metrics : Faros_obs.Metrics.t;  (** registry backing {!stats} *)
   sink : Faros_obs.Sink.t;  (** trace-event channel (null when off) *)
   profile : Faros_obs.Profile.t;
-      (** span profiler (disabled by default); [on_exec] runs under
-          [dift.propagate], [on_os_event] under [dift.os_event] *)
+      (** span profiler (disabled by default); [on_os_event] runs under
+          [dift.os_event] *)
   c_instrs : Faros_obs.Metrics.counter;
   c_os_events : Faros_obs.Metrics.counter;
   c_netflow_inserts : Faros_obs.Metrics.counter;

@@ -186,18 +186,14 @@ let run t cpu eff =
   t.misses <- t.misses + 1;
   Engine.on_exec t.engine cpu eff
 
-(* The pre-check decision, separated from acting on it so the profiler
-   can attribute the verdict lookup and probes ([dift.precheck]) apart
-   from the propagation they avoid or trigger. *)
-type decision = Dec_skip of Provenance.t | Dec_run
-
-let decide t (eff : Faros_vm.Cpu.effect) =
+let on_exec t cpu (eff : Faros_vm.Cpu.effect) =
   match t.machine.Faros_vm.Machine.cur_block with
   | Some b when b.b_valid && b.b_asid = eff.e_asid -> (
     match verdict_for t b with
-    | Run -> Dec_run
+    | Run -> run t cpu eff
     | Skip ->
-      if effect_clean t b eff then Dec_skip Provenance.empty else Dec_run
+      if effect_clean t b eff then skip t ~instr_prov:Provenance.empty eff
+      else run t cpu eff
     | Skip_fetch provs ->
       (* The machine's cursor has already advanced past the entry it just
          executed; re-anchor on the effect's pc in case a hook moved it. *)
@@ -207,24 +203,9 @@ let decide t (eff : Faros_vm.Cpu.effect) =
         && idx < Array.length provs
         && (Array.unsafe_get b.b_entries idx).en_pc = eff.e_pc
         && effect_clean t b eff
-      then Dec_skip (Array.unsafe_get provs idx)
-      else Dec_run)
+      then skip t ~instr_prov:(Array.unsafe_get provs idx) eff
+      else run t cpu eff)
   | _ ->
     (* Uncached execution (cold translation failure, cache disabled) has
        no summary: always propagate. *)
-    Dec_run
-
-let on_exec t cpu (eff : Faros_vm.Cpu.effect) =
-  let prof = t.engine.Engine.profile in
-  let d =
-    if Faros_obs.Profile.enabled prof then begin
-      Faros_obs.Profile.enter prof "dift.precheck";
-      let d = decide t eff in
-      Faros_obs.Profile.exit prof;
-      d
-    end
-    else decide t eff
-  in
-  match d with
-  | Dec_skip instr_prov -> skip t ~instr_prov eff
-  | Dec_run -> run t cpu eff
+    run t cpu eff

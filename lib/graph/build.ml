@@ -467,13 +467,9 @@ let record_os_event t (ev : Faros_os.Os_event.t) =
 (* Online construction nests under [kernel.syscall] (events arrive from
    dispatch): [graph.build] is what forensics adds to each syscall. *)
 let on_os_event t ev =
-  let prof = t.b_profile in
-  if Faros_obs.Profile.enabled prof then begin
-    Faros_obs.Profile.enter prof "graph.build";
-    record_os_event t ev;
-    Faros_obs.Profile.exit prof
-  end
-  else record_os_event t ev
+  Faros_obs.Profile.enter t.b_profile "graph.build";
+  record_os_event t ev;
+  Faros_obs.Profile.exit t.b_profile
 
 let on_flag t (flag : Core.Report.flag) =
   if not flag.f_whitelisted then begin
@@ -537,7 +533,5 @@ let enrich_walk t (faros : Core.Faros_plugin.t) =
    that carry taint): one top-level-ish [graph.enrich] span (it runs after
    the replay, outside [kernel.*]). *)
 let enrich t (faros : Core.Faros_plugin.t) =
-  if Faros_obs.Profile.enabled t.b_profile then
-    Faros_obs.Profile.with_span t.b_profile "graph.enrich" (fun () ->
-        enrich_walk t faros)
-  else enrich_walk t faros
+  Faros_obs.Profile.with_span t.b_profile "graph.enrich" (fun () ->
+      enrich_walk t faros)

@@ -9,10 +9,13 @@
 
    The disabled profiler is a constant constructor, mirroring the null
    trace sink: every instrumentation point costs one branch and allocates
-   nothing, which is what lets the per-instruction sites (machine step,
-   propagation, fast-path pre-check) stay in the replay hot path
-   unconditionally.  The enabled hot path is one small-hashtable lookup,
-   one clock read and one [Gc.counters] read per enter/exit.
+   nothing, which is what lets the per-syscall sites (kernel dispatch,
+   DIFT tag insertion, online graph building) call [enter]/[exit]
+   unconditionally.  The enabled path is one small-hashtable lookup, one
+   clock read and one [Gc.counters] read per enter/exit.  Nothing opens
+   a span per guest instruction: instruction-level work is counted by
+   the metrics registry, so profiling does not distort the replay it
+   measures.
 
    The clock is injectable — tests use a fake integer clock for fully
    deterministic span tables; the default reads wall time in
@@ -145,17 +148,22 @@ let exit t =
       s.cur <- (if d = 0 then s.root else s.f_nodes.(d - 1))
     end
 
+(* [finally] closes every frame above the entry depth, not just the top
+   one: an exception that skips a bare [exit] (a raising syscall handler
+   leaves [kernel.syscall] open) would otherwise leave this span open and
+   nest every later span under it. *)
 let with_span t name f =
   match t with
   | Disabled -> f ()
-  | Enabled _ ->
+  | Enabled s ->
+    let d = s.depth in
     enter t name;
-    Fun.protect ~finally:(fun () -> exit t) f
+    Fun.protect ~finally:(fun () -> while s.depth > d do exit t done) f
 
 (* -- reading the tree -- *)
 
 type span = {
-  sp_path : string;  (* "replay/vm.step" *)
+  sp_path : string;  (* "replay/kernel.syscall" *)
   sp_name : string;
   sp_depth : int;
   sp_count : int;

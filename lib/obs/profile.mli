@@ -1,14 +1,16 @@
 (** Hierarchical span profiler.
 
     Nestable named spans aggregated into a call tree keyed on the full
-    parent chain: entering ["vm.step"] under ["replay"] and under
+    parent chain: entering ["kernel.syscall"] under ["replay"] and under
     ["record"] produces two distinct nodes.  Each node accumulates call
     count, inclusive wall time, and minor/major GC allocation-word
     deltas; self time is derived at render time.
 
     {!disabled} is a constant: instrumentation points guarded by it cost
-    one branch and allocate nothing, so they can live in per-instruction
-    hot paths unconditionally.  The clock is injectable for
+    one branch and allocate nothing, so they can live in per-syscall
+    paths unconditionally.  Spans are meant for phases and syscalls;
+    per-instruction work belongs in {!Metrics} counters, which do not
+    distort the replay they measure.  The clock is injectable for
     deterministic tests.  Enabled-mode measurements include the
     profiler's own overhead (a frame allocation and two clock/GC reads
     per span). *)
@@ -16,7 +18,7 @@
 type t
 
 type span = {
-  sp_path : string;  (** ["replay/vm.step"] — path from the root *)
+  sp_path : string;  (** ["replay/kernel.syscall"] — path from the root *)
   sp_name : string;
   sp_depth : int;  (** 0 for top-level spans *)
   sp_count : int;
@@ -45,7 +47,8 @@ val exit : t -> unit
 
 val with_span : t -> string -> (unit -> 'a) -> 'a
 (** [with_span t name f] runs [f] inside a span, closing it on
-    exceptions too. On {!disabled} this is exactly [f ()]. *)
+    exceptions too, together with any span [f] opened with {!enter} and
+    left open. On {!disabled} this is exactly [f ()]. *)
 
 val spans : t -> span list
 (** Preorder walk, children in first-entered order — deterministic for a

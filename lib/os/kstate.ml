@@ -37,12 +37,6 @@ let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 
 let set_sink t sink = t.sink <- sink
 
-(* The machine shares the profiler so [vm.step]/[vm.hooks] spans land in
-   the same tree as [kernel.syscall]. *)
-let set_profile t profile =
-  t.profile <- profile;
-  Faros_vm.Machine.set_profile t.machine profile
-
 let emit t ev = List.iter (fun f -> f ev) t.subscribers
 
 let proc t pid = Hashtbl.find_opt t.procs pid

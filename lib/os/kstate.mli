@@ -16,7 +16,8 @@ type t = {
       (** receives one [trace_event] row per syscall dispatch; the
           disabled sink by default *)
   mutable profile : Faros_obs.Profile.t;
-      (** span profiler; the disabled profiler by default *)
+      (** span profiler; syscall dispatch runs under [kernel.syscall].
+          The disabled profiler by default *)
 }
 
 val create : local_ip:Types.Ip.t -> t
@@ -27,11 +28,6 @@ val emit : t -> Os_event.t -> unit
 val set_sink : t -> Faros_obs.Sink.t -> unit
 (** Point the kernel's event channel somewhere (see {!Faros_obs.Sink});
     syscall dispatch emits one [trace_event] row per call. *)
-
-val set_profile : t -> Faros_obs.Profile.t -> unit
-(** Attach a span profiler to the kernel {e and} its machine: syscall
-    dispatch runs under [kernel.syscall], instruction execution under
-    [vm.step]/[vm.hooks]. *)
 
 val proc : t -> Types.pid -> Process.t option
 val proc_exn : t -> Types.pid -> Process.t

@@ -38,8 +38,7 @@ let finish (s : session) : Trace.t =
 let record ?max_ticks ?timeslice ?(profile = Faros_obs.Profile.disabled)
     ?(plugins : (Faros_os.Kernel.t -> Plugin.t list) option) ~setup ~boot () =
   let kernel = Faros_os.Kernel.create () in
-  if Faros_obs.Profile.enabled profile then
-    Faros_os.Kstate.set_profile kernel profile;
+  kernel.profile <- profile;
   Faros_obs.Profile.enter profile "record.setup";
   setup kernel;
   let session = start kernel in

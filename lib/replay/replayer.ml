@@ -23,11 +23,9 @@ let replay ?max_ticks ?timeslice ?tb_cache ?dift_fast
     ?(sample : (int * (tick:int -> syscalls:int -> unit)) option) ~setup ~boot
     (trace : Trace.t) =
   let kernel = Faros_os.Kernel.create () in
-  (* Installed before the plugins so the FAROS plugin (which re-installs
-     the shared profiler via [Kstate.set_profile]) and a bare replay both
-     get [vm.step]/[kernel.syscall] spans. *)
-  if Faros_obs.Profile.enabled profile then
-    Faros_os.Kstate.set_profile kernel profile;
+  (* Installed before the plugins so a bare replay gets [kernel.syscall]
+     spans too; the FAROS plugin installs the same profiler again. *)
+  kernel.profile <- profile;
   (* Per-replay overrides of the machine's translation-block cache and the
      DIFT fast path: the differential harness and the bench compare
      configurations over the same trace without touching the process-wide

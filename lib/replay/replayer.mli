@@ -44,5 +44,5 @@ val replay :
     reflects the final system state.
 
     [profile] (default disabled) attaches a span profiler to the kernel
-    and machine before the plugins run, so both a bare replay and a
-    FAROS-on replay produce [vm.step] / [kernel.syscall] spans. *)
+    before the plugins run, so both a bare replay and a FAROS-on replay
+    produce [replay.setup] / [kernel.syscall] spans. *)

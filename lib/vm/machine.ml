@@ -22,7 +22,6 @@ type t = {
   mutable dift_fast : bool;
   mutable cur_block : Tb_cache.block option;
   mutable cur_idx : int;
-  mutable profile : Faros_obs.Profile.t;
 }
 
 (* Process-wide defaults, so the differential harness and CI can force the
@@ -47,10 +46,7 @@ let create () =
     dift_fast = !dift_fast_default_enabled;
     cur_block = None;
     cur_idx = 0;
-    profile = Faros_obs.Profile.disabled;
   }
-
-let set_profile t p = t.profile <- p
 
 let set_tb_enabled t b =
   t.tb_enabled <- b;
@@ -132,41 +128,13 @@ let step_cached t (cpu : Cpu.t) =
        uncached interpreter so the fault is rediscovered byte-identically. *)
     Cpu.step cpu t.mmu
 
-(* Profiled and unprofiled variants are spelled out separately so the
-   (default) disabled-profiler path is exactly the pre-instrumentation
-   code: one [enabled] branch, no closures, no extra allocation. *)
-let step_plain t cpu =
-  let r =
-    if t.tb_enabled && not cpu.Cpu.halted then step_cached t cpu
-    else Cpu.step cpu t.mmu
-  in
-  match r with
-  | Ok eff ->
-    dispatch t cpu eff;
-    r
-  | Error _ -> r
-
-(* Two spans per instruction: [vm.step] is fetch/translate/execute
-   (cursor, TB cache, TLB, ALU) and [vm.hooks] is everything attached on
-   top — for a FAROS replay, the whole DIFT stack.  The split is the
-   exact boundary between "what the hardware would do" and "what the
-   analysis costs", which is the number Table V cares about. *)
-let step_profiled t cpu =
-  let prof = t.profile in
-  Faros_obs.Profile.enter prof "vm.step";
-  let r =
-    if t.tb_enabled && not cpu.Cpu.halted then step_cached t cpu
-    else Cpu.step cpu t.mmu
-  in
-  Faros_obs.Profile.exit prof;
-  match r with
-  | Ok eff ->
-    Faros_obs.Profile.enter prof "vm.hooks";
-    dispatch t cpu eff;
-    Faros_obs.Profile.exit prof;
-    r
-  | Error _ -> r
-
 let step t cpu =
-  if Faros_obs.Profile.enabled t.profile then step_profiled t cpu
-  else step_plain t cpu
+  let r =
+    if t.tb_enabled && not cpu.Cpu.halted then step_cached t cpu
+    else Cpu.step cpu t.mmu
+  in
+  match r with
+  | Ok eff ->
+    dispatch t cpu eff;
+    r
+  | Error _ -> r

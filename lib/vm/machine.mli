@@ -18,7 +18,6 @@ type t = {
   mutable dift_fast : bool;
   mutable cur_block : Tb_cache.block option;
   mutable cur_idx : int;
-  mutable profile : Faros_obs.Profile.t;
 }
 
 val tb_default_enabled : bool ref
@@ -53,12 +52,6 @@ val add_exec_hook : t -> (Cpu.t -> Cpu.effect -> unit) -> unit
     order. *)
 
 val clear_exec_hooks : t -> unit
-
-val set_profile : t -> Faros_obs.Profile.t -> unit
-(** Attach a span profiler.  {!step} then opens [vm.step] around
-    fetch/translate/execute and [vm.hooks] around hook dispatch — the
-    boundary between bare execution and analysis cost.  The default
-    (disabled) profiler costs one branch per step. *)
 
 val step : t -> Cpu.t -> Cpu.step_result
 (** Execute one instruction (cached when possible) plus hook dispatch. *)

@@ -340,9 +340,24 @@ let campaign_obs_tests =
           (fun p -> check_b ("span " ^ p) true (List.mem p paths))
           [
             "farm.job.setup"; "farm.job.run"; "farm.job.run/replay";
-            "farm.job.run/replay/vm.step"; "farm.job.run/graph.enrich";
+            "farm.job.run/replay/kernel.syscall"; "farm.job.run/graph.enrich";
             "farm.merge";
           ];
+        (* instruction-level work is counted, never spanned: a span per
+           instruction would time its own clock reads *)
+        List.iter
+          (fun p ->
+            List.iter
+              (fun name ->
+                check_b
+                  (Printf.sprintf "%s names no per-instruction span" p)
+                  false
+                  (contains ~needle:name p))
+              [
+                "vm.step"; "vm.hooks"; "dift.precheck"; "dift.propagate";
+                "detector.check";
+              ])
+          paths;
         check_b "job count on farm.job.run" true
           ((List.find
               (fun (s : Faros_obs.Profile.span) -> s.sp_path = "farm.job.run")

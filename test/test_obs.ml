@@ -352,14 +352,16 @@ let profile_tests =
           f ();
           Profile.exit p
         in
-        span "record" 5 (fun () -> span "vm.step" 3 (fun () -> ()));
-        span "replay" 7 (fun () -> span "vm.step" 4 (fun () -> ()));
-        check "record/vm.step" 3 (find_span p "record/vm.step").sp_total_ns;
-        check "replay/vm.step" 4 (find_span p "replay/vm.step").sp_total_ns;
+        span "record" 5 (fun () -> span "kernel.syscall" 3 (fun () -> ()));
+        span "replay" 7 (fun () -> span "kernel.syscall" 4 (fun () -> ()));
+        check "record/kernel.syscall" 3
+          (find_span p "record/kernel.syscall").sp_total_ns;
+        check "replay/kernel.syscall" 4
+          (find_span p "replay/kernel.syscall").sp_total_ns;
         (* preorder, first-entered order — deterministic *)
         Alcotest.(check (list string))
           "span order"
-          [ "record"; "record/vm.step"; "replay"; "replay/vm.step" ]
+          [ "record"; "record/kernel.syscall"; "replay"; "replay/kernel.syscall" ]
           (List.map (fun (s : Profile.span) -> s.sp_path) (Profile.spans p)));
     Alcotest.test_case "call counts aggregate on one node" `Quick (fun () ->
         let p, now = fake_profile () in
@@ -380,6 +382,31 @@ let profile_tests =
         Profile.with_span p "after" (fun () -> ());
         check "risky closed at depth 0" 0 (find_span p "risky").sp_depth;
         check "sibling, not child" 0 (find_span p "after").sp_depth);
+    Alcotest.test_case "with_span also closes bare spans an exception skipped"
+      `Quick (fun () ->
+        (* A syscall handler raising inside [kernel.syscall], which opens
+           with a bare [enter], under two [with_span] phases. *)
+        let p, now = fake_profile () in
+        (try
+           Profile.with_span p "farm.job.run" (fun () ->
+               Profile.with_span p "replay" (fun () ->
+                   Profile.enter p "kernel.syscall";
+                   now := 7;
+                   failwith "handler raised"))
+         with Failure _ -> ());
+        Profile.with_span p "farm.job.run" (fun () -> now := 10);
+        Alcotest.(check (list string))
+          "the next job is a sibling, not a child"
+          [ "farm.job.run"; "farm.job.run/replay";
+            "farm.job.run/replay/kernel.syscall" ]
+          (List.map (fun (s : Profile.span) -> s.sp_path) (Profile.spans p));
+        let job = find_span p "farm.job.run" in
+        check "both jobs closed" 2 job.sp_count;
+        check "job time" 10 job.sp_total_ns;
+        check "replay closed" 7 (find_span p "farm.job.run/replay").sp_total_ns;
+        let sys = find_span p "farm.job.run/replay/kernel.syscall" in
+        check "syscall closed" 1 sys.sp_count;
+        check "syscall time" 7 sys.sp_total_ns);
     Alcotest.test_case "unbalanced exit is ignored" `Quick (fun () ->
         let p, _ = fake_profile () in
         Profile.exit p;
