@@ -27,8 +27,8 @@ let exfil_plugin (kernel : Faros_os.Kernel.t) =
   let hits = ref [] in
   let on_send (ev : Faros_os.Os_event.t) =
     match ev with
-    | Net_send { pid; flow; src_paddrs } ->
-      List.iter
+    | Net_send { pid; flow; src } ->
+      Faros_vm.Extent.iter
         (fun paddr ->
           let prov = Faros_dift.Shadow.get_mem faros.engine.shadow paddr in
           List.iter
@@ -45,7 +45,7 @@ let exfil_plugin (kernel : Faros_os.Kernel.t) =
                 if not (List.mem hit !hits) then hits := hit :: !hits
               | _ -> ())
             (Faros_dift.Provenance.file_indices prov))
-        src_paddrs
+        src
     | _ -> ()
   in
   let base = Core.Faros_plugin.plugin faros in

@@ -264,6 +264,8 @@ let notify_skipped_load t ~instr_prov (eff : Faros_vm.Cpu.effect) =
 
 (* -- kernel-event handling: tag insertion and host-side copies -- *)
 
+(* A file's shadow: one provenance slot per byte, created by the first
+   write.  A file never written reads as untainted. *)
 let file_array t path len_hint =
   let arr =
     match Hashtbl.find_opt t.file_shadow path with
@@ -280,65 +282,96 @@ let file_array t path len_hint =
   end;
   arr
 
+(* Callers check [Sink.enabled] first, so a disabled sink costs one branch
+   and none of the argument building. *)
+let trace_tag_insert t ~pid ~ty ~subject extents =
+  Faros_obs.Sink.trace_event t.sink ~cat:"engine" ~name:"tag_insert" ~pid
+    [
+      ("type", Str ty);
+      ("subject", Str subject);
+      ("bytes", Int (Faros_vm.Extent.total extents));
+    ]
+
+(* The file-tag step of a file read or write: prepend the file tag when the
+   policy tracks files, pass provenance through unchanged otherwise. *)
+let file_tagger t ~pid ~path ~version extents =
+  if t.policy.track_files then begin
+    Faros_obs.Metrics.incr t.c_file_inserts;
+    if Faros_obs.Sink.enabled t.sink then
+      trace_tag_insert t ~pid ~ty:"file" ~subject:path extents;
+    Provenance.prepend (Tag_store.file t.store ~name:path ~version)
+  end
+  else Fun.id
+
+(* Land file bytes [offset ..] at [dst]: each run of one interned
+   provenance in the file's shadow costs one [tag_it] and one range write.
+   Slots past the shadow's end read as empty. *)
+let read_file_runs t ~tag_it arr ~offset dst =
+  let src_at i = if i < Array.length arr then arr.(i) else Provenance.empty in
+  let pos = ref offset in
+  List.iter
+    (fun (e : Faros_vm.Extent.t) ->
+      let stop = !pos + e.len in
+      let i = ref !pos in
+      while !i < stop do
+        let p = src_at !i in
+        let j = ref (!i + 1) in
+        while !j < stop && Provenance.equal (src_at !j) p do
+          incr j
+        done;
+        Shadow.set_mem_range t.shadow (e.paddr + (!i - !pos)) (!j - !i) (tag_it p);
+        i := !j
+      done;
+      pos := stop)
+    dst
+
 (* [resolve_asid] maps a pid to its CR3; provided by the embedding analysis
    (the kernel knows, the engine must not depend on it). *)
 let handle_os_event t ~resolve_asid (ev : Faros_os.Os_event.t) =
   Faros_obs.Metrics.incr t.c_os_events;
-  let trace_tag_insert ~pid ~ty ~subject ~bytes =
-    if Faros_obs.Sink.enabled t.sink then
-      Faros_obs.Sink.trace_event t.sink ~cat:"engine" ~name:"tag_insert" ~pid
-        [ ("type", Str ty); ("subject", Str subject); ("bytes", Int bytes) ]
-  in
   match ev with
-  | Net_recv { pid; flow; dst_paddrs } ->
+  | Net_recv { pid; flow; dst } ->
     (* Fresh network data overwrites whatever was there. *)
     Faros_obs.Metrics.incr t.c_netflow_inserts;
-    trace_tag_insert ~pid ~ty:"netflow"
-      ~subject:(Fmt.str "%a" Faros_os.Types.pp_flow flow)
-      ~bytes:(List.length dst_paddrs);
-    let tag = Tag_store.netflow t.store flow in
-    let prov = Provenance.singleton tag in
-    List.iter (fun paddr -> Shadow.set_mem t.shadow paddr prov) dst_paddrs
-  | File_read { pid; path; version; offset; dst_paddrs } ->
+    if Faros_obs.Sink.enabled t.sink then
+      trace_tag_insert t ~pid ~ty:"netflow"
+        ~subject:(Fmt.str "%a" Faros_os.Types.pp_flow flow)
+        dst;
+    let prov = Provenance.singleton (Tag_store.netflow t.store flow) in
+    List.iter
+      (fun (e : Faros_vm.Extent.t) -> Shadow.set_mem_range t.shadow e.paddr e.len prov)
+      dst
+  | File_read { pid; path; version; offset; dst } -> (
     (* Provenance flows through the file's shadow in any policy; the file
        tag itself is only inserted when the policy tracks files. *)
-    let tag_it =
-      if t.policy.track_files then begin
-        Faros_obs.Metrics.incr t.c_file_inserts;
-        trace_tag_insert ~pid ~ty:"file" ~subject:path
-          ~bytes:(List.length dst_paddrs);
-        Provenance.prepend (Tag_store.file t.store ~name:path ~version)
-      end
-      else Fun.id
-    in
-    let arr = file_array t path (offset + List.length dst_paddrs) in
-    List.iteri
-      (fun i paddr -> Shadow.set_mem t.shadow paddr (tag_it !arr.(offset + i)))
-      dst_paddrs
-  | File_write { pid; path; version; offset; src_paddrs } ->
-    let tag_it =
-      if t.policy.track_files then begin
-        Faros_obs.Metrics.incr t.c_file_inserts;
-        trace_tag_insert ~pid ~ty:"file" ~subject:path
-          ~bytes:(List.length src_paddrs);
-        Provenance.prepend (Tag_store.file t.store ~name:path ~version)
-      end
-      else Fun.id
-    in
-    let arr = file_array t path (offset + List.length src_paddrs) in
-    List.iteri
-      (fun i paddr ->
+    let tag_it = file_tagger t ~pid ~path ~version dst in
+    match Hashtbl.find_opt t.file_shadow path with
+    | None ->
+      (* Never written (every image load): the whole read is one run. *)
+      let prov = tag_it Provenance.empty in
+      List.iter
+        (fun (e : Faros_vm.Extent.t) ->
+          Shadow.set_mem_range t.shadow e.paddr e.len prov)
+        dst
+    | Some arr -> read_file_runs t ~tag_it !arr ~offset dst)
+  | File_write { pid; path; version; offset; src } ->
+    let tag_it = file_tagger t ~pid ~path ~version src in
+    let arr = file_array t path (offset + Faros_vm.Extent.total src) in
+    let pos = ref offset in
+    Faros_vm.Extent.iter
+      (fun paddr ->
         let p = tag_it (Shadow.get_mem t.shadow paddr) in
-        !arr.(offset + i) <- p;
+        !arr.(!pos) <- p;
+        incr pos;
         Shadow.set_mem t.shadow paddr p)
-      src_paddrs
-  | Mem_copy { by; src_paddrs; dst_paddrs; _ } ->
+      src
+  | Mem_copy { by; src; dst; _ } ->
     let ptag =
       match resolve_asid by with
       | Some asid -> Some (Tag_store.process t.store asid)
       | None -> None
     in
-    List.iter2
+    Faros_vm.Extent.iter2
       (fun src dst ->
         let p = Shadow.get_mem t.shadow src in
         if Provenance.is_empty p then Shadow.set_mem t.shadow dst Provenance.empty
@@ -349,7 +382,7 @@ let handle_os_event t ~resolve_asid (ev : Faros_os.Os_event.t) =
           Shadow.set_mem t.shadow src p';
           Shadow.set_mem t.shadow dst p'
         end)
-      src_paddrs dst_paddrs
+      src dst
   | File_deleted { path; _ } -> Hashtbl.remove t.file_shadow path
   | Proc_created _ | Proc_exited _ | Proc_suspended _ | Proc_resumed _
   | Proc_unmapped _ | Sys_enter _ | Sys_exit _ | File_opened _ | Net_connect _
@@ -372,22 +405,16 @@ let on_os_event t ~resolve_asid ev =
    information the paper lists as future work. *)
 let taint_export_pointers t entries =
   List.iter
-    (fun (name, paddrs) ->
+    (fun (name, extents) ->
       Faros_obs.Metrics.incr t.c_export_inserts;
       if Faros_obs.Sink.enabled t.sink then
-        Faros_obs.Sink.trace_event t.sink ~cat:"engine" ~name:"tag_insert"
-          ~pid:0
-          [
-            ("type", Str "export");
-            ("subject", Str name);
-            ("bytes", Int (List.length paddrs));
-          ];
+        trace_tag_insert t ~pid:0 ~ty:"export" ~subject:name extents;
       let tag = Tag_store.export t.store ~name in
-      List.iter
+      Faros_vm.Extent.iter
         (fun paddr ->
           Shadow.set_mem t.shadow paddr
             (Provenance.prepend tag (Shadow.get_mem t.shadow paddr)))
-        paddrs)
+        extents)
     entries
 
 let instrs_processed t = Faros_obs.Metrics.counter_value t.c_instrs

@@ -33,7 +33,8 @@ type t = {
           engine must only run on a domain whose current store this is *)
   policy : Policy.t;
   file_shadow : (string, Provenance.t array ref) Hashtbl.t;
-      (** per-file byte provenance: how taint flows through files (Fig. 4) *)
+      (** per-file byte provenance: how taint flows through files (Fig. 4);
+          a file's entry appears on its first write *)
   control : (int, int * Provenance.t) Hashtbl.t;
   load_observers : (load_info -> unit) Queue.t;
   metrics : Faros_obs.Metrics.t;  (** registry backing {!stats} *)
@@ -90,10 +91,13 @@ val notify_skipped_load :
 val on_os_event :
   t -> resolve_asid:(int -> int option) -> Faros_os.Os_event.t -> unit
 (** Tag insertion and host-side copy propagation for kernel events.
-    [resolve_asid] maps a pid to its CR3 (the kernel knows; the engine must
-    not depend on it). *)
+    Received packets cost one shadow range write per extent; a file read
+    costs one per run of one provenance in the file's shadow (one run for a
+    file never written); file writes and cross-process copies propagate
+    byte by byte inside their extents.  [resolve_asid] maps a pid to its
+    CR3 (the kernel knows; the engine must not depend on it). *)
 
-val taint_export_pointers : t -> (string * int list) list -> unit
+val taint_export_pointers : t -> (string * Faros_vm.Extent.t list) list -> unit
 (** Startup scan of loaded modules: taint each exported function pointer's
     physical bytes with an export-table tag carrying the function's name. *)
 

@@ -421,38 +421,38 @@ let record_os_event t (ev : Faros_os.Os_event.t) =
        otherwise every flow stays pinned until the listener exits *)
     let fo = flow_ord t flow ~tick in
     edge fo (proc_ord t pid) Graph.Connected
-  | Net_recv { pid; flow; dst_paddrs } ->
+  | Net_recv { pid; flow; dst } ->
     let fo = flow_ord t flow ~tick in
     touch_flow t fo pid;
-    edge ~bytes:(List.length dst_paddrs) fo (proc_ord t pid) Graph.Received
-  | Net_send { pid; flow; src_paddrs } ->
+    edge ~bytes:(Faros_vm.Extent.total dst) fo (proc_ord t pid) Graph.Received
+  | Net_send { pid; flow; src } ->
     let fo = flow_ord t flow ~tick in
     touch_flow t fo pid;
-    edge ~bytes:(List.length src_paddrs) (proc_ord t pid) fo Graph.Sent
+    edge ~bytes:(Faros_vm.Extent.total src) (proc_ord t pid) fo Graph.Sent
   | Net_closed { pid; flow } -> (
     (* no resident change — just the quiescence signal *)
     match Hashtbl.find_opt t.b_ords (Graph.K_flow flow) with
     | Some fo -> release_flow t fo pid
     | None -> ())
-  | File_read { pid; path; version; dst_paddrs; _ } ->
+  | File_read { pid; path; version; dst; _ } ->
     edge
-      ~bytes:(List.length dst_paddrs)
+      ~bytes:(Faros_vm.Extent.total dst)
       (file_ord t ~name:path ~version)
       (proc_ord t pid) Graph.Read
-  | File_write { pid; path; version; src_paddrs; _ } ->
+  | File_write { pid; path; version; src; _ } ->
     edge
-      ~bytes:(List.length src_paddrs)
+      ~bytes:(Faros_vm.Extent.total src)
       (proc_ord t pid)
       (file_ord t ~name:path ~version)
       Graph.Wrote
-  | Mem_copy { by; src_pid; dst_pid; dst_paddrs; _ } ->
+  | Mem_copy { by; src_pid; dst_pid; dst; _ } ->
     (* only cross-process copies are graph-worthy; the writer is the
        injector, unless the writer is the destination reading someone
        else's memory, in which case data still flowed src -> dst *)
     let writer = if by <> dst_pid then by else src_pid in
     if writer <> dst_pid then
       edge
-        ~bytes:(List.length dst_paddrs)
+        ~bytes:(Faros_vm.Extent.total dst)
         (proc_ord t writer) (proc_ord t dst_pid) Graph.Injected_into
   | Mem_alloc { by; in_pid; _ } ->
     if by <> in_pid then edge (proc_ord t by) (proc_ord t in_pid) Graph.Injected_into

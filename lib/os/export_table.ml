@@ -6,8 +6,8 @@
    memory the paper's export-table tag covers: an array of
    (name-hash, function-pointer) entries that reflective loaders walk to
    resolve LoadLibraryA / GetProcAddress / VirtualAlloc without asking the
-   OS.  FAROS taints the function-pointer words; [pointer_paddrs] hands
-   their physical addresses to the taint-insertion pass. *)
+   OS.  FAROS taints the function-pointer words; [pointers_by_name] hands
+   their physical extents to the taint-insertion pass. *)
 
 let kernel_base = 0x80000000
 let kernel_stub_pages = 4
@@ -25,8 +25,7 @@ type t = {
   exports : (string * int) list;  (* API name -> stub vaddr *)
   stub_frames : int list;  (* pfns of the stub code region *)
   dir_frames : int list;  (* pfns of the export directory *)
-  pointer_paddrs : int list;  (* physical addrs of every pointer byte *)
-  pointers_by_name : (string * int list) list;  (* per exported function *)
+  pointers_by_name : (string * Faros_vm.Extent.t list) list;  (* per exported function *)
   stub_span : int;  (* bytes of stub code *)
   space : Faros_vm.Mmu.space;  (* the kernel's own view *)
 }
@@ -69,17 +68,15 @@ let build (machine : Faros_vm.Machine.t) =
     List.mapi
       (fun i (api, _) ->
         let ptr_vaddr = export_dir_vaddr + 4 + (8 * i) + 4 in
-        (api, Faros_vm.Mmu.phys_range mmu ~asid:space.asid ptr_vaddr 4))
+        (api, Faros_vm.Mmu.extents mmu ~asid:space.asid ptr_vaddr 4))
       exports
   in
-  let pointer_paddrs = List.concat_map snd pointers_by_name in
   {
     exports;
     stub_frames =
       Faros_vm.Mmu.frames_of space ~vaddr:kernel_base ~pages:kernel_stub_pages;
     dir_frames =
       Faros_vm.Mmu.frames_of space ~vaddr:export_dir_vaddr ~pages:export_dir_pages;
-    pointer_paddrs;
     pointers_by_name;
     stub_span = Bytes.length prog.code;
     space;

@@ -6,7 +6,8 @@
     memory the paper's export-table tag covers: an array of
     (name-hash, function-pointer) entries that reflective loaders walk to
     resolve LoadLibraryA / GetProcAddress / VirtualAlloc without asking the
-    OS. *)
+    OS.  FAROS taints the function-pointer words; [pointers_by_name] hands
+    their physical extents to the taint-insertion pass. *)
 
 val kernel_base : int
 val kernel_stub_pages : int
@@ -21,10 +22,9 @@ type t = {
   exports : (string * int) list;  (** API name -> stub vaddr *)
   stub_frames : int list;
   dir_frames : int list;
-  pointer_paddrs : int list;  (** physical addrs of every pointer byte *)
-  pointers_by_name : (string * int list) list;
-      (** per exported function: the physical bytes of its directory
-          pointer — what FAROS's startup scan taints *)
+  pointers_by_name : (string * Faros_vm.Extent.t list) list;
+      (** per exported function: the physical extents of its 4-byte
+          directory pointer — what FAROS's startup scan taints *)
   stub_span : int;
   space : Faros_vm.Mmu.space;  (** the kernel's own view *)
 }

@@ -70,6 +70,5 @@ let write_guest_bytes t (p : Process.t) vaddr b =
 
 let read_guest_string t p vaddr len = Bytes.to_string (read_guest_bytes t p vaddr len)
 
-let phys_range t (p : Process.t) vaddr len =
-  if len <= 0 then []
-  else Faros_vm.Mmu.phys_range t.machine.mmu ~asid:(Process.asid p) vaddr len
+let guest_extents t (p : Process.t) vaddr len =
+  Faros_vm.Mmu.extents t.machine.mmu ~asid:(Process.asid p) vaddr len

@@ -45,7 +45,10 @@ val live_processes : t -> Process.t list
 
 val read_guest_bytes : t -> Process.t -> int -> int -> Bytes.t
 val write_guest_bytes : t -> Process.t -> int -> Bytes.t -> unit
+(** Host-side copies, one translation and one blit per page. *)
+
 val read_guest_string : t -> Process.t -> int -> int -> string
 
-val phys_range : t -> Process.t -> int -> int -> int list
-(** Physical addresses of a guest range (empty for non-positive length). *)
+val guest_extents : t -> Process.t -> int -> int -> Faros_vm.Extent.t list
+(** Physical extents of a guest range, one translation per page (empty
+    for non-positive length) — what buffer events report. *)

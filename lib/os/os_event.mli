@@ -6,7 +6,10 @@
 
     Every host-side byte copy the kernel performs on behalf of the guest is
     reported with resolved {e physical} addresses, so that taint propagates
-    through syscalls exactly as it does through instructions. *)
+    through syscalls exactly as it does through instructions.  A buffer
+    travels as a list of physical extents ({!Faros_vm.Extent}), one per
+    page or run of adjacent frames, in buffer order: the [n]th byte of the
+    buffer is the [n]th byte the extents cover. *)
 
 type t =
   | Proc_created of {
@@ -34,21 +37,21 @@ type t =
       path : string;
       version : int;
       offset : int;
-      dst_paddrs : int list;  (** where the bytes landed in guest memory *)
+      dst : Faros_vm.Extent.t list;  (** where the bytes landed in guest memory *)
     }
   | File_write of {
       pid : Types.pid;
       path : string;
       version : int;
       offset : int;
-      src_paddrs : int list;
+      src : Faros_vm.Extent.t list;
     }
   | File_deleted of { pid : Types.pid; path : string }
   | Net_connect of { pid : Types.pid; flow : Types.flow }
   | Net_accept of { pid : Types.pid; flow : Types.flow }
       (** a server accepted a host-initiated (or loopback) connection *)
-  | Net_recv of { pid : Types.pid; flow : Types.flow; dst_paddrs : int list }
-  | Net_send of { pid : Types.pid; flow : Types.flow; src_paddrs : int list }
+  | Net_recv of { pid : Types.pid; flow : Types.flow; dst : Faros_vm.Extent.t list }
+  | Net_send of { pid : Types.pid; flow : Types.flow; src : Faros_vm.Extent.t list }
   | Net_closed of { pid : Types.pid; flow : Types.flow }
       (** a process closed a connected socket: the flow is quiescent from
           its side (incremental graph builders retire on this) *)
@@ -56,8 +59,8 @@ type t =
       by : Types.pid;  (** the process that asked for the copy *)
       src_pid : Types.pid;
       dst_pid : Types.pid;
-      src_paddrs : int list;
-      dst_paddrs : int list;
+      src : Faros_vm.Extent.t list;
+      dst : Faros_vm.Extent.t list;
     }
   | Mem_alloc of { by : Types.pid; in_pid : Types.pid; vaddr : int; pages : int }
   | Module_loaded of { pid : Types.pid; image : string; base : int }

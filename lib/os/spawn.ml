@@ -1,5 +1,5 @@
 (* Process creation: read an image from the filesystem, build an address
-   space with the kernel mapped in, load the image, and report every byte
+   space with the kernel mapped in, load the image, and report every extent
    that came from the file so provenance starts at the file. *)
 
 exception Bad_executable of string
@@ -15,6 +15,7 @@ let spawn (k : Kstate.t) ~path ~suspended ~parent : Types.pid =
   let image =
     try Pe.parse image_bytes with Pe.Bad_image m -> raise (Bad_executable (path ^ ": " ^ m))
   in
+  Loader.check_imports k.exports image;
   let mmu = k.machine.mmu in
   let space = Faros_vm.Mmu.create_space mmu ~name:image.img_name in
   Export_table.map_into k.exports mmu space;
@@ -51,10 +52,9 @@ let spawn (k : Kstate.t) ~path ~suspended ~parent : Types.pid =
   (* The image bytes now in memory came from [path]: file provenance. *)
   let version = Fs.version k.fs path in
   List.iter
-    (fun (_, paddrs) ->
-      if paddrs <> [] then
-        Kstate.emit k
-          (Os_event.File_read { pid; path; version; offset = 0; dst_paddrs = paddrs }))
-    loaded.ld_section_paddrs;
+    (fun (_, dst) ->
+      if dst <> [] then
+        Kstate.emit k (Os_event.File_read { pid; path; version; offset = 0; dst }))
+    loaded.ld_section_extents;
   Kstate.emit k (Os_event.Module_loaded { pid; image = image.img_name; base = image.base });
   pid

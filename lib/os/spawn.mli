@@ -6,3 +6,6 @@ exception Bad_executable of string
 
 val spawn :
   Kstate.t -> path:string -> suspended:bool -> parent:Types.pid option -> Types.pid
+(** Raises {!Bad_executable} for a missing or malformed image and
+    {!Loader.Unresolved_import} for one the kernel cannot link; both are
+    raised before an address space is created. *)

@@ -1,5 +1,5 @@
 (* Filesystem syscalls — the hooks FAROS's file-tag insertion driver
-   intercepts.  Reads and writes report the guest-side physical addresses so
+   intercepts.  Reads and writes report the guest-side physical extents so
    provenance can flow through files (Fig. 4's File 1 hop). *)
 
 let err = -1 land Faros_vm.Word.mask
@@ -47,7 +47,7 @@ let read_file (k : Kstate.t) (p : Process.t) args =
                  path = fh.path;
                  version = f.version;
                  offset = fh.pos;
-                 dst_paddrs = Kstate.phys_range k p args.(1) n;
+                 dst = Kstate.guest_extents k p args.(1) n;
                });
           fh.pos <- fh.pos + n
         end;
@@ -71,7 +71,7 @@ let write_file (k : Kstate.t) (p : Process.t) args =
                path = fh.path;
                version = f.version;
                offset = fh.pos;
-               src_paddrs = Kstate.phys_range k p args.(1) len;
+               src = Kstate.guest_extents k p args.(1) len;
              });
         fh.pos <- fh.pos + len;
         len

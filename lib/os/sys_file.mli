@@ -1,6 +1,6 @@
 (** Filesystem syscall handlers — the hooks FAROS's file-tag insertion
     driver intercepts.  Reads and writes report the guest-side physical
-    addresses so provenance can flow through files (Fig. 4's File 1
+    extents so provenance can flow through files (Fig. 4's File 1
     hop). *)
 
 type handler := Kstate.t -> Process.t -> int array -> int

@@ -1,7 +1,7 @@
 (* Virtual-memory syscalls: allocation, cross-process copies, unmapping.
 
    [write_virtual_memory] is the injection primitive; the kernel performs
-   the copy host-side and reports source and destination physical addresses
+   the copy host-side and reports source and destination physical extents
    so the DIFT engine can apply per-byte copy propagation across address
    spaces — the step that carries netflow provenance from the injecting
    client into the victim. *)
@@ -37,15 +37,13 @@ let write_virtual_memory (k : Kstate.t) (p : Process.t) args =
       else
         match
           let data = Kstate.read_guest_bytes k p args.(2) len in
-          let src_paddrs = Kstate.phys_range k p args.(2) len in
+          let src = Kstate.guest_extents k p args.(2) len in
           Kstate.write_guest_bytes k t args.(1) data;
-          let dst_paddrs = Kstate.phys_range k t args.(1) len in
-          (src_paddrs, dst_paddrs)
+          (src, Kstate.guest_extents k t args.(1) len)
         with
-        | src_paddrs, dst_paddrs ->
+        | src, dst ->
           Kstate.emit k
-            (Os_event.Mem_copy
-               { by = p.pid; src_pid = p.pid; dst_pid = t.pid; src_paddrs; dst_paddrs });
+            (Os_event.Mem_copy { by = p.pid; src_pid = p.pid; dst_pid = t.pid; src; dst });
           len
         | exception Faros_vm.Mmu.Page_fault _ -> err)
 
@@ -57,15 +55,13 @@ let read_virtual_memory (k : Kstate.t) (p : Process.t) args =
       else
         match
           let data = Kstate.read_guest_bytes k t args.(1) len in
-          let src_paddrs = Kstate.phys_range k t args.(1) len in
+          let src = Kstate.guest_extents k t args.(1) len in
           Kstate.write_guest_bytes k p args.(2) data;
-          let dst_paddrs = Kstate.phys_range k p args.(2) len in
-          (src_paddrs, dst_paddrs)
+          (src, Kstate.guest_extents k p args.(2) len)
         with
-        | src_paddrs, dst_paddrs ->
+        | src, dst ->
           Kstate.emit k
-            (Os_event.Mem_copy
-               { by = p.pid; src_pid = t.pid; dst_pid = p.pid; src_paddrs; dst_paddrs });
+            (Os_event.Mem_copy { by = p.pid; src_pid = t.pid; dst_pid = p.pid; src; dst });
           len
         | exception Faros_vm.Mmu.Page_fault _ -> err)
 

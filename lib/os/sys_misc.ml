@@ -5,7 +5,8 @@ let max_io = 1 lsl 16
 
 (* r1 = name ptr, r2 = name len.  Loads a DLL image file into the caller's
    address space; this is the benign Windows loading path the reflective
-   technique bypasses.  Returns the module base. *)
+   technique bypasses.  Returns the module base, or -1 (nothing mapped)
+   for a missing, malformed or unlinkable image. *)
 let load_library (k : Kstate.t) (p : Process.t) args =
   let name = Kstate.read_guest_string k p args.(0) args.(1) in
   match List.assoc_opt name p.modules with
@@ -17,25 +18,21 @@ let load_library (k : Kstate.t) (p : Process.t) args =
       let image_bytes = Bytes.to_string (Fs.read f ~offset:0 ~len:(Bytes.length f.data)) in
       match Pe.parse image_bytes with
       | exception Pe.Bad_image _ -> err
-      | image ->
-        let loaded = Loader.load k.machine.mmu p.space k.exports image in
-        p.modules <- (name, image) :: p.modules;
-        List.iter
-          (fun (_, paddrs) ->
-            if paddrs <> [] then
-              Kstate.emit k
-                (Os_event.File_read
-                   {
-                     pid = p.pid;
-                     path = name;
-                     version = f.version;
-                     offset = 0;
-                     dst_paddrs = paddrs;
-                   }))
-          loaded.ld_section_paddrs;
-        Kstate.emit k
-          (Os_event.Module_loaded { pid = p.pid; image = image.img_name; base = image.base });
-        image.base)
+      | image -> (
+        match Loader.load k.machine.mmu p.space k.exports image with
+        | exception Loader.Unresolved_import _ -> err
+        | loaded ->
+          p.modules <- (name, image) :: p.modules;
+          List.iter
+            (fun (_, dst) ->
+              if dst <> [] then
+                Kstate.emit k
+                  (Os_event.File_read
+                     { pid = p.pid; path = name; version = f.version; offset = 0; dst }))
+            loaded.ld_section_extents;
+          Kstate.emit k
+            (Os_event.Module_loaded { pid = p.pid; image = image.img_name; base = image.base });
+          image.base))
 
 (* r1 = name ptr, r2 = name len.  Kernel-side symbol resolution: looks up
    kernel exports first, then the caller's loaded modules.  The process

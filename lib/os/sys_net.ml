@@ -1,6 +1,6 @@
 (* Network syscalls.  [recv] is the taint source for netflow tags: the
-   kernel reports the flow and the physical addresses the payload landed on,
-   and FAROS's taint-insertion pass tags every one of those bytes. *)
+   kernel reports the flow and the physical extents the payload landed on,
+   and FAROS's taint-insertion pass tags every byte they cover. *)
 
 let err = -1 land Faros_vm.Word.mask
 let max_io = 1 lsl 20
@@ -34,7 +34,7 @@ let send (k : Kstate.t) (p : Process.t) args =
         | Some flow ->
           Kstate.emit k
             (Os_event.Net_send
-               { pid = p.pid; flow; src_paddrs = Kstate.phys_range k p args.(1) len });
+               { pid = p.pid; flow; src = Kstate.guest_extents k p args.(1) len });
           Netstack.send k.net sid (Bytes.to_string data)
       end)
 
@@ -82,7 +82,7 @@ let recv (k : Kstate.t) (p : Process.t) args =
           | Some flow ->
             Kstate.emit k
               (Os_event.Net_recv
-                 { pid = p.pid; flow; dst_paddrs = Kstate.phys_range k p args.(1) n })
+                 { pid = p.pid; flow; dst = Kstate.guest_extents k p args.(1) n })
           | None -> ()
         end;
         if n = 0 && Netstack.eof k.net sid then err else n

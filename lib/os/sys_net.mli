@@ -1,7 +1,7 @@
 (** Network syscall handlers.  [recv] is the taint source for netflow tags:
-    the kernel reports the flow and the physical addresses the payload
-    landed on, and FAROS's taint-insertion pass tags every one of those
-    bytes. *)
+    the kernel reports the flow and the physical extents the payload
+    landed on, and FAROS's taint-insertion pass tags every byte they cover,
+    one shadow range write per extent. *)
 
 type handler := Kstate.t -> Process.t -> int array -> int
 

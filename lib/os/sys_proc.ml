@@ -36,7 +36,7 @@ let create_process (k : Kstate.t) (p : Process.t) args =
       | None -> ())
     | None -> ());
     pid
-  | exception Spawn.Bad_executable _ -> err
+  | exception (Spawn.Bad_executable _ | Loader.Unresolved_import _) -> err
 
 let with_target (k : Kstate.t) (p : Process.t) pid f =
   let target_pid = if pid = 0 then p.pid else pid in

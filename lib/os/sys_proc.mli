@@ -10,6 +10,10 @@ type handler := Kstate.t -> Process.t -> int array -> int
 
 val terminate : handler
 val create_process : handler
+(** -1 for a missing, malformed or unlinkable image; an image whose
+    imports the kernel does not export is refused before its address
+    space exists. *)
+
 val suspend : handler
 val resume : handler
 val get_context : handler

@@ -14,7 +14,8 @@
      pair, so the per-instruction fetch/load/store path costs one array
      probe instead of two hashtable lookups;
    - self-modifying-code tracking for the translation-block cache: frames
-     holding cached code are marked, [write_u8] reports stores into them,
+     holding cached code are marked, [write_u8] and [write_bytes] report
+     stores into them,
      and every mapping change (map / map_frames / unmap / destroy_space)
      reports the affected address space.  The TB cache subscribes to both
      via {!set_smc_hooks}. *)
@@ -183,14 +184,15 @@ let translate t ~asid vaddr =
 
 let read_u8 t ~asid vaddr = Phys_mem.read_u8 t.mem (translate t ~asid vaddr)
 
+(* SMC check: a store into a frame holding cached code must reach the TB
+   cache.  One bounds check plus one byte load when the frame is clean. *)
+let code_frame t pfn =
+  pfn < Bytes.length t.code_pages && Bytes.unsafe_get t.code_pages pfn <> '\000'
+
 let write_u8 t ~asid vaddr v =
   let paddr = translate t ~asid vaddr in
   Phys_mem.write_u8 t.mem paddr v;
-  (* SMC check: a store into a frame holding cached code must reach the TB
-     cache.  One bounds check plus one byte load when the frame is clean. *)
-  let pfn = paddr lsr page_shift in
-  if pfn < Bytes.length t.code_pages && Bytes.unsafe_get t.code_pages pfn <> '\000'
-  then t.on_code_write paddr
+  if code_frame t (paddr lsr page_shift) then t.on_code_write paddr
 
 (* Multi-byte accesses translate per byte so they may legally span pages. *)
 let read ~width t ~asid vaddr =
@@ -205,21 +207,45 @@ let write ~width t ~asid vaddr v =
     write_u8 t ~asid (vaddr + i) ((v lsr (8 * i)) land 0xFF)
   done
 
-let read_bytes t ~asid vaddr len =
-  let b = Bytes.create len in
-  for i = 0 to len - 1 do
-    Bytes.set b i (Char.chr (read_u8 t ~asid (vaddr + i)))
-  done;
-  b
-
-let write_bytes t ~asid vaddr b =
-  for i = 0 to Bytes.length b - 1 do
-    write_u8 t ~asid (vaddr + i) (Char.code (Bytes.get b i))
+(* Host copies walk a range one page chunk at a time: [f off paddr n] for
+   the [n] bytes at range offset [off], which start at [paddr].  One
+   translation per chunk; a fault on a later page leaves the earlier
+   chunks done, the same prefix a byte-by-byte copy would leave. *)
+let iter_chunks t ~asid vaddr len f =
+  let off = ref 0 in
+  while !off < len do
+    let va = vaddr + !off in
+    let n = min (len - !off) (page_size - (va land (page_size - 1))) in
+    f !off (translate t ~asid va) n;
+    off := !off + n
   done
 
-(* Physical addresses of the [len] bytes starting at [vaddr]. *)
-let phys_range t ~asid vaddr len =
-  List.init len (fun i -> translate t ~asid (vaddr + i))
+let read_bytes t ~asid vaddr len =
+  let b = Bytes.create len in
+  iter_chunks t ~asid vaddr len (fun off paddr n ->
+      Bytes.blit
+        (Phys_mem.frame t.mem (paddr lsr page_shift))
+        (paddr land (page_size - 1))
+        b off n);
+  b
+
+(* One SMC report per chunk that lands on a code frame stands for one per
+   byte: the TB cache retires every block on the frame at the first
+   report, which clears the mark. *)
+let write_bytes t ~asid vaddr b =
+  iter_chunks t ~asid vaddr (Bytes.length b) (fun off paddr n ->
+      let pfn = paddr lsr page_shift in
+      Bytes.blit b off (Phys_mem.frame t.mem pfn) (paddr land (page_size - 1)) n;
+      if code_frame t pfn then t.on_code_write paddr)
+
+let extents t ~asid vaddr len =
+  let acc = ref [] in
+  iter_chunks t ~asid vaddr len (fun _ paddr n ->
+      match !acc with
+      | { Extent.paddr = p; len = l } :: rest when p + l = paddr ->
+        acc := { Extent.paddr = p; len = l + n } :: rest
+      | es -> acc := { Extent.paddr; len = n } :: es);
+  List.rev !acc
 
 let phys_range_array t ~asid vaddr len =
   Array.init len (fun i -> translate t ~asid (vaddr + i))

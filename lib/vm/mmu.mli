@@ -11,7 +11,8 @@
     mutations flush it.  The module also carries the self-modifying-code
     plumbing the translation-block cache relies on: frames holding cached
     code are marked, stores into them are reported through
-    [on_code_write], and mapping changes through [on_mapping_change]. *)
+    [on_code_write] (once per store, or once per page chunk of a host
+    copy), and mapping changes through [on_mapping_change]. *)
 
 type space = {
   asid : int;  (** the "CR3" value *)
@@ -48,8 +49,10 @@ val space_name : t -> int -> string
 val set_smc_hooks :
   t -> on_code_write:(int -> unit) -> on_mapping_change:(int -> unit) -> unit
 (** Subscribe the TB cache: [on_code_write paddr] fires on every store into
-    a frame marked by {!mark_code_page}; [on_mapping_change asid] fires on
-    every map / map_frames / unmap / destroy_space of that space. *)
+    a frame marked by {!mark_code_page} (a host copy reports the first
+    byte of each page chunk it writes there); [on_mapping_change asid]
+    fires on every map / map_frames / unmap / destroy_space of that
+    space. *)
 
 val mark_code_page : t -> int -> unit
 (** Mark a frame as holding cached code so stores into it are reported. *)
@@ -89,12 +92,21 @@ val read : width:int -> t -> asid:int -> int -> int
 val write : width:int -> t -> asid:int -> int -> int -> unit
 
 val read_bytes : t -> asid:int -> int -> int -> Bytes.t
-val write_bytes : t -> asid:int -> int -> Bytes.t -> unit
+(** Host-side copy out of guest memory: one translation and one blit per
+    page.  Raises {!Page_fault} at the first byte of an unmapped page. *)
 
-val phys_range : t -> asid:int -> int -> int -> int list
-(** Physical addresses of the [len] bytes starting at a virtual address —
-    what kernel events report so taint can follow host-side copies. *)
+val write_bytes : t -> asid:int -> int -> Bytes.t -> unit
+(** Host-side copy into guest memory: one translation and one blit per
+    page, and one [on_code_write] per page chunk that lands on a code
+    frame.  A {!Page_fault} leaves the pages before the faulting one
+    written. *)
+
+val extents : t -> asid:int -> int -> int -> Extent.t list
+(** [extents t ~asid vaddr len]: the physical extents of a guest range,
+    one translation per page, physically adjacent chunks merged — what
+    kernel events report so taint can follow host-side copies.  Empty for
+    a non-positive [len]; raises {!Page_fault} like {!translate}. *)
 
 val phys_range_array : t -> asid:int -> int -> int -> int array
-(** {!phys_range} as a flat array — the representation execution effects
-    carry so the per-instruction path allocates one block, not a list. *)
+(** Physical address of each of the [len] bytes at a virtual address —
+    the representation execution effects carry for code bytes. *)

@@ -297,7 +297,9 @@ let export_tests =
         let machine = Faros_vm.Machine.create () in
         let et = Export_table.build machine in
         check "paddrs" (4 * Export_table.entry_count et)
-          (List.length et.pointer_paddrs));
+          (List.fold_left
+             (fun acc (_, es) -> acc + Faros_vm.Extent.total es)
+             0 et.pointers_by_name));
     Alcotest.test_case "stubs decode to mov/syscall/ret" `Quick (fun () ->
         let machine = Faros_vm.Machine.create () in
         let et = Export_table.build machine in
@@ -566,8 +568,7 @@ let kernel_tests =
         let copies = ref [] in
         Kernel.subscribe k (fun ev ->
             match ev with
-            | Os_event.Mem_copy { src_paddrs; dst_paddrs; _ } ->
-              copies := (src_paddrs, dst_paddrs) :: !copies
+            | Os_event.Mem_copy { src; dst; _ } -> copies := (src, dst) :: !copies
             | _ -> ());
         let vpid = Kernel.spawn k "v.exe" in
         ignore (Kernel.spawn k "w.exe");
@@ -617,6 +618,82 @@ let kernel_tests =
         in
         check "returned value" 1234 (Option.get (Kstate.proc k pid)).exit_code;
         check "module events" 2 (List.length (events_of_kind "module_loaded" events)));
+    Alcotest.test_case "LoadLibrary of a DLL with an unknown import returns -1"
+      `Quick (fun () ->
+        let dll =
+          Pe.of_program ~name:"bad.dll" ~base:Process.dll_base ~imports:[ "NoSuchApi" ]
+            [ Faros_vm.Asm.Label "bad_fn"; i Faros_vm.Isa.Ret ]
+        in
+        (* the caller's mapped ranges on entry to and exit from the call *)
+        let ranges = ref [] in
+        let snapshot k pid =
+          ranges := Faros_vm.Mmu.mapped_ranges (Kstate.proc_exn k pid).space :: !ranges
+        in
+        let k, pid, events =
+          run_guest
+            ~setup:(fun k ->
+              Kernel.install_image k ~path:"bad.dll" dll;
+              Kernel.subscribe k (function
+                | Os_event.Sys_enter { pid; sysno; _ } | Os_event.Sys_exit { pid; sysno; _ }
+                  when sysno = Syscall.ldr_load_library ->
+                  snapshot k pid
+                | _ -> ()))
+            (List.concat
+               [
+                 [
+                   Faros_vm.Asm.Label "start";
+                   Faros_corpus.Progs.lea_label r1 "name";
+                   i (Faros_vm.Isa.Mov_ri (r2, 7));
+                 ];
+                 Faros_corpus.Progs.syscall Syscall.ldr_load_library;
+                 [ i (Faros_vm.Isa.Mov_rr (r1, r0)); i Faros_vm.Isa.Halt ];
+                 Faros_corpus.Progs.cstring "name" "bad.dll";
+               ])
+        in
+        check "LoadLibrary returned -1" (-1 land Faros_vm.Word.mask)
+          (Option.get (Kstate.proc k pid)).exit_code;
+        (match !ranges with
+        | [ after; before ] ->
+          Alcotest.(check (list (pair int int))) "mapped ranges unchanged" before after
+        | l -> Alcotest.failf "expected one LoadLibrary call, saw %d events" (List.length l));
+        check "only the caller's own image loaded" 1
+          (List.length (events_of_kind "module_loaded" events)));
+    Alcotest.test_case "CreateProcess of an image with an unknown import returns -1"
+      `Quick (fun () ->
+        let child =
+          Pe.of_program ~name:"bad.exe" ~base:Process.image_base ~imports:[ "NoSuchApi" ]
+            [ Faros_vm.Asm.Label "start"; i Faros_vm.Isa.Halt ]
+        in
+        let spaces = ref [] in
+        let k, pid, events =
+          run_guest
+            ~setup:(fun k ->
+              Kernel.install_image k ~path:"bad.exe" child;
+              Kernel.subscribe k (function
+                | Os_event.Sys_enter { sysno; _ } | Os_event.Sys_exit { sysno; _ }
+                  when sysno = Syscall.nt_create_process ->
+                  spaces := Hashtbl.length k.machine.mmu.spaces :: !spaces
+                | _ -> ()))
+            (List.concat
+               [
+                 [
+                   Faros_vm.Asm.Label "start";
+                   Faros_corpus.Progs.lea_label r1 "path";
+                   i (Faros_vm.Isa.Mov_ri (r2, 7));
+                   i (Faros_vm.Isa.Mov_ri (Faros_vm.Isa.r3, 0));
+                   i (Faros_vm.Isa.Mov_ri (Faros_vm.Isa.r4, 0));
+                 ];
+                 Faros_corpus.Progs.syscall Syscall.nt_create_process;
+                 [ i (Faros_vm.Isa.Mov_rr (r1, r0)); i Faros_vm.Isa.Halt ];
+                 Faros_corpus.Progs.cstring "path" "bad.exe";
+               ])
+        in
+        check "CreateProcess returned -1" (-1 land Faros_vm.Word.mask)
+          (Option.get (Kstate.proc k pid)).exit_code;
+        (match !spaces with
+        | [ after; before ] -> check "no address space created" before after
+        | l -> Alcotest.failf "expected one CreateProcess call, saw %d events" (List.length l));
+        check "no process created" 1 (List.length (events_of_kind "proc_created" events)));
   ]
 
 
