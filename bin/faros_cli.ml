@@ -78,7 +78,8 @@ let build_config ~policy ~whitelist_jit () =
 
 let print_outcome_json (outcome : Core.Analysis.outcome) =
   Fmt.pf pp "%s@."
-    (Core.Report.to_json ~store:outcome.faros.engine.store
+    (Faros_obs.Json.to_string
+    @@ Core.Report.to_json ~store:outcome.faros.engine.store
        ~name_of_asid:(Core.Faros_plugin.name_of_asid outcome.faros.kernel)
        outcome.report);
   0
@@ -107,6 +108,13 @@ let write_file path data =
   let oc = open_out_bin path in
   output_string oc data;
   close_out oc
+
+(* Write an export to [path], or to stdout for "-". *)
+let emit data = function
+  | "-" -> print_string data
+  | path ->
+    write_file path data;
+    Fmt.pf pp "wrote %s@." path
 
 let run_cmd id policy whitelist_jit verbose json trace_out series_out =
   match find_sample id with
@@ -147,7 +155,8 @@ let run_cmd id policy whitelist_jit verbose json trace_out series_out =
       (match (series_out, telemetry) with
       | Some path, Some t ->
         let data =
-          if Filename.check_suffix path ".json" then Core.Telemetry.to_json t
+          if Filename.check_suffix path ".json" then
+            Faros_obs.Json.to_string (Core.Telemetry.to_json t)
           else Core.Telemetry.to_csv t
         in
         write_file path data;
@@ -433,13 +442,9 @@ let campaign_cmd workers corpus filter policy json_out csv_out tick_budget
           ~farm_metrics:(profile || stats || jsonl_out <> None)
           ?on_progress samples
       in
-      let emit data = function
-        | "-" -> print_string data
-        | path ->
-          write_file path data;
-          Fmt.pf pp "wrote %s@." path
-      in
-      Option.iter (emit (Faros_farm.Campaign.to_json c)) json_out;
+      Option.iter
+        (emit (Faros_obs.Json.to_string (Faros_farm.Campaign.to_json c)))
+        json_out;
       Option.iter (emit (Faros_farm.Campaign.to_csv c)) csv_out;
       (* one segment file per sample, submission order — the store input *)
       Option.iter
@@ -481,7 +486,7 @@ let campaign_cmd workers corpus filter policy json_out csv_out tick_budget
         (fun path ->
           write_file path (Faros_obs.Sink.to_chrome_json sink);
           Fmt.pf pp "wrote %s (%d trace events)@." path
-            (List.length (Faros_obs.Sink.trace_rows sink)))
+            (Faros_obs.Sink.trace_count sink))
         trace_out;
       if Faros_farm.Campaign.ok c then 0 else 1)
 
@@ -550,7 +555,8 @@ let profile_run_cmd id policy top tree json_out jsonl_out =
       Fmt.pf pp "  %-24s %12.3f ms@." "dift" (replay_ms -. vm_ms);
       Option.iter
         (fun path ->
-          write_file path (Faros_obs.Profile.to_json profile);
+          write_file path
+            (Faros_obs.Json.to_string (Faros_obs.Profile.to_json profile));
           Fmt.pf pp "wrote %s@." path)
         json_out;
       Option.iter
@@ -687,14 +693,10 @@ let graph_cmd id policy dot_out json_out slice_only segments_out =
           (g, Faros_graph.Slice.slices g)
         end
       in
-      let emit data = function
-        | "-" -> print_string data
-        | path ->
-          write_file path data;
-          Fmt.pf pp "wrote %s@." path
-      in
       Option.iter (emit (Faros_graph.Export.to_dot g)) dot_out;
-      Option.iter (emit (Faros_graph.Export.to_json ~slices g)) json_out;
+      Option.iter
+        (emit (Faros_obs.Json.to_string (Faros_graph.Export.to_json ~slices g)))
+        json_out;
       if dot_out <> Some "-" && json_out <> Some "-" then begin
         Fmt.pf pp "sample:  %s@." sample.id;
         Fmt.pf pp "graph:   %d nodes, %d edges%s@."
@@ -747,12 +749,6 @@ let query_cmd dir run_id origins flow_spec dot_out json_out =
       Fmt.epr "%s@." e;
       1
     in
-    let emit data = function
-      | "-" -> print_string data
-      | path ->
-        write_file path data;
-        Fmt.pf pp "wrote %s@." path
-    in
     let quiet = dot_out = Some "-" || json_out = Some "-" in
     let export () =
       match (dot_out, json_out) with
@@ -765,7 +761,10 @@ let query_cmd dir run_id origins flow_spec dot_out json_out =
           (fun g ->
             let slices = Faros_graph.Slice.slices g in
             Option.iter (emit (Faros_graph.Export.to_dot g)) dot_out;
-            Option.iter (emit (Faros_graph.Export.to_json ~slices g)) json_out;
+            Option.iter
+              (emit
+                 (Faros_obs.Json.to_string (Faros_graph.Export.to_json ~slices g)))
+              json_out;
             Ok ())
     in
     match export () with

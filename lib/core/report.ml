@@ -84,24 +84,23 @@ let pp_table ~store ~name_of_asid ppf t =
 
 (* -- machine-readable export -- *)
 
-let json_escape = Faros_obs.Json.escape
-
 (* A self-contained JSON document an analyst can archive with the sample:
    one object per flag with resolved provenance strings. *)
-let to_json ~store ~name_of_asid t =
-  let flag_json (f : flag) =
-    Printf.sprintf
-      {|{"tick":%d,"pc":"0x%08X","process":"%s","instruction":"%s","instr_provenance":"%s","read_vaddr":"0x%08X","read_provenance":"%s","whitelisted":%b}|}
-      f.f_tick f.f_pc (json_escape f.f_process)
-      (json_escape (Faros_vm.Disasm.to_string f.f_instr))
-      (json_escape (render_provenance ~store ~name_of_asid f.f_instr_prov))
-      f.f_read_vaddr
-      (json_escape (render_provenance ~store ~name_of_asid f.f_read_prov))
-      f.f_whitelisted
+let to_json ~store ~name_of_asid t : Faros_obs.Json.t =
+  let hex v = Faros_obs.Json.Str (Printf.sprintf "0x%08X" v) in
+  let provenance prov =
+    Faros_obs.Json.Str (render_provenance ~store ~name_of_asid prov)
   in
-  Printf.sprintf {|{"flagged":%b,"suppressed":%d,"flags":[%s]}|} (flagged t)
-    t.suppressed
-    (String.concat "," (List.map flag_json (flags t)))
+  let flag_json (f : flag) : Faros_obs.Json.t =
+    Obj
+      [ ("tick", Int f.f_tick); ("pc", hex f.f_pc); ("process", Str f.f_process);
+        ("instruction", Str (Faros_vm.Disasm.to_string f.f_instr));
+        ("instr_provenance", provenance f.f_instr_prov); ("read_vaddr", hex f.f_read_vaddr);
+        ("read_provenance", provenance f.f_read_prov); ("whitelisted", Bool f.f_whitelisted) ]
+  in
+  Obj
+    [ ("flagged", Bool (flagged t)); ("suppressed", Int t.suppressed);
+      ("flags", List (List.map flag_json (flags t))) ]
 
 let summary t =
   Fmt.str "%d flagged load(s) at %d site(s), %d whitelisted"

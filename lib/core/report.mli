@@ -59,7 +59,7 @@ val pp_table :
 (** The Table II layout: memory-address column and provenance column. *)
 
 val to_json :
-  store:Faros_dift.Tag_store.t -> name_of_asid:(int -> string) -> t -> string
+  store:Faros_dift.Tag_store.t -> name_of_asid:(int -> string) -> t -> Faros_obs.Json.t
 (** A self-contained JSON document (flags with resolved provenance
     strings) an analyst can archive with the sample. *)
 

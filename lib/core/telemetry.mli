@@ -27,4 +27,4 @@ val sample : t -> Faros_plugin.t -> tick:int -> syscalls:int -> unit
 (** Record one row of the analysis' current state. *)
 
 val to_csv : t -> string
-val to_json : t -> string
+val to_json : t -> Faros_obs.Json.t

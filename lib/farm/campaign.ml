@@ -483,57 +483,69 @@ let matrix t =
 
 (* -- export -------------------------------------------------------------- *)
 
-let json_float f = Printf.sprintf "%.6f" f
+module Json = Faros_obs.Json
 
-(* New fields ride at the end, so positional consumers of the older
-   layout (CSV field indices, cram projections) keep working. *)
-let result_json r =
-  Printf.sprintf
-    {|{"id":"%s","family":"%s","category":"%s","expected":"%s","verdict":"%s","detail":"%s","diverged":%b,"mismatch":%b,"record_ticks":%d,"replay_ticks":%d,"syscalls":%d,"tainted_bytes":%d,"interned_provs":%d,"graph_nodes":%d,"graph_edges":%d,"flag_sites":%d,"slice_nodes":%d,"slice_origins":%d,"netflow_origin":%b,"worker":%d,"wall_s":%s,"tick_budget":%d,"budget_exhausted":%b}|}
-    (Faros_obs.Json.escape r.jr_id)
-    (Faros_obs.Json.escape r.jr_family)
-    (Faros_obs.Json.escape r.jr_category)
-    (if r.jr_expected_flag then "flag" else "clean")
-    (verdict_name r.jr_verdict)
-    (Faros_obs.Json.escape (verdict_detail r.jr_verdict))
-    r.jr_diverged r.jr_mismatch r.jr_record_ticks r.jr_replay_ticks
-    r.jr_syscalls r.jr_tainted_bytes r.jr_interned_provs r.jr_graph_nodes
-    r.jr_graph_edges r.jr_flag_sites r.jr_slice_nodes r.jr_slice_origins
-    r.jr_netflow_origin r.jr_worker
-    (json_float r.jr_wall_s)
-    r.jr_tick_budget r.jr_budget_exhausted
+(* A result's fields, in export order, for the JSON results and the CSV
+   rows alike.  New fields ride at the end, so positional consumers of
+   the older layout (CSV field indices, cram projections) keep working. *)
+let result_fields : (string * (job_result -> Json.t)) list =
+  [
+    ("id", fun r -> Str r.jr_id);
+    ("family", fun r -> Str r.jr_family);
+    ("category", fun r -> Str r.jr_category);
+    ("expected", fun r -> Str (if r.jr_expected_flag then "flag" else "clean"));
+    ("verdict", fun r -> Str (verdict_name r.jr_verdict));
+    ("detail", fun r -> Str (verdict_detail r.jr_verdict));
+    ("diverged", fun r -> Bool r.jr_diverged);
+    ("mismatch", fun r -> Bool r.jr_mismatch);
+    ("record_ticks", fun r -> Int r.jr_record_ticks);
+    ("replay_ticks", fun r -> Int r.jr_replay_ticks);
+    ("syscalls", fun r -> Int r.jr_syscalls);
+    ("tainted_bytes", fun r -> Int r.jr_tainted_bytes);
+    ("interned_provs", fun r -> Int r.jr_interned_provs);
+    ("graph_nodes", fun r -> Int r.jr_graph_nodes);
+    ("graph_edges", fun r -> Int r.jr_graph_edges);
+    ("flag_sites", fun r -> Int r.jr_flag_sites);
+    ("slice_nodes", fun r -> Int r.jr_slice_nodes);
+    ("slice_origins", fun r -> Int r.jr_slice_origins);
+    ("netflow_origin", fun r -> Bool r.jr_netflow_origin);
+    ("worker", fun r -> Int r.jr_worker);
+    ("wall_s", fun r -> Float r.jr_wall_s);
+    ("tick_budget", fun r -> Int r.jr_tick_budget);
+    ("budget_exhausted", fun r -> Bool r.jr_budget_exhausted);
+  ]
 
-let matrix_row_json row =
-  Printf.sprintf
-    {|{"category":"%s","samples":%d,"flagged":%d,"clean":%d,"errors":%d,"timeouts":%d,"mismatches":%d}|}
-    (Faros_obs.Json.escape row.mr_category)
-    row.mr_samples row.mr_flagged row.mr_clean row.mr_errors row.mr_timeouts
-    row.mr_mismatches
+let matrix_row_json row : Json.t =
+  Obj
+    [ ("category", Str row.mr_category); ("samples", Int row.mr_samples);
+      ("flagged", Int row.mr_flagged); ("clean", Int row.mr_clean);
+      ("errors", Int row.mr_errors); ("timeouts", Int row.mr_timeouts);
+      ("mismatches", Int row.mr_mismatches) ]
 
-let worker_stat_json i (ws : Pool.worker_stat) =
-  Printf.sprintf {|{"worker":%d,"jobs":%d,"busy_us":%d,"idle_us":%d,"steals":%d}|}
-    i ws.ws_jobs (ws.ws_busy_ns / 1000) (ws.ws_idle_ns / 1000) ws.ws_steals
+let worker_stat_json i (ws : Pool.worker_stat) : Json.t =
+  Obj
+    [ ("worker", Int i); ("jobs", Int ws.ws_jobs); ("busy_us", Int (ws.ws_busy_ns / 1000));
+      ("idle_us", Int (ws.ws_idle_ns / 1000)); ("steals", Int ws.ws_steals) ]
 
-let to_json t =
-  let profile_field =
+let to_json t : Json.t =
+  let result r = Json.Obj (List.map (fun (k, f) -> (k, f r)) result_fields) in
+  let profile =
     if Faros_obs.Profile.enabled t.profile then
-      Printf.sprintf {|,"profile":%s|} (Faros_obs.Profile.to_json t.profile)
-    else ""
+      [ ("profile", Faros_obs.Profile.to_json t.profile) ]
+    else []
   in
-  Printf.sprintf
-    {|{"campaign":{"workers":%d,"spawned":%d,"peak_queue_depth":%d,"samples":%d,"mismatch_count":%d,"wall_s":%s,"worker_stats":[%s],"matrix":[%s],"results":[%s],"mismatches":[%s],"metrics":%s%s}}|}
-    t.workers t.spawned t.peak_depth (List.length t.results)
-    (List.length t.mismatches)
-    (json_float t.wall_s)
-    (String.concat "," (List.mapi worker_stat_json t.worker_stats))
-    (String.concat "," (List.map matrix_row_json (matrix t)))
-    (String.concat "," (List.map result_json t.results))
-    (String.concat ","
-       (List.map
-          (fun id -> Printf.sprintf {|"%s"|} (Faros_obs.Json.escape id))
-          t.mismatches))
-    (Faros_obs.Metrics.to_json t.metrics)
-    profile_field
+  Obj
+    [ ( "campaign",
+        Obj
+          ([ ("workers", Json.Int t.workers); ("spawned", Int t.spawned);
+             ("peak_queue_depth", Int t.peak_depth); ("samples", Int (List.length t.results));
+             ("mismatch_count", Int (List.length t.mismatches)); ("wall_s", Float t.wall_s);
+             ("worker_stats", List (List.mapi worker_stat_json t.worker_stats));
+             ("matrix", List (List.map matrix_row_json (matrix t)));
+             ("results", List (List.map result t.results));
+             ("mismatches", List (List.map (fun id -> Json.Str id) t.mismatches));
+             ("metrics", Faros_obs.Metrics.to_json t.metrics) ]
+          @ profile) ) ]
 
 (* CSV field quoting: wrap and double inner quotes when the field carries
    a delimiter (error details can contain anything). *)
@@ -542,38 +554,16 @@ let csv_field s =
     "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
   else s
 
+(* The CSV leaves out [worker], the one field that depends on [-j]: a
+   string cell is quoted as needed and any other cell is its JSON text. *)
 let to_csv t =
-  let header =
-    "id,family,category,expected,verdict,detail,diverged,mismatch,record_ticks,replay_ticks,syscalls,tainted_bytes,interned_provs,graph_nodes,graph_edges,flag_sites,slice_nodes,slice_origins,netflow_origin,wall_s,tick_budget,budget_exhausted"
+  let fields = List.filter (fun (k, _) -> k <> "worker") result_fields in
+  let cell r (_, f) =
+    match f r with Json.Str s -> csv_field s | v -> Json.to_string v
   in
-  let row r =
-    String.concat ","
-      [
-        csv_field r.jr_id;
-        csv_field r.jr_family;
-        csv_field r.jr_category;
-        (if r.jr_expected_flag then "flag" else "clean");
-        verdict_name r.jr_verdict;
-        csv_field (verdict_detail r.jr_verdict);
-        string_of_bool r.jr_diverged;
-        string_of_bool r.jr_mismatch;
-        string_of_int r.jr_record_ticks;
-        string_of_int r.jr_replay_ticks;
-        string_of_int r.jr_syscalls;
-        string_of_int r.jr_tainted_bytes;
-        string_of_int r.jr_interned_provs;
-        string_of_int r.jr_graph_nodes;
-        string_of_int r.jr_graph_edges;
-        string_of_int r.jr_flag_sites;
-        string_of_int r.jr_slice_nodes;
-        string_of_int r.jr_slice_origins;
-        string_of_bool r.jr_netflow_origin;
-        json_float r.jr_wall_s;
-        string_of_int r.jr_tick_budget;
-        string_of_bool r.jr_budget_exhausted;
-      ]
-  in
-  String.concat "\n" (header :: List.map row t.results) ^ "\n"
+  let row r = String.concat "," (List.map (cell r) fields) in
+  String.concat "\n" (String.concat "," (List.map fst fields) :: List.map row t.results)
+  ^ "\n"
 
 (* -- rendering ----------------------------------------------------------- *)
 

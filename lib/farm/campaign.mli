@@ -158,13 +158,14 @@ type matrix_row = {
 val matrix : t -> matrix_row list
 (** Per-category verdict counts, sorted by category name. *)
 
-val to_json : t -> string
+val to_json : t -> Faros_obs.Json.t
 (** The whole campaign as one JSON document: matrix, per-sample results,
     mismatch list, worker stats, merged metrics (and the merged profile
     when enabled). *)
 
 val to_csv : t -> string
-(** One CSV row per sample, registry order. *)
+(** One CSV row per sample, registry order, with the JSON results'
+    fields except [worker] (it varies with the worker count). *)
 
 val pp_matrix : Format.formatter -> t -> unit
 

@@ -63,68 +63,53 @@ let to_dot g =
 
 (* -- JSON ----------------------------------------------------------------- *)
 
-let esc = Faros_obs.Json.escape
+module Json = Faros_obs.Json
 
-let node_json (n : Graph.node) =
-  let base =
-    Printf.sprintf {|"id":%d,"kind":"%s","label":"%s"|} n.n_id (Graph.kind_name n)
-      (esc (Graph.node_label n))
-  in
-  let extra =
+let ints l = Json.List (List.map (fun i -> Json.Int i) l)
+
+let node_json (n : Graph.node) : Json.t =
+  let extra : (string * Json.t) list =
     match n.n_kind with
     | Graph.Flow f ->
-      Printf.sprintf {|,"src":"%s","src_port":%d,"dst":"%s","dst_port":%d|}
-        (esc (Faros_os.Types.Ip.to_string f.src_ip))
-        f.src_port
-        (esc (Faros_os.Types.Ip.to_string f.dst_ip))
-        f.dst_port
+      [ ("src", Str (Faros_os.Types.Ip.to_string f.src_ip)); ("src_port", Int f.src_port);
+        ("dst", Str (Faros_os.Types.Ip.to_string f.dst_ip)); ("dst_port", Int f.dst_port) ]
     | Graph.Process p ->
-      Printf.sprintf {|,"pid":%d,"tainted_bytes":%d,"netflow_bytes":%d%s|}
-        p.p_pid p.p_tainted_bytes p.p_netflow_bytes
-        (match p.p_exit_code with
-        | Some c -> Printf.sprintf {|,"exit_code":%d|} c
-        | None -> "")
+      [ ("pid", Json.Int p.p_pid); ("tainted_bytes", Int p.p_tainted_bytes);
+        ("netflow_bytes", Int p.p_netflow_bytes) ]
+      @ (match p.p_exit_code with Some c -> [ ("exit_code", Int c) ] | None -> [])
     | Graph.File fi ->
-      Printf.sprintf {|,"version_lo":%d,"version_hi":%d|} fi.fi_version_lo
-        fi.fi_version_hi
-    | Graph.Module m -> Printf.sprintf {|,"pid":%d,"base":%d|} m.m_pid m.m_base
+      [ ("version_lo", Int fi.fi_version_lo); ("version_hi", Int fi.fi_version_hi) ]
+    | Graph.Module m -> [ ("pid", Int m.m_pid); ("base", Int m.m_base) ]
     | Graph.Region r ->
-      Printf.sprintf {|,"pid":%d,"vaddr":%d,"len":%d,"types":[%s]|} r.r_pid
-        r.r_vaddr r.r_len
-        (String.concat ","
-           (List.map (fun ty -> Printf.sprintf {|"%s"|} (esc ty)) r.r_types))
+      [ ("pid", Int r.r_pid); ("vaddr", Int r.r_vaddr); ("len", Int r.r_len);
+        ("types", List (List.map (fun ty -> Json.Str ty) r.r_types)) ]
     | Graph.Flag_site fl ->
-      Printf.sprintf {|,"pc":%d,"tick":%d,"process":"%s"|} fl.fl_pc fl.fl_tick
-        (esc fl.fl_process)
+      [ ("pc", Int fl.fl_pc); ("tick", Int fl.fl_tick); ("process", Str fl.fl_process) ]
   in
-  "{" ^ base ^ extra ^ "}"
+  Obj
+    (("id", Int n.n_id) :: ("kind", Str (Graph.kind_name n))
+    :: ("label", Str (Graph.node_label n)) :: extra)
 
-let edge_json (e : Graph.edge) =
-  Printf.sprintf
-    {|{"src":%d,"dst":%d,"kind":"%s","tick":%d,"last_tick":%d,"count":%d,"bytes":%d}|}
-    e.e_src e.e_dst
-    (Graph.edge_kind_name e.e_kind)
-    e.e_tick e.e_last_tick e.e_count e.e_bytes
+let edge_json (e : Graph.edge) : Json.t =
+  Obj
+    [ ("src", Int e.e_src); ("dst", Int e.e_dst);
+      ("kind", Str (Graph.edge_kind_name e.e_kind)); ("tick", Int e.e_tick);
+      ("last_tick", Int e.e_last_tick); ("count", Int e.e_count); ("bytes", Int e.e_bytes) ]
 
-let slice_json (s : Slice.t) =
-  Printf.sprintf
-    {|{"flag":%d,"flag_label":"%s","netflow_origin":%b,"origins":[%s],"nodes":[%s],"chains":[%s]}|}
-    s.sl_flag.n_id
-    (esc (Graph.node_label s.sl_flag))
-    (Slice.has_netflow_origin s)
-    (String.concat ","
-       (List.map (fun (n : Graph.node) -> string_of_int n.n_id) s.sl_origins))
-    (String.concat "," (List.map string_of_int s.sl_nodes))
-    (String.concat ","
-       (List.map
-          (fun chain -> Printf.sprintf {|"%s"|} (esc (Slice.render_chain chain)))
-          s.sl_chains))
+let slice_json (s : Slice.t) : Json.t =
+  let chains = List.map (fun c -> Json.Str (Slice.render_chain c)) s.sl_chains in
+  Obj
+    [ ("flag", Int s.sl_flag.n_id); ("flag_label", Str (Graph.node_label s.sl_flag));
+      ("netflow_origin", Bool (Slice.has_netflow_origin s));
+      ("origins", ints (List.map (fun (n : Graph.node) -> n.n_id) s.sl_origins));
+      ("nodes", ints s.sl_nodes); ("chains", List chains) ]
 
-let to_json ?(slices = []) g =
-  Printf.sprintf
-    {|{"graph":{"sample":"%s","node_count":%d,"edge_count":%d,"nodes":[%s],"edges":[%s],"slices":[%s]}}|}
-    (esc (Graph.sample g))
-    (Graph.node_count g) (Graph.edge_count g)
-    (String.concat "," (List.map node_json (Graph.nodes g)))
-    (String.concat "," (List.map edge_json (Graph.edges g)))
-    (String.concat "," (List.map slice_json slices))
+let to_json ?(slices = []) g : Json.t =
+  let list f xs = Json.List (List.map f xs) in
+  Obj
+    [ ( "graph",
+        Obj
+          [ ("sample", Str (Graph.sample g)); ("node_count", Int (Graph.node_count g));
+            ("edge_count", Int (Graph.edge_count g));
+            ("nodes", list node_json (Graph.nodes g));
+            ("edges", list edge_json (Graph.edges g)); ("slices", list slice_json slices) ] ) ]

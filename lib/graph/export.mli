@@ -10,7 +10,7 @@ val to_dot : Graph.t -> string
     and color by kind), one edge statement per edge with a
     [kind xCOUNT BYTESB @TICK] label.  Injection edges are red. *)
 
-val to_json : ?slices:Slice.t list -> Graph.t -> string
+val to_json : ?slices:Slice.t list -> Graph.t -> Faros_obs.Json.t
 (** One [{"graph":{...}}] document: sample, counts, nodes with
     kind-specific fields, edges, and the given slices (flag id, origins,
     node ids, rendered chains). *)

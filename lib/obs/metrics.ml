@@ -152,27 +152,19 @@ let pp_table ppf t =
         Fmt.pf ppf "%-36s %-10s %a@." name "histogram" pp_histogram h)
     (sorted_entries t)
 
-let to_json t =
-  let entry (name, m) =
+let to_json t : Json.t =
+  let entry (name, m) : Json.t =
+    let head kind = [ ("name", Json.Str name); ("kind", Str kind) ] in
     match m with
-    | Counter c ->
-      Printf.sprintf {|{"name":"%s","kind":"counter","value":%d}|}
-        (Json.escape name) c.c_val
-    | Gauge g ->
-      Printf.sprintf {|{"name":"%s","kind":"gauge","value":%d}|}
-        (Json.escape name) g.g_val
+    | Counter c -> Obj (head "counter" @ [ ("value", Int c.c_val) ])
+    | Gauge g -> Obj (head "gauge" @ [ ("value", Int g.g_val) ])
     | Histogram h ->
-      let buckets =
-        histogram_bucket_list h
-        |> List.map (fun (lo, hi, n) ->
-               Printf.sprintf {|{"lo":%d,"hi":%d,"count":%d}|}
-                 (if lo = min_int then 0 else lo)
-                 hi n)
-        |> String.concat ","
+      let bucket (lo, hi, n) : Json.t =
+        Obj [ ("lo", Int (if lo = min_int then 0 else lo)); ("hi", Int hi); ("count", Int n) ]
       in
-      Printf.sprintf
-        {|{"name":"%s","kind":"histogram","count":%d,"sum":%d,"buckets":[%s]}|}
-        (Json.escape name) (histogram_count h) (histogram_sum h) buckets
+      Obj
+        (head "histogram"
+        @ [ ("count", Int (histogram_count h)); ("sum", Int (histogram_sum h));
+            ("buckets", List (List.map bucket (histogram_bucket_list h))) ])
   in
-  Printf.sprintf {|{"metrics":[%s]}|}
-    (String.concat "," (List.map entry (sorted_entries t)))
+  Obj [ ("metrics", List (List.map entry (sorted_entries t))) ]

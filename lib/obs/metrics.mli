@@ -62,4 +62,5 @@ val merge : into:t -> t -> unit
 val pp_table : Format.formatter -> t -> unit
 (** The `faros stats` table: one sorted line per metric. *)
 
-val to_json : t -> string
+val to_json : t -> Json.t
+(** [{"metrics":[...]}], sorted by name as {!pp_table} prints it. *)

@@ -278,12 +278,11 @@ let pp_hotspots ?(top = 20) ppf t =
   in
   take top all
 
-let to_json t =
-  let span_json sp =
-    Printf.sprintf
-      {|{"path":"%s","count":%d,"total_ns":%d,"self_ns":%d,"minor_words":%d,"major_words":%d}|}
-      (Json.escape sp.sp_path) sp.sp_count sp.sp_total_ns sp.sp_self_ns
-      sp.sp_minor_words sp.sp_major_words
-  in
-  Printf.sprintf {|{"profile":{"total_ns":%d,"spans":[%s]}}|} (total_ns t)
-    (String.concat "," (List.map span_json (spans t)))
+let span_members sp : (string * Json.t) list =
+  [ ("path", Str sp.sp_path); ("count", Int sp.sp_count); ("total_ns", Int sp.sp_total_ns);
+    ("self_ns", Int sp.sp_self_ns); ("minor_words", Int sp.sp_minor_words);
+    ("major_words", Int sp.sp_major_words) ]
+
+let to_json t : Json.t =
+  let spans = List.map (fun sp -> Json.Obj (span_members sp)) (spans t) in
+  Obj [ ("profile", Obj [ ("total_ns", Int (total_ns t)); ("spans", List spans) ]) ]

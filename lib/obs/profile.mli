@@ -73,4 +73,9 @@ val pp_hotspots : ?top:int -> Format.formatter -> t -> unit
 (** Flat table sorted by self time descending (ties by path), with a
     self% column against {!total_ns}. [top] defaults to 20. *)
 
-val to_json : t -> string
+val span_members : span -> (string * Json.t) list
+(** [path], [count], [total_ns], [self_ns], [minor_words], [major_words]:
+    a span as {!to_json} and the sink's [profile_span] row render it. *)
+
+val to_json : t -> Json.t
+(** [{"profile":{"total_ns":n,"spans":[...]}}], spans in {!spans} order. *)

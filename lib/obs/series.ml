@@ -64,16 +64,11 @@ let to_csv t =
     (rows t);
   Buffer.contents buf
 
-let to_json t =
-  let cols =
-    Array.to_list t.columns
-    |> List.map (fun c -> Printf.sprintf {|"%s"|} (Json.escape c))
-    |> String.concat ","
-  in
-  let row_json row =
-    "["
-    ^ String.concat "," (List.map string_of_int (Array.to_list row))
-    ^ "]"
-  in
-  Printf.sprintf {|{"columns":[%s],"total_samples":%d,"rows":[%s]}|} cols t.total
-    (String.concat "," (List.map row_json (rows t)))
+let to_json t : Json.t =
+  let ints row = Json.List (List.map (fun v -> Json.Int v) (Array.to_list row)) in
+  Obj
+    [
+      ("columns", List (List.map (fun c -> Json.Str c) (Array.to_list t.columns)));
+      ("total_samples", Int t.total);
+      ("rows", List (List.map ints (rows t)));
+    ]

@@ -39,5 +39,5 @@ val column : t -> string -> int list
 val to_csv : t -> string
 (** Header line plus one comma-separated line per retained row. *)
 
-val to_json : t -> string
+val to_json : t -> Json.t
 (** [{"columns":[...],"total_samples":n,"rows":[[...],...]}]. *)

@@ -15,9 +15,10 @@
 
     {[ if Sink.enabled sink then Sink.trace_event sink ~cat ~name ~pid args ]}
 
-    Trace rows are timestamped by the sink's clock (the FAROS plugin
-    points it at the kernel tick), and {!to_chrome_json} renders the
-    buffered rows, parsed back, as a Chrome trace_event document. *)
+    Emitters hand over members and {!Json} renders every line.  Trace
+    rows are timestamped by the sink's clock (the FAROS plugin points it
+    at the kernel tick) and buffered as fields, which render both the
+    JSONL line and the event in {!to_chrome_json}. *)
 
 type t
 
@@ -116,12 +117,13 @@ val graph_node :
   ord:int ->
   ?ident:string ->
   ?kind:string ->
-  fields:string ->
+  fields:(string * Json.t) list ->
   unit ->
   unit
-(** One node row.  Full rows carry [ident] and [kind] plus the
-    kind-specific [fields] fragment; patch rows (attribute refinements to
-    an already-spilled node) carry just [ord] and the changed fields. *)
+(** One node row: [run], [seq], [ord], then [ident] and [kind] when
+    given, then [fields].  Full rows carry [ident], [kind] and the
+    kind-specific fields; patch rows (attribute refinements to an
+    already-spilled node) carry just [ord] and the changed fields. *)
 
 val graph_edge :
   t ->
@@ -143,10 +145,13 @@ val graph_edge :
 (** {2 Chrome trace_event export} *)
 
 val trace_rows : t -> Json.t list
-(** The buffered [trace_event] rows, parsed back, oldest first. *)
+(** The buffered [trace_event] rows as the values {!lines} renders. *)
+
+val trace_count : t -> int
+(** [List.length (trace_rows t)], without building the rows. *)
 
 val to_chrome_json : t -> string
-(** The {!trace_rows} as one Chrome trace_event JSON document
-    (chrome://tracing, Perfetto): one instant event per row, with [pid]
-    and [tid] as distinct fields and [otherData] carrying the row count
-    and {!dropped}. *)
+(** The buffered [trace_event] rows as one Chrome trace_event JSON
+    document (chrome://tracing, Perfetto): one instant event per row,
+    with [pid] and [tid] as distinct fields and [otherData] carrying the
+    row count and {!dropped}. *)

@@ -177,36 +177,26 @@ let row_written t =
 
 (* -- row rendering -------------------------------------------------------- *)
 
-let esc = Faros_obs.Json.escape
+module Json = Faros_obs.Json
 
-let node_fields ln =
+let node_fields ln : (string * Json.t) list =
   match ln.ln_seed with
   | Faros_graph.Delta.S_flow f ->
-    Printf.sprintf {|"src":"%s","sport":%d,"dst":"%s","dport":%d|}
-      (Faros_os.Types.Ip.to_string f.src_ip)
-      f.src_port
-      (Faros_os.Types.Ip.to_string f.dst_ip)
-      f.dst_port
+    [ ("src", Str (Faros_os.Types.Ip.to_string f.src_ip)); ("sport", Int f.src_port);
+      ("dst", Str (Faros_os.Types.Ip.to_string f.dst_ip)); ("dport", Int f.dst_port) ]
   | S_proc { pid; _ } ->
-    let exit =
-      match ln.ln_exit with
-      | Some c -> Printf.sprintf {|,"exit":%d|} c
-      | None -> ""
-    in
-    Printf.sprintf {|"pid":%d,"name":"%s"%s,"tainted":%d,"netflow":%d|} pid
-      (esc ln.ln_name) exit ln.ln_tainted ln.ln_netflow
+    (("pid", Json.Int pid) :: ("name", Str ln.ln_name)
+    :: (match ln.ln_exit with Some c -> [ ("exit", Json.Int c) ] | None -> []))
+    @ [ ("tainted", Int ln.ln_tainted); ("netflow", Int ln.ln_netflow) ]
   | S_file { name; _ } ->
-    Printf.sprintf {|"name":"%s","vlo":%d,"vhi":%d|} (esc name) ln.ln_vlo
-      ln.ln_vhi
+    [ ("name", Str name); ("vlo", Int ln.ln_vlo); ("vhi", Int ln.ln_vhi) ]
   | S_module { pid; image; base } ->
-    Printf.sprintf {|"pid":%d,"image":"%s","base":%d|} pid (esc image) base
+    [ ("pid", Int pid); ("image", Str image); ("base", Int base) ]
   | S_region { pid; process; vaddr; len; types } ->
-    Printf.sprintf {|"pid":%d,"process":"%s","vaddr":%d,"len":%d,"types":[%s]|}
-      pid (esc process) vaddr len
-      (String.concat ","
-         (List.map (fun ty -> Printf.sprintf {|"%s"|} (esc ty)) types))
+    [ ("pid", Int pid); ("process", Str process); ("vaddr", Int vaddr); ("len", Int len);
+      ("types", List (List.map (fun ty -> Json.Str ty) types)) ]
   | S_flag { process; pc; tick } ->
-    Printf.sprintf {|"process":"%s","pc":%d,"tick":%d|} (esc process) pc tick
+    [ ("process", Str process); ("pc", Int pc); ("tick", Int tick) ]
 
 let flush_node t ln =
   Faros_obs.Sink.graph_node t.w_sink ~run:t.w_run ~seq:(next_seq t)
@@ -296,7 +286,7 @@ let consume t (delta : Faros_graph.Delta.t) =
     | Some ln -> ln.ln_name <- name
     | None ->
       if Bits.mem t.w_spilled ord then
-        patch t ~ord (Printf.sprintf {|"name":"%s"|} (esc name)))
+        patch t ~ord [ ("name", Str name) ])
   | D_version { ord; version } -> (
     match Hashtbl.find_opt t.w_nodes ord with
     | Some ln ->
@@ -304,13 +294,13 @@ let consume t (delta : Faros_graph.Delta.t) =
       if version > ln.ln_vhi then ln.ln_vhi <- version
     | None ->
       if Bits.mem t.w_spilled ord then
-        patch t ~ord (Printf.sprintf {|"vlo":%d,"vhi":%d|} version version))
+        patch t ~ord [ ("vlo", Int version); ("vhi", Int version) ])
   | D_exit { ord; code } -> (
     match Hashtbl.find_opt t.w_nodes ord with
     | Some ln -> ln.ln_exit <- Some code
     | None ->
       if Bits.mem t.w_spilled ord then
-        patch t ~ord (Printf.sprintf {|"exit":%d|} code))
+        patch t ~ord [ ("exit", Int code) ])
   | D_taint { ord; tainted; netflow } -> (
     match Hashtbl.find_opt t.w_nodes ord with
     | Some ln ->
@@ -318,8 +308,7 @@ let consume t (delta : Faros_graph.Delta.t) =
       ln.ln_netflow <- netflow
     | None ->
       if Bits.mem t.w_spilled ord then
-        patch t ~ord
-          (Printf.sprintf {|"tainted":%d,"netflow":%d|} tainted netflow))
+        patch t ~ord [ ("tainted", Int tainted); ("netflow", Int netflow) ])
   | D_edge { src; dst; kind; tick; last_tick; count; bytes } -> (
     let key = (src, dst, kind) in
     match Hashtbl.find_opt t.w_edges key with
@@ -385,8 +374,6 @@ let close t =
   end
 
 (* -- reading rows back: the inverse of [node_fields] ----------------------- *)
-
-module Json = Faros_obs.Json
 
 (* Commutative per-field merge of the rows one ordinal accumulates: taint
    totals and the version ceiling take the maximum, names prefer the

@@ -56,7 +56,7 @@ let fingerprint (c : Faros_farm.Campaign.t) =
     @ [
         Fmt.str "%a" Faros_farm.Campaign.pp_matrix c;
         Fmt.str "%a" Faros_farm.Campaign.pp_summary c;
-        Faros_obs.Metrics.to_json c.metrics;
+        Faros_obs.Json.to_string (Faros_obs.Metrics.to_json c.metrics);
       ])
 
 let serial_equals_parallel indices =

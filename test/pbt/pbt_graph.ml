@@ -62,7 +62,7 @@ let render g =
         List.map Faros_graph.Slice.render_chain s.sl_chains)
       slices
   in
-  Faros_graph.Export.to_json ~slices g
+  Faros_obs.Json.to_string (Faros_graph.Export.to_json ~slices g)
   ^ Faros_graph.Export.to_dot g
   ^ String.concat "\n" chains
 

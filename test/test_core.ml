@@ -520,9 +520,10 @@ let query_tests =
       (fun () ->
         let outcome = analyze "reverse_tcp_dns" in
         let json =
-          Core.Report.to_json ~store:outcome.faros.engine.store
-            ~name_of_asid:(Core.Faros_plugin.name_of_asid outcome.faros.kernel)
-            outcome.report
+          Faros_obs.Json.to_string
+            (Core.Report.to_json ~store:outcome.faros.engine.store
+               ~name_of_asid:(Core.Faros_plugin.name_of_asid outcome.faros.kernel)
+               outcome.report)
         in
         check_b "flagged field" true
           (String.length json > 20 && String.sub json 0 16 = {|{"flagged":true,|});
@@ -553,7 +554,10 @@ let query_tests =
             f_instr_prov = Provenance.empty;
             f_read_prov = Provenance.empty;
           };
-        let json = Core.Report.to_json ~store ~name_of_asid:(fun _ -> "?") r in
+        let json =
+          Faros_obs.Json.to_string
+            (Core.Report.to_json ~store ~name_of_asid:(fun _ -> "?") r)
+        in
         check_b "escaped quote" true
           (let needle = {|we\"ird|} in
            let n = String.length needle and h = String.length json in

@@ -107,7 +107,7 @@ let export_tests =
         let render () =
           let g, _ = build_graph (sample "reflective_dll_inject") in
           let slices = Slice.slices g in
-          (Export.to_dot g, Export.to_json ~slices g)
+          (Export.to_dot g, Faros_obs.Json.to_string (Export.to_json ~slices g))
         in
         let dot1, json1 = render () in
         let dot2, json2 = render () in
@@ -116,7 +116,7 @@ let export_tests =
     Alcotest.test_case "graph JSON passes the hand-rolled checker" `Quick
       (fun () ->
         let g, _ = build_graph (sample "process_hollowing") in
-        let json = Export.to_json ~slices:(Slice.slices g) g in
+        let json = Faros_obs.Json.to_string (Export.to_json ~slices:(Slice.slices g) g) in
         (match Faros_obs.Json.well_formed json with
         | Ok () -> ()
         | Error e -> Alcotest.failf "malformed graph JSON: %s" e);
@@ -163,7 +163,7 @@ let query_tests =
       (fun () ->
         let metrics = Faros_obs.Metrics.create () in
         let g, _ = build_graph ~metrics (sample "reflective_dll_inject") in
-        let json = Faros_obs.Metrics.to_json metrics in
+        let json = Faros_obs.Json.to_string (Faros_obs.Metrics.to_json metrics) in
         let mem sub =
           let len = String.length sub in
           let rec scan i =

@@ -78,7 +78,8 @@ let slice_text g =
   Buffer.contents b
 
 let export g =
-  Faros_graph.Export.to_json ~slices:(Faros_graph.Slice.slices g) g
+  Faros_obs.Json.to_string
+    (Faros_graph.Export.to_json ~slices:(Faros_graph.Slice.slices g) g)
   ^ Faros_graph.Export.to_dot g
 
 (* Deterministic shuffle: a seeded LCG, so failures reproduce. *)
