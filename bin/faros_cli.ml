@@ -51,30 +51,40 @@ let list_cmd netd =
   Fmt.pf pp "%d samples@." (List.length samples);
   0
 
-let find_sample id =
+(* Run [f] on the sample [id] names; an unknown id is reported and the
+   command exits 1. *)
+let with_sample id f =
   match Faros_corpus.Registry.find id with
-  | Some s -> Ok s
-  | None -> Error (Printf.sprintf "unknown sample %S (try `faros list`)" id)
+  | Some sample -> f sample
+  | None ->
+    prerr_endline (Printf.sprintf "unknown sample %S (try `faros list`)" id);
+    1
 
-let find_policy name =
-  List.find_opt
-    (fun (p : Faros_dift.Policy.t) -> p.policy_name = name)
-    Faros_dift.Policy.all
-
-let build_config ~policy ~whitelist_jit () =
+(* Run [f] on the configuration the policy and whitelist flags select; an
+   unknown policy is reported and the command exits 1. *)
+let with_config ~policy ~whitelist_jit f =
   let config =
     if whitelist_jit then
       Core.Config.with_whitelist Core.Whitelist.jit_default Core.Config.default
     else Core.Config.default
   in
   match policy with
-  | None -> Ok config
+  | None -> f config
   | Some name -> (
-    match find_policy name with
-    | Some p -> Ok (Core.Config.with_policy p config)
+    match
+      List.find_opt
+        (fun (p : Faros_dift.Policy.t) -> p.policy_name = name)
+        Faros_dift.Policy.all
+    with
+    | Some p -> f (Core.Config.with_policy p config)
     | None ->
-      Error
-        (Printf.sprintf "unknown policy %S (try `faros policies`)" name))
+      prerr_endline
+        (Printf.sprintf "unknown policy %S (try `faros policies`)" name);
+      1)
+
+(* The verdict line's text; each command pads its own label. *)
+let verdict_text report =
+  if Core.Report.flagged report then "IN-MEMORY INJECTION FLAGGED" else "clean"
 
 let print_outcome_json (outcome : Core.Analysis.outcome) =
   Fmt.pf pp "%s@."
@@ -96,13 +106,17 @@ let print_outcome sample_id verbose (outcome : Core.Analysis.outcome) =
   Fmt.pf pp
     "taint:        %d instrs processed, %d tainted bytes, tags: %d netflow / %d process / %d file@."
     s.instrs s.tainted_bytes s.netflow_tags s.process_tags s.file_tags;
-  Fmt.pf pp "verdict:      %s@."
-    (if Core.Report.flagged outcome.report then "IN-MEMORY INJECTION FLAGGED"
-     else "clean");
+  Fmt.pf pp "verdict:      %s@." (verdict_text outcome.report);
   Fmt.pf pp "%s@." (Core.Report.summary outcome.report);
   if Core.Report.flagged outcome.report || verbose then
     Core.Faros_plugin.pp_report pp outcome.faros;
   0
+
+let read_file path =
+  let ic = open_in_bin path in
+  let data = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  data
 
 let write_file path data =
   let oc = open_out_bin path in
@@ -117,86 +131,62 @@ let emit data = function
     Fmt.pf pp "wrote %s@." path
 
 let run_cmd id policy whitelist_jit verbose json trace_out series_out =
-  match find_sample id with
-  | Error e ->
-    prerr_endline e;
-    1
-  | Ok sample -> (
-    match build_config ~policy ~whitelist_jit () with
-    | Error e ->
-      prerr_endline e;
-      1
-    | Ok config ->
-      let sink =
-        match trace_out with
-        | None -> Faros_obs.Sink.null
-        | Some _ -> Faros_obs.Sink.create ()
-      in
-      let telemetry =
-        match series_out with
-        | None -> None
-        | Some _ -> Some (Core.Telemetry.create ())
-      in
-      let outcome =
-        Faros_corpus.Scenario.analyze ~config ~sink ?telemetry sample.scenario
-      in
-      let status =
-        if json then print_outcome_json outcome
-        else print_outcome sample.id verbose outcome
-      in
-      (match trace_out with
-      | Some path ->
-        write_file path (Faros_obs.Sink.to_chrome_json sink);
-        Fmt.pf pp "trace:        %d events (%d dropped) -> %s@."
-          (Faros_obs.Sink.events sink)
-          (Faros_obs.Sink.dropped sink)
-          path
-      | None -> ());
-      (match (series_out, telemetry) with
-      | Some path, Some t ->
-        let data =
-          if Filename.check_suffix path ".json" then
-            Faros_obs.Json.to_string (Core.Telemetry.to_json t)
-          else Core.Telemetry.to_csv t
-        in
-        write_file path data;
-        Fmt.pf pp "series:       %d sample(s) -> %s@."
-          (Faros_obs.Series.total (Core.Telemetry.series t))
-          path
-      | _ -> ());
-      status)
+  with_sample id @@ fun sample ->
+  with_config ~policy ~whitelist_jit @@ fun config ->
+  let sink =
+    match trace_out with
+    | None -> Faros_obs.Sink.null
+    | Some _ -> Faros_obs.Sink.create ()
+  in
+  let telemetry =
+    match series_out with
+    | None -> None
+    | Some _ -> Some (Core.Telemetry.create ())
+  in
+  let outcome =
+    Faros_corpus.Scenario.analyze ~config ~sink ?telemetry sample.scenario
+  in
+  let status =
+    if json then print_outcome_json outcome
+    else print_outcome sample.id verbose outcome
+  in
+  (match trace_out with
+  | Some path ->
+    write_file path (Faros_obs.Sink.to_chrome_json sink);
+    Fmt.pf pp "trace:        %d events (%d dropped) -> %s@."
+      (Faros_obs.Sink.events sink)
+      (Faros_obs.Sink.dropped sink)
+      path
+  | None -> ());
+  (match (series_out, telemetry) with
+  | Some path, Some t ->
+    let data =
+      if Filename.check_suffix path ".json" then
+        Faros_obs.Json.to_string (Core.Telemetry.to_json t)
+      else Core.Telemetry.to_csv t
+    in
+    write_file path data;
+    Fmt.pf pp "series:       %d sample(s) -> %s@."
+      (Faros_obs.Series.total (Core.Telemetry.series t))
+      path
+  | _ -> ());
+  status
 
 (* Full metrics registry after analyzing one sample. *)
 let stats_cmd id policy =
-  match find_sample id with
-  | Error e ->
-    prerr_endline e;
-    1
-  | Ok sample -> (
-    match build_config ~policy ~whitelist_jit:false () with
-    | Error e ->
-      prerr_endline e;
-      1
-    | Ok config ->
-      let outcome = Faros_corpus.Scenario.analyze ~config sample.scenario in
-      Fmt.pf pp "sample:  %s@." sample.id;
-      Fmt.pf pp "verdict: %s@."
-        (if Core.Report.flagged outcome.report then "IN-MEMORY INJECTION FLAGGED"
-         else "clean");
-      Faros_obs.Metrics.pp_table pp outcome.faros.metrics;
-      0)
+  with_sample id @@ fun sample ->
+  with_config ~policy ~whitelist_jit:false @@ fun config ->
+  let outcome = Faros_corpus.Scenario.analyze ~config sample.scenario in
+  Fmt.pf pp "sample:  %s@." sample.id;
+  Fmt.pf pp "verdict: %s@." (verdict_text outcome.report);
+  Faros_obs.Metrics.pp_table pp outcome.faros.metrics;
+  0
 
 (* JSON well-formedness check (the repo carries no external JSON parser).
    With --jsonl every non-blank line must be its own well-formed
    document — the unified streaming sink's format. *)
 let check_json_cmd jsonl path =
-  let data =
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let b = really_input_string ic n in
-    close_in ic;
-    b
-  in
+  let data = read_file path in
   if jsonl then
     match Faros_obs.Json.well_formed_lines data with
     | Ok lines ->
@@ -217,278 +207,231 @@ let check_json_cmd jsonl path =
 
 (* Record a sample and save its trace file. *)
 let record_cmd id out =
-  match find_sample id with
-  | Error e ->
-    prerr_endline e;
-    1
-  | Ok sample ->
-    let _kernel, trace = Faros_corpus.Scenario.record sample.scenario in
-    let data = Faros_replay.Trace.serialize trace in
-    let oc = open_out_bin out in
-    output_string oc data;
-    close_out oc;
-    Fmt.pf pp "recorded %s: %d instructions, %d events, %d trace bytes -> %s@."
-      sample.id trace.final_tick
-      (List.length trace.events)
-      (String.length data) out;
-    0
+  with_sample id @@ fun sample ->
+  let _kernel, trace = Faros_corpus.Scenario.record sample.scenario in
+  let data = Faros_replay.Trace.serialize trace in
+  write_file out data;
+  Fmt.pf pp "recorded %s: %d instructions, %d events, %d trace bytes -> %s@."
+    sample.id trace.final_tick
+    (List.length trace.events)
+    (String.length data) out;
+  0
 
 (* Analyze a previously saved trace under FAROS. *)
 let replay_cmd id input policy verbose =
-  match find_sample id with
-  | Error e ->
-    prerr_endline e;
+  with_sample id @@ fun sample ->
+  with_config ~policy ~whitelist_jit:false @@ fun config ->
+  match Faros_replay.Trace.parse (read_file input) with
+  | exception Faros_replay.Trace.Bad_trace m ->
+    Fmt.epr "bad trace file %s: %s@." input m;
     1
-  | Ok sample -> (
-    match build_config ~policy ~whitelist_jit:false () with
-    | Error e ->
-      prerr_endline e;
-      1
-    | Ok config -> (
-      let data =
-        let ic = open_in_bin input in
-        let n = in_channel_length ic in
-        let b = really_input_string ic n in
-        close_in ic;
-        b
-      in
-      match Faros_replay.Trace.parse data with
-      | exception Faros_replay.Trace.Bad_trace m ->
-        Fmt.epr "bad trace file %s: %s@." input m;
-        1
-      | trace ->
-        let faros_ref = ref None in
-        let result =
-          Faros_corpus.Scenario.replay_with sample.scenario
-            ~plugins:(fun kernel ->
-              let faros = Core.Faros_plugin.create ~config kernel in
-              faros_ref := Some faros;
-              [ Core.Faros_plugin.plugin faros ])
-            trace
-        in
-        let faros = Option.get !faros_ref in
-        Fmt.pf pp "replayed %s from %s: %d instructions, diverged: %b@." sample.id
-          input result.replay_ticks result.diverged;
-        Fmt.pf pp "verdict: %s@."
-          (if Core.Report.flagged (Core.Faros_plugin.report faros) then
-             "IN-MEMORY INJECTION FLAGGED"
-           else "clean");
-        if Core.Report.flagged (Core.Faros_plugin.report faros) || verbose then
-          Core.Faros_plugin.pp_report pp faros;
-        0))
+  | trace ->
+    let faros_ref = ref None in
+    let result =
+      Faros_corpus.Scenario.replay_with sample.scenario
+        ~plugins:(fun kernel ->
+          let faros = Core.Faros_plugin.create ~config kernel in
+          faros_ref := Some faros;
+          [ Core.Faros_plugin.plugin faros ])
+        trace
+    in
+    let faros = Option.get !faros_ref in
+    let report = Core.Faros_plugin.report faros in
+    Fmt.pf pp "replayed %s from %s: %d instructions, diverged: %b@." sample.id
+      input result.replay_ticks result.diverged;
+    Fmt.pf pp "verdict: %s@." (verdict_text report);
+    if Core.Report.flagged report || verbose then
+      Core.Faros_plugin.pp_report pp faros;
+    0
 
 (* Cuckoo-style event trace of a live run. *)
 let events_cmd id =
-  match find_sample id with
-  | Error e ->
-    prerr_endline e;
-    1
-  | Ok sample ->
-    let report = ref None in
-    let _kernel, _trace =
-      Faros_replay.Recorder.record ~max_ticks:sample.scenario.max_ticks
-        ~plugins:(fun kernel ->
-          let r, plugin = Faros_sandbox.Cuckoo.plugin kernel in
-          report := Some r;
-          [ plugin ])
-        ~setup:(Faros_corpus.Scenario.setup_record sample.scenario)
-        ~boot:(Faros_corpus.Scenario.boot sample.scenario)
-        ()
-    in
-    let r = Option.get !report in
-    Fmt.pf pp "%a@." Faros_sandbox.Cuckoo.pp_summary r;
-    Fmt.pf pp "@.hooked API calls (newest first):@.";
-    List.iter
-      (fun (c : Faros_sandbox.Cuckoo.api_call) ->
-        Fmt.pf pp "  %-24s %s(%s)@." c.ac_process c.ac_api
-          (String.concat ", "
-             (List.map string_of_int (Array.to_list c.ac_args))))
-      r.api_calls;
-    0
+  with_sample id @@ fun sample ->
+  let report = ref None in
+  let _kernel, _trace =
+    Faros_replay.Recorder.record ~max_ticks:sample.scenario.max_ticks
+      ~plugins:(fun kernel ->
+        let r, plugin = Faros_sandbox.Cuckoo.plugin kernel in
+        report := Some r;
+        [ plugin ])
+      ~setup:(Faros_corpus.Scenario.setup_record sample.scenario)
+      ~boot:(Faros_corpus.Scenario.boot sample.scenario)
+      ()
+  in
+  let r = Option.get !report in
+  Fmt.pf pp "%a@." Faros_sandbox.Cuckoo.pp_summary r;
+  Fmt.pf pp "@.hooked API calls (newest first):@.";
+  List.iter
+    (fun (c : Faros_sandbox.Cuckoo.api_call) ->
+      Fmt.pf pp "  %-24s %s(%s)@." c.ac_process c.ac_api
+        (String.concat ", "
+           (List.map string_of_int (Array.to_list c.ac_args))))
+    r.api_calls;
+  0
 
 (* Snapshot forensics: pslist, vadinfo suspects, malfind findings. *)
 let malfind_cmd id =
-  match find_sample id with
-  | Error e ->
-    prerr_endline e;
-    1
-  | Ok sample ->
-    let kernel, _ = Faros_corpus.Scenario.record sample.scenario in
-    let dump = Faros_sandbox.Memdump.take kernel in
-    Fmt.pf pp "pslist:@.";
+  with_sample id @@ fun sample ->
+  let kernel, _ = Faros_corpus.Scenario.record sample.scenario in
+  let dump = Faros_sandbox.Memdump.take kernel in
+  Fmt.pf pp "pslist:@.";
+  List.iter
+    (fun pr -> Fmt.pf pp "  %a@." Faros_sandbox.Volatility.pp_process pr)
+    (Faros_sandbox.Volatility.pslist dump);
+  let suspects = Faros_sandbox.Volatility.hollowing_suspects dump in
+  Fmt.pf pp "hollowing suspects: %s@."
+    (if suspects = [] then "none"
+     else String.concat ", " (List.map string_of_int suspects));
+  (match Faros_sandbox.Malfind.scan dump with
+  | [] -> Fmt.pf pp "malfind: no injected regions found@."
+  | findings ->
     List.iter
-      (fun pr -> Fmt.pf pp "  %a@." Faros_sandbox.Volatility.pp_process pr)
-      (Faros_sandbox.Volatility.pslist dump);
-    let suspects = Faros_sandbox.Volatility.hollowing_suspects dump in
-    Fmt.pf pp "hollowing suspects: %s@."
-      (if suspects = [] then "none"
-       else String.concat ", " (List.map string_of_int suspects));
-    (match Faros_sandbox.Malfind.scan dump with
-    | [] -> Fmt.pf pp "malfind: no injected regions found@."
-    | findings ->
-      List.iter
-        (fun f -> Fmt.pf pp "malfind: %a@." Faros_sandbox.Malfind.pp_finding f)
-        findings);
-    0
+      (fun f -> Fmt.pf pp "malfind: %a@." Faros_sandbox.Malfind.pp_finding f)
+      findings);
+  0
 
 (* Disassemble every image a sample's scenario installs. *)
 let disasm_cmd id =
-  match find_sample id with
-  | Error e ->
-    prerr_endline e;
-    1
-  | Ok sample ->
-    List.iter
-      (fun (path, (image : Faros_os.Pe.t)) ->
-        Fmt.pf pp "@.=== %s (base 0x%08X, entry 0x%08X) ===@." path image.base
-          image.entry;
-        List.iter
-          (fun (sec : Faros_os.Pe.section) ->
-            List.iter
-              (fun (off, instr) ->
-                Fmt.pf pp "0x%08X  %a@." (sec.sec_vaddr + off) Faros_vm.Disasm.pp
-                  instr)
-              (Faros_vm.Disasm.buffer (Bytes.of_string sec.sec_data)))
-          image.sections;
-        if image.imports <> [] then
-          Fmt.pf pp "imports: %s@."
-            (String.concat ", " (List.map fst image.imports)))
-      sample.scenario.images;
-    0
+  with_sample id @@ fun sample ->
+  List.iter
+    (fun (path, (image : Faros_os.Pe.t)) ->
+      Fmt.pf pp "@.=== %s (base 0x%08X, entry 0x%08X) ===@." path image.base
+        image.entry;
+      List.iter
+        (fun (sec : Faros_os.Pe.section) ->
+          List.iter
+            (fun (off, instr) ->
+              Fmt.pf pp "0x%08X  %a@." (sec.sec_vaddr + off) Faros_vm.Disasm.pp
+                instr)
+            (Faros_vm.Disasm.buffer (Bytes.of_string sec.sec_data)))
+        image.sections;
+      if image.imports <> [] then
+        Fmt.pf pp "imports: %s@."
+          (String.concat ", " (List.map fst image.imports)))
+    sample.scenario.images;
+  0
 
 (* Post-analysis taint map: where tainted data sits after the replay. *)
 let taint_cmd id =
-  match find_sample id with
-  | Error e ->
-    prerr_endline e;
-    1
-  | Ok sample ->
-    let outcome = Faros_corpus.Scenario.analyze sample.scenario in
-    Fmt.pf pp "%-20s %-10s %s@." "process" "tainted" "netflow-tainted";
-    List.iter
-      (fun (name, total, netflow) ->
-        Fmt.pf pp "%-20s %-10d %d@." name total netflow)
-      (Core.Prov_query.summary_by_process outcome.faros);
-    Fmt.pf pp "@.tainted regions:@.";
-    List.iter
-      (fun r -> Fmt.pf pp "%a@." (Core.Prov_query.pp_region ~faros:outcome.faros) r)
-      (Core.Prov_query.tainted_regions outcome.faros);
-    0
+  with_sample id @@ fun sample ->
+  let outcome = Faros_corpus.Scenario.analyze sample.scenario in
+  Fmt.pf pp "%-20s %-10s %s@." "process" "tainted" "netflow-tainted";
+  List.iter
+    (fun (name, total, netflow) ->
+      Fmt.pf pp "%-20s %-10d %d@." name total netflow)
+    (Core.Prov_query.summary_by_process outcome.faros);
+  Fmt.pf pp "@.tainted regions:@.";
+  List.iter
+    (fun r -> Fmt.pf pp "%a@." (Core.Prov_query.pp_region ~faros:outcome.faros) r)
+    (Core.Prov_query.tainted_regions outcome.faros);
+  0
 
 (* Provenance-aware strings over netflow-tainted memory. *)
 let strings_cmd id =
-  match find_sample id with
-  | Error e ->
-    prerr_endline e;
-    1
-  | Ok sample ->
-    let outcome = Faros_corpus.Scenario.analyze sample.scenario in
-    let found = Core.Prov_query.strings outcome.faros in
-    List.iter
-      (fun (t : Core.Prov_query.tainted_string) ->
-        Fmt.pf pp "%-20s 0x%08X %-24s %s@." t.ts_process t.ts_vaddr
-          (Printf.sprintf "%S" t.ts_text)
-          (Core.Report.render_provenance ~store:outcome.faros.engine.store
-             ~name_of_asid:(Core.Faros_plugin.name_of_asid outcome.faros.kernel)
-             t.ts_prov))
-      found;
-    Fmt.pf pp "%d tainted string(s)@." (List.length found);
-    0
+  with_sample id @@ fun sample ->
+  let outcome = Faros_corpus.Scenario.analyze sample.scenario in
+  let found = Core.Prov_query.strings outcome.faros in
+  List.iter
+    (fun (t : Core.Prov_query.tainted_string) ->
+      Fmt.pf pp "%-20s 0x%08X %-24s %s@." t.ts_process t.ts_vaddr
+        (Printf.sprintf "%S" t.ts_text)
+        (Core.Report.render_provenance ~store:outcome.faros.engine.store
+           ~name_of_asid:(Core.Faros_plugin.name_of_asid outcome.faros.kernel)
+           t.ts_prov))
+    found;
+  Fmt.pf pp "%d tainted string(s)@." (List.length found);
+  0
 
 (* Run a corpus campaign on a worker pool and compare verdicts to
    expectations: the CI entry point. *)
 let campaign_cmd workers corpus filter policy json_out csv_out tick_budget
     deadline profile stats progress jsonl_out trace_out graph_out =
-  match build_config ~policy ~whitelist_jit:false () with
-  | Error e ->
-    prerr_endline e;
+  with_config ~policy ~whitelist_jit:false @@ fun config ->
+  let samples =
+    match corpus with
+    | `Core -> Faros_corpus.Registry.all ()
+    | `Netd -> Faros_corpus.Registry.netd_sweeps ()
+    | `Sweep1k -> Faros_corpus.Registry.sweep1k ()
+    | `Full ->
+      Faros_corpus.Registry.all () @ Faros_corpus.Registry.netd_sweeps ()
+  in
+  let samples =
+    match filter with
+    | None -> samples
+    | Some glob -> Faros_farm.Campaign.filter ~glob samples
+  in
+  match samples with
+  | [] ->
+    prerr_endline "no samples match the filter (try `faros list`)";
     1
-  | Ok config -> (
-    let samples =
-      match corpus with
-      | `Core -> Faros_corpus.Registry.all ()
-      | `Netd -> Faros_corpus.Registry.netd_sweeps ()
-      | `Sweep1k -> Faros_corpus.Registry.sweep1k ()
-      | `Full ->
-        Faros_corpus.Registry.all () @ Faros_corpus.Registry.netd_sweeps ()
+  | samples ->
+    (* One stream serves both outputs: --jsonl-out writes its lines,
+       --trace-out renders its trace_event rows as a Chrome trace. *)
+    let sink =
+      if jsonl_out = None && trace_out = None then Faros_obs.Sink.null
+      else Faros_obs.Sink.create ()
     in
-    let samples =
-      match filter with
-      | None -> samples
-      | Some glob -> Faros_farm.Campaign.filter ~glob samples
+    let on_progress =
+      if not progress then None
+      else
+        Some
+          (fun ~completed ~total (r : Faros_farm.Campaign.job_result) ->
+            Fmt.epr "[%d/%d] %s: %s@." completed total r.jr_id
+              (Faros_farm.Campaign.verdict_name r.jr_verdict))
     in
-    match samples with
-    | [] ->
-      prerr_endline "no samples match the filter (try `faros list`)";
-      1
-    | samples ->
-      (* One stream serves both outputs: --jsonl-out writes its lines,
-         --trace-out renders its trace_event rows as a Chrome trace. *)
-      let sink =
-        if jsonl_out = None && trace_out = None then Faros_obs.Sink.null
-        else Faros_obs.Sink.create ()
-      in
-      let on_progress =
-        if not progress then None
-        else
-          Some
-            (fun ~completed ~total (r : Faros_farm.Campaign.job_result) ->
-              Fmt.epr "[%d/%d] %s: %s@." completed total r.jr_id
-                (Faros_farm.Campaign.verdict_name r.jr_verdict))
-      in
-      let c =
-        Faros_farm.Campaign.run ~workers ~config ?tick_budget ?deadline
-          ~graph_segments:(graph_out <> None) ~profile ~sink
-          ~farm_metrics:(profile || stats || jsonl_out <> None)
-          ?on_progress samples
-      in
-      Option.iter
-        (emit (Faros_obs.Json.to_string (Faros_farm.Campaign.to_json c)))
-        json_out;
-      Option.iter (emit (Faros_farm.Campaign.to_csv c)) csv_out;
-      (* one segment file per sample, submission order — the store input *)
-      Option.iter
-        (fun dir ->
-          if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-          let written =
-            List.fold_left
-              (fun n (r : Faros_farm.Campaign.job_result) ->
-                match r.jr_segments with
-                | [] -> n
-                | rows ->
-                  write_file
-                    (Filename.concat dir (r.jr_id ^ ".jsonl"))
-                    (String.concat "\n" rows ^ "\n");
-                  n + 1)
-              0 c.results
-          in
-          if json_out <> Some "-" && csv_out <> Some "-" then
-            Fmt.pf pp "wrote %s/ (%d segment file(s))@." dir written)
-        graph_out;
-      if json_out <> Some "-" && csv_out <> Some "-" then begin
-        Faros_farm.Campaign.pp_matrix pp c;
-        Faros_farm.Campaign.pp_summary pp c;
-        if profile || stats then Faros_farm.Campaign.pp_workers pp c;
-        if stats then Faros_obs.Metrics.pp_table pp c.metrics;
-        if profile then begin
-          Fmt.pf pp "@.hotspots (fleet-merged, self time):@.";
-          Faros_obs.Profile.pp_hotspots pp c.profile
-        end
-      end;
-      Option.iter
-        (fun path ->
-          write_file path (Faros_obs.Sink.contents sink);
-          Fmt.pf pp "wrote %s (%d events, %d dropped)@." path
-            (Faros_obs.Sink.events sink)
-            (Faros_obs.Sink.dropped sink))
-        jsonl_out;
-      Option.iter
-        (fun path ->
-          write_file path (Faros_obs.Sink.to_chrome_json sink);
-          Fmt.pf pp "wrote %s (%d trace events)@." path
-            (Faros_obs.Sink.trace_count sink))
-        trace_out;
-      if Faros_farm.Campaign.ok c then 0 else 1)
+    let c =
+      Faros_farm.Campaign.run ~workers ~config ?tick_budget ?deadline
+        ~graph_segments:(graph_out <> None) ~profile ~sink
+        ~farm_metrics:(profile || stats || jsonl_out <> None)
+        ?on_progress samples
+    in
+    Option.iter
+      (emit (Faros_obs.Json.to_string (Faros_farm.Campaign.to_json c)))
+      json_out;
+    Option.iter (emit (Faros_farm.Campaign.to_csv c)) csv_out;
+    (* one segment file per sample, submission order — the store input *)
+    Option.iter
+      (fun dir ->
+        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+        let written =
+          List.fold_left
+            (fun n (r : Faros_farm.Campaign.job_result) ->
+              match r.jr_segments with
+              | [] -> n
+              | rows ->
+                write_file
+                  (Filename.concat dir (r.jr_id ^ ".jsonl"))
+                  (String.concat "\n" rows ^ "\n");
+                n + 1)
+            0 c.results
+        in
+        if json_out <> Some "-" && csv_out <> Some "-" then
+          Fmt.pf pp "wrote %s/ (%d segment file(s))@." dir written)
+      graph_out;
+    if json_out <> Some "-" && csv_out <> Some "-" then begin
+      Faros_farm.Campaign.pp_matrix pp c;
+      Faros_farm.Campaign.pp_summary pp c;
+      if profile || stats then Faros_farm.Campaign.pp_workers pp c;
+      if stats then Faros_obs.Metrics.pp_table pp c.metrics;
+      if profile then begin
+        Fmt.pf pp "@.hotspots (fleet-merged, self time):@.";
+        Faros_obs.Profile.pp_hotspots pp c.profile
+      end
+    end;
+    Option.iter
+      (fun path ->
+        write_file path (Faros_obs.Sink.contents sink);
+        Fmt.pf pp "wrote %s (%d events, %d dropped)@." path
+          (Faros_obs.Sink.events sink)
+          (Faros_obs.Sink.dropped sink))
+      jsonl_out;
+    Option.iter
+      (fun path ->
+        write_file path (Faros_obs.Sink.to_chrome_json sink);
+        Fmt.pf pp "wrote %s (%d trace events)@." path
+          (Faros_obs.Sink.trace_count sink))
+      trace_out;
+    if Faros_farm.Campaign.ok c then 0 else 1
 
 (* The registry counters that report instruction-level work in
    [profile run]: a span per instruction would time its own clock reads. *)
@@ -503,76 +446,66 @@ let instr_counters =
    is replayed once more without plugins, and the rest of the profiled
    [replay] span is the analysis. *)
 let profile_run_cmd id policy top tree json_out jsonl_out =
-  match find_sample id with
-  | Error e ->
-    prerr_endline e;
-    1
-  | Ok sample -> (
-    match build_config ~policy ~whitelist_jit:false () with
-    | Error e ->
-      prerr_endline e;
-      1
-    | Ok config ->
-      let profile = Faros_obs.Profile.create () in
-      let outcome =
-        Faros_corpus.Scenario.analyze ~config ~profile sample.scenario
-      in
-      Fmt.pf pp "sample:   %s@." sample.id;
-      Fmt.pf pp "verdict:  %s@."
-        (if Core.Report.flagged outcome.report then "IN-MEMORY INJECTION FLAGGED"
-         else "clean");
-      Fmt.pf pp "profiled: %.3f ms over %d span(s)@."
-        (float_of_int (Faros_obs.Profile.total_ns profile) /. 1e6)
-        (List.length (Faros_obs.Profile.spans profile));
-      if tree then begin
-        Fmt.pf pp "@.";
-        Faros_obs.Profile.pp_tree pp profile
-      end;
-      Fmt.pf pp "@.hotspots (self time):@.";
-      Faros_obs.Profile.pp_hotspots ?top pp profile;
-      Fmt.pf pp "@.instruction level (counters):@.";
-      Faros_obs.Metrics.fold outcome.faros.metrics
-        (fun () name m ->
-          if List.mem name instr_counters then
-            match m with
-            | Faros_obs.Metrics.Counter c ->
-              Fmt.pf pp "  %-24s %12d@." name (Faros_obs.Metrics.counter_value c)
-            | Gauge g ->
-              Fmt.pf pp "  %-24s %12d@." name (Faros_obs.Metrics.gauge_value g)
-            | Histogram _ -> ())
-        ();
-      let t0 = Unix.gettimeofday () in
-      ignore (Faros_corpus.Scenario.replay_plain sample.scenario outcome.trace);
-      let vm_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
-      let replay_ms =
-        List.fold_left
-          (fun acc (sp : Faros_obs.Profile.span) ->
-            if sp.sp_path = "replay" then float sp.sp_total_ns /. 1e6 else acc)
-          0. (Faros_obs.Profile.spans profile)
-      in
-      Fmt.pf pp "@.replay split (vm: the trace replayed without plugins):@.";
-      Fmt.pf pp "  %-24s %12.3f ms@." "vm" vm_ms;
-      Fmt.pf pp "  %-24s %12.3f ms@." "dift" (replay_ms -. vm_ms);
-      Option.iter
-        (fun path ->
-          write_file path
-            (Faros_obs.Json.to_string (Faros_obs.Profile.to_json profile));
-          Fmt.pf pp "wrote %s@." path)
-        json_out;
-      Option.iter
-        (fun path ->
-          let sink = Faros_obs.Sink.create () in
-          List.iter
-            (fun sp -> Faros_obs.Sink.profile_span sink ~source:sample.id sp)
-            (Faros_obs.Profile.spans profile);
-          Faros_obs.Sink.metric_snapshot sink ~source:sample.id
-            outcome.faros.metrics;
-          write_file path (Faros_obs.Sink.contents sink);
-          Fmt.pf pp "wrote %s (%d events, %d dropped)@." path
-            (Faros_obs.Sink.events sink)
-            (Faros_obs.Sink.dropped sink))
-        jsonl_out;
-      0)
+  with_sample id @@ fun sample ->
+  with_config ~policy ~whitelist_jit:false @@ fun config ->
+  let profile = Faros_obs.Profile.create () in
+  let outcome =
+    Faros_corpus.Scenario.analyze ~config ~profile sample.scenario
+  in
+  Fmt.pf pp "sample:   %s@." sample.id;
+  Fmt.pf pp "verdict:  %s@." (verdict_text outcome.report);
+  Fmt.pf pp "profiled: %.3f ms over %d span(s)@."
+    (float_of_int (Faros_obs.Profile.total_ns profile) /. 1e6)
+    (List.length (Faros_obs.Profile.spans profile));
+  if tree then begin
+    Fmt.pf pp "@.";
+    Faros_obs.Profile.pp_tree pp profile
+  end;
+  Fmt.pf pp "@.hotspots (self time):@.";
+  Faros_obs.Profile.pp_hotspots ?top pp profile;
+  Fmt.pf pp "@.instruction level (counters):@.";
+  Faros_obs.Metrics.fold outcome.faros.metrics
+    (fun () name m ->
+      if List.mem name instr_counters then
+        match m with
+        | Faros_obs.Metrics.Counter c ->
+          Fmt.pf pp "  %-24s %12d@." name (Faros_obs.Metrics.counter_value c)
+        | Gauge g ->
+          Fmt.pf pp "  %-24s %12d@." name (Faros_obs.Metrics.gauge_value g)
+        | Histogram _ -> ())
+    ();
+  let t0 = Unix.gettimeofday () in
+  ignore (Faros_corpus.Scenario.replay_plain sample.scenario outcome.trace);
+  let vm_ms = (Unix.gettimeofday () -. t0) *. 1e3 in
+  let replay_ms =
+    List.fold_left
+      (fun acc (sp : Faros_obs.Profile.span) ->
+        if sp.sp_path = "replay" then float sp.sp_total_ns /. 1e6 else acc)
+      0. (Faros_obs.Profile.spans profile)
+  in
+  Fmt.pf pp "@.replay split (vm: the trace replayed without plugins):@.";
+  Fmt.pf pp "  %-24s %12.3f ms@." "vm" vm_ms;
+  Fmt.pf pp "  %-24s %12.3f ms@." "dift" (replay_ms -. vm_ms);
+  Option.iter
+    (fun path ->
+      write_file path
+        (Faros_obs.Json.to_string (Faros_obs.Profile.to_json profile));
+      Fmt.pf pp "wrote %s@." path)
+    json_out;
+  Option.iter
+    (fun path ->
+      let sink = Faros_obs.Sink.create () in
+      List.iter
+        (fun sp -> Faros_obs.Sink.profile_span sink ~source:sample.id sp)
+        (Faros_obs.Profile.spans profile);
+      Faros_obs.Sink.metric_snapshot sink ~source:sample.id
+        outcome.faros.metrics;
+      write_file path (Faros_obs.Sink.contents sink);
+      Fmt.pf pp "wrote %s (%d events, %d dropped)@." path
+        (Faros_obs.Sink.events sink)
+        (Faros_obs.Sink.dropped sink))
+    jsonl_out;
+  0
 
 let policies_cmd () =
   Fmt.pf pp "%-16s %-10s %-10s %-6s %-6s %s@." "name" "addr-deps" "ctrl-deps"
@@ -585,30 +518,39 @@ let policies_cmd () =
   0
 
 let compare_cmd id =
-  match find_sample id with
-  | Error e ->
-    prerr_endline e;
-    1
-  | Ok sample ->
-    let v = Faros_sandbox.Compare.run sample in
-    Faros_sandbox.Compare.pp_header pp ();
-    Faros_sandbox.Compare.pp_row pp v;
-    Fmt.pf pp "hooked api calls seen by cuckoo: %d; raw syscalls it missed: %d@."
-      v.v_api_calls v.v_raw_syscalls;
-    0
+  with_sample id @@ fun sample ->
+  let v = Faros_sandbox.Compare.run sample in
+  Faros_sandbox.Compare.pp_header pp ();
+  Faros_sandbox.Compare.pp_row pp v;
+  Fmt.pf pp "hooked api calls seen by cuckoo: %d; raw syscalls it missed: %d@."
+    v.v_api_calls v.v_raw_syscalls;
+  0
 
 let ps_cmd id =
-  match find_sample id with
-  | Error e ->
-    prerr_endline e;
-    1
-  | Ok sample ->
-    let kernel, _ = Faros_corpus.Scenario.record sample.scenario in
-    let dump = Faros_sandbox.Memdump.take kernel in
+  with_sample id @@ fun sample ->
+  let kernel, _ = Faros_corpus.Scenario.record sample.scenario in
+  let dump = Faros_sandbox.Memdump.take kernel in
+  List.iter
+    (fun p -> Fmt.pf pp "%a@." Faros_sandbox.Volatility.pp_process p)
+    (Faros_sandbox.Volatility.pslist dump);
+  0
+
+(* The whodunit slices of one graph, as `graph` and `query` print them. *)
+let pp_slices = function
+  | [] -> Fmt.pf pp "slices:  (none - no flag sites)@."
+  | slices ->
+    Fmt.pf pp "slices:@.";
     List.iter
-      (fun p -> Fmt.pf pp "%a@." Faros_sandbox.Volatility.pp_process p)
-      (Faros_sandbox.Volatility.pslist dump);
-    0
+      (fun (s : Faros_graph.Slice.t) ->
+        Fmt.pf pp "  %s <- %d node(s), %d origin(s)@."
+          (Faros_graph.Graph.node_label s.sl_flag)
+          (List.length s.sl_nodes)
+          (List.length s.sl_origins);
+        List.iter
+          (fun chain ->
+            Fmt.pf pp "    %s@." (Faros_graph.Slice.render_chain chain))
+          s.sl_chains)
+      slices
 
 (* Build the attack graph for one sample: analyze with the online builder
    riding along as an extra plugin, enrich offline from shadow memory,
@@ -618,123 +560,101 @@ let ps_cmd id =
    summary is printed from the store's reconstruction — byte-identical
    to the resident path. *)
 let graph_cmd id policy dot_out json_out slice_only segments_out =
-  match find_sample id with
-  | Error e ->
-    prerr_endline e;
-    1
-  | Ok sample -> (
-    match build_config ~policy ~whitelist_jit:false () with
-    | Error e ->
-      prerr_endline e;
-      1
-    | Ok config -> (
-      let builder = ref None in
-      let seg = ref None in
-      let outcome =
-        Faros_corpus.Scenario.analyze ~config
-          ~extra_plugins:(fun kernel faros ->
-            let consumer, resident =
-              match segments_out with
-              | None -> (None, true)
-              | Some path ->
-                let oc = open_out_bin path in
-                let sink = Faros_obs.Sink.channel oc in
-                let w = Faros_query.Segment.writer ~sink ~run:sample.id () in
-                seg := Some (path, oc, w);
-                (Some (Faros_query.Segment.consume w), false)
-            in
-            let b =
-              Faros_graph.Build.create ?consumer ~resident ~sample:sample.id ()
-            in
-            builder := Some b;
-            [ Faros_graph.Build.plugin b ~kernel ~faros ])
-          sample.scenario
-      in
-      let b = Option.get !builder in
-      Faros_graph.Build.enrich b outcome.faros;
-      let quiet = dot_out = Some "-" || json_out = Some "-" in
-      let full =
-        match !seg with
-        | None -> Ok (Faros_graph.Build.graph b)
-        | Some (path, oc, w) ->
-          Faros_query.Segment.close w;
-          close_out oc;
-          let st = Faros_query.Segment.stats w in
-          if not quiet then
-            Fmt.pf pp
-              "wrote %s (%d rows in %d segment(s), peak live %d node(s) / %d \
-               edge(s))@."
-              path st.st_rows st.st_segments st.st_peak_live_nodes
-              st.st_peak_live_edges;
-          let store = Faros_query.Store.create () in
-          Result.bind (Faros_query.Store.ingest_file store path) (fun _ ->
-              Faros_query.Store.run_graph store sample.id)
-      in
-      match full with
-      | Error e ->
-        Fmt.epr "bad segment stream: %s@." e;
-        1
-      | Ok full ->
-      let slices = Faros_graph.Slice.slices full in
-      let g, slices =
-        if not slice_only then (full, slices)
-        else begin
-          (* restrict to the union of the whodunit slices; slices are
-             recomputed so their ids match the renumbered view *)
-          let keep_ids =
-            List.concat_map
-              (fun (s : Faros_graph.Slice.t) -> s.sl_nodes)
-              slices
-          in
-          let g =
-            Faros_graph.Graph.restrict full ~keep:(fun n ->
-                List.mem n.Faros_graph.Graph.n_id keep_ids)
-          in
-          (g, Faros_graph.Slice.slices g)
-        end
-      in
-      Option.iter (emit (Faros_graph.Export.to_dot g)) dot_out;
-      Option.iter
-        (emit (Faros_obs.Json.to_string (Faros_graph.Export.to_json ~slices g)))
-        json_out;
-      if dot_out <> Some "-" && json_out <> Some "-" then begin
-        Fmt.pf pp "sample:  %s@." sample.id;
-        Fmt.pf pp "graph:   %d nodes, %d edges%s@."
-          (Faros_graph.Graph.node_count g)
-          (Faros_graph.Graph.edge_count g)
-          (if slice_only then " (whodunit slice)" else "");
-        let nodes = Faros_graph.Graph.nodes g in
-        let census =
-          List.filter_map
-            (fun kind ->
-              let c =
-                List.length
-                  (List.filter
-                     (fun n -> Faros_graph.Graph.kind_name n = kind)
-                     nodes)
-              in
-              if c = 0 then None else Some (Printf.sprintf "%s %d" kind c))
-            [ "flow"; "process"; "file"; "module"; "region"; "flag" ]
+  with_sample id @@ fun sample ->
+  with_config ~policy ~whitelist_jit:false @@ fun config ->
+  let builder = ref None in
+  let seg = ref None in
+  let outcome =
+    Faros_corpus.Scenario.analyze ~config
+      ~extra_plugins:(fun kernel faros ->
+        let consumer, resident =
+          match segments_out with
+          | None -> (None, true)
+          | Some path ->
+            let oc = open_out_bin path in
+            let sink = Faros_obs.Sink.channel oc in
+            let w = Faros_query.Segment.writer ~sink ~run:sample.id () in
+            seg := Some (path, oc, w);
+            (Some (Faros_query.Segment.consume w), false)
         in
-        Fmt.pf pp "nodes:   %s@."
-          (if census = [] then "(empty)" else String.concat ", " census);
-        (match slices with
-        | [] -> Fmt.pf pp "slices:  (none - no flag sites)@."
-        | slices ->
-          Fmt.pf pp "slices:@.";
-          List.iter
-            (fun (s : Faros_graph.Slice.t) ->
-              Fmt.pf pp "  %s <- %d node(s), %d origin(s)@."
-                (Faros_graph.Graph.node_label s.sl_flag)
-                (List.length s.sl_nodes)
-                (List.length s.sl_origins);
-              List.iter
-                (fun chain ->
-                  Fmt.pf pp "    %s@." (Faros_graph.Slice.render_chain chain))
-                s.sl_chains)
-            slices)
-      end;
-      0))
+        let b =
+          Faros_graph.Build.create ?consumer ~resident ~sample:sample.id ()
+        in
+        builder := Some b;
+        [ Faros_graph.Build.plugin b ~kernel ~faros ])
+      sample.scenario
+  in
+  let b = Option.get !builder in
+  Faros_graph.Build.enrich b outcome.faros;
+  let quiet = dot_out = Some "-" || json_out = Some "-" in
+  let full =
+    match !seg with
+    | None -> Ok (Faros_graph.Build.graph b)
+    | Some (path, oc, w) ->
+      Faros_query.Segment.close w;
+      close_out oc;
+      let st = Faros_query.Segment.stats w in
+      if not quiet then
+        Fmt.pf pp
+          "wrote %s (%d rows in %d segment(s), peak live %d node(s) / %d \
+           edge(s))@."
+          path st.st_rows st.st_segments st.st_peak_live_nodes
+          st.st_peak_live_edges;
+      let store = Faros_query.Store.create () in
+      Result.bind (Faros_query.Store.ingest_file store path) (fun _ ->
+          Faros_query.Store.run_graph store sample.id)
+  in
+  match full with
+  | Error e ->
+    Fmt.epr "bad segment stream: %s@." e;
+    1
+  | Ok full ->
+  let slices = Faros_graph.Slice.slices full in
+  let g, slices =
+    if not slice_only then (full, slices)
+    else begin
+      (* restrict to the union of the whodunit slices; slices are
+         recomputed so their ids match the renumbered view *)
+      let keep_ids =
+        List.concat_map
+          (fun (s : Faros_graph.Slice.t) -> s.sl_nodes)
+          slices
+      in
+      let g =
+        Faros_graph.Graph.restrict full ~keep:(fun n ->
+            List.mem n.Faros_graph.Graph.n_id keep_ids)
+      in
+      (g, Faros_graph.Slice.slices g)
+    end
+  in
+  Option.iter (emit (Faros_graph.Export.to_dot g)) dot_out;
+  Option.iter
+    (emit (Faros_obs.Json.to_string (Faros_graph.Export.to_json ~slices g)))
+    json_out;
+  if dot_out <> Some "-" && json_out <> Some "-" then begin
+    Fmt.pf pp "sample:  %s@." sample.id;
+    Fmt.pf pp "graph:   %d nodes, %d edges%s@."
+      (Faros_graph.Graph.node_count g)
+      (Faros_graph.Graph.edge_count g)
+      (if slice_only then " (whodunit slice)" else "");
+    let nodes = Faros_graph.Graph.nodes g in
+    let census =
+      List.filter_map
+        (fun kind ->
+          let c =
+            List.length
+              (List.filter
+                 (fun n -> Faros_graph.Graph.kind_name n = kind)
+                 nodes)
+          in
+          if c = 0 then None else Some (Printf.sprintf "%s %d" kind c))
+        [ "flow"; "process"; "file"; "module"; "region"; "flag" ]
+    in
+    Fmt.pf pp "nodes:   %s@."
+      (if census = [] then "(empty)" else String.concat ", " census);
+    pp_slices slices
+  end;
+  0
 
 (* Query a campaign's segment store: per-run whodunit slices (the same
    rendering `faros graph` prints), cross-run origin ranking, flow
@@ -833,22 +753,7 @@ let query_cmd dir run_id origins flow_spec dot_out json_out =
                   Fmt.pf pp "graph:   %d nodes, %d edges@."
                     (Faros_graph.Graph.node_count g)
                     (Faros_graph.Graph.edge_count g);
-                  match slices with
-                  | [] -> Fmt.pf pp "slices:  (none - no flag sites)@."
-                  | slices ->
-                    Fmt.pf pp "slices:@.";
-                    List.iter
-                      (fun (s : Faros_graph.Slice.t) ->
-                        Fmt.pf pp "  %s <- %d node(s), %d origin(s)@."
-                          (Faros_graph.Graph.node_label s.sl_flag)
-                          (List.length s.sl_nodes)
-                          (List.length s.sl_origins);
-                        List.iter
-                          (fun chain ->
-                            Fmt.pf pp "    %s@."
-                              (Faros_graph.Slice.render_chain chain))
-                          s.sl_chains)
-                      slices
+                  pp_slices slices
                 end)
             runs;
           !rc))

@@ -15,6 +15,9 @@ type outcome = {
 
 exception Deadline_exceeded
 
+(* Replay ticks between telemetry samples and between deadline checks. *)
+let sample_interval = 64
+
 (* [setup_record] provisions images *and* live actors/input scripts;
    [setup_replay] provisions only the images (actors are replaced by the
    trace).  [boot] spawns the initial processes and must be identical in
@@ -22,7 +25,7 @@ exception Deadline_exceeded
 
    [deadline] is a wall-clock budget in seconds for the whole analysis.
    It is enforced cooperatively: checked once between the record and
-   replay phases, and then every [config.sample_interval] replay ticks
+   replay phases, and then every [sample_interval] replay ticks
    from the replayer's sampling hook — the record phase itself is bounded
    by [max_ticks], the deterministic tick budget. *)
 (* [extra_plugins] lets callers attach more replay plugins next to the
@@ -37,8 +40,8 @@ exception Deadline_exceeded
    constants, in which case this function is byte-identical in behaviour
    and output to the uninstrumented driver (pinned by the overhead
    regression test). *)
-let analyze ?(config = Config.default) ?max_ticks ?timeslice ?metrics
-    ?telemetry ?deadline ?(profile = Faros_obs.Profile.disabled)
+let analyze ?(config = Config.default) ?max_ticks ?metrics ?telemetry
+    ?deadline ?(profile = Faros_obs.Profile.disabled)
     ?(sink = Faros_obs.Sink.null)
     ?(extra_plugins = fun _kernel _faros -> []) ~setup_record ~setup_replay
     ~boot () =
@@ -51,7 +54,7 @@ let analyze ?(config = Config.default) ?max_ticks ?timeslice ?metrics
   in
   let _record_kernel, trace =
     Faros_obs.Profile.with_span profile "record" (fun () ->
-        Faros_replay.Recorder.record ?max_ticks ?timeslice ~profile
+        Faros_replay.Recorder.record ?max_ticks ~profile
           ~setup:setup_record ~boot ())
   in
   check_deadline ();
@@ -61,7 +64,7 @@ let analyze ?(config = Config.default) ?max_ticks ?timeslice ?metrics
     | None, None -> None
     | _ ->
       Some
-        ( config.Config.sample_interval,
+        ( sample_interval,
           fun ~tick ~syscalls ->
             check_deadline ();
             match (telemetry, !faros_ref) with
@@ -70,7 +73,7 @@ let analyze ?(config = Config.default) ?max_ticks ?timeslice ?metrics
   in
   let replay =
     Faros_obs.Profile.with_span profile "replay" (fun () ->
-        Faros_replay.Replayer.replay ?max_ticks ?timeslice ?sample ~profile
+        Faros_replay.Replayer.replay ?max_ticks ?sample ~profile
           ~plugins:(fun kernel ->
             let faros =
               Faros_plugin.create ~config ?metrics ~profile ~sink kernel

@@ -19,7 +19,6 @@ exception Deadline_exceeded
 val analyze :
   ?config:Config.t ->
   ?max_ticks:int ->
-  ?timeslice:int ->
   ?metrics:Faros_obs.Metrics.t ->
   ?telemetry:Telemetry.t ->
   ?deadline:float ->
@@ -41,10 +40,10 @@ val analyze :
     there into the engine, shadow, detector and kernel); [sink] (default
     null) receives the replay's [trace_event] rows, timestamped by kernel
     tick, and its health gauges land in the registry at finalize.
-    [telemetry] records one row every [config.sample_interval] replay
-    ticks plus a final row at the end of the replay.  [profile] (default
-    disabled) wraps the phases in top-level [record] / [replay] /
-    [finalize] spans with the per-layer spans nested inside.  With
+    [telemetry] records one row every 64 replay ticks plus a final row
+    at the end of the replay.  [profile] (default disabled) wraps the
+    phases in top-level [record] / [replay] / [finalize] spans with the
+    per-layer spans nested inside.  With
     [profile] and [sink] at their defaults the function is
     byte-identical in behaviour and output to the uninstrumented
     driver.
@@ -54,9 +53,8 @@ val analyze :
     callback, after the FAROS plugin is constructed but before boot.
 
     [deadline] is a wall-clock budget in seconds for the whole analysis,
-    enforced cooperatively (between phases and every
-    [config.sample_interval] replay ticks); exceeding it raises
-    {!Deadline_exceeded}.  The campaign driver turns that exception into
-    a [Timeout] verdict. *)
+    enforced cooperatively (between phases and every 64 replay ticks);
+    exceeding it raises {!Deadline_exceeded}.  The campaign driver turns
+    that exception into a [Timeout] verdict. *)
 
 val flagged : outcome -> bool

@@ -19,9 +19,6 @@ type t = {
   whitelist : string list;  (** process names whose flags are suppressed *)
   min_process_tags : int;
   require_netflow : bool;
-  sample_interval : int;
-      (** kernel ticks between telemetry samples when a series is
-          recorded (default 64) *)
 }
 
 val default : t
@@ -31,6 +28,3 @@ val strict_netflow : t
 
 val with_policy : Faros_dift.Policy.t -> t -> t
 val with_whitelist : string list -> t -> t
-
-val with_sample_interval : int -> t -> t
-(** Raises [Invalid_argument] on a non-positive interval. *)

@@ -3,10 +3,11 @@
    On every executed load the detector checks:
    - the *read* location carries an export-table tag (the load is parsing
      linking/loading structures), and
-   - the *instruction's own code bytes* carry at least two distinct process
-     tags (the code crossed a process boundary) plus an input-source tag —
-     netflow for network-borne payloads, or a file tag when the
-     configuration also accepts disk-borne payloads (Fig. 10).
+   - the *instruction's own code bytes* carry at least
+     [config.min_process_tags] distinct process tags (one by default; see
+     config.mli) plus an input-source tag — netflow for network-borne
+     payloads, or a file tag when the configuration also accepts
+     disk-borne payloads (Fig. 10).
 
    Under a single-bit policy no provenance exists to interrogate, so the
    rule degrades to "tainted code reads the export region" — the ablation

@@ -24,7 +24,7 @@ let resolve_asid (kernel : Faros_os.Kernel.t) pid =
 
 let create ?(config = Config.default) ?(metrics = Faros_obs.Metrics.create ())
     ?(profile = Faros_obs.Profile.disabled) ?(sink = Faros_obs.Sink.null)
-    ?interner (kernel : Faros_os.Kernel.t) =
+    (kernel : Faros_os.Kernel.t) =
   (* One registry and one sink serve every layer; the kernel tick is the
      sink's time base, and the kernel itself emits syscall events.  The
      profiler is shared by the kernel, the DIFT engine and the graph
@@ -34,12 +34,10 @@ let create ?(config = Config.default) ?(metrics = Faros_obs.Metrics.create ())
   Faros_os.Kstate.set_sink kernel sink;
   kernel.profile <- profile;
   let engine =
-    Faros_dift.Engine.create ~policy:config.policy ~metrics ~sink ~profile
-      ?interner ()
+    Faros_dift.Engine.create ~policy:config.policy ~metrics ~sink ~profile ()
   in
   (* The untainted fast path only exists over cached blocks; the machine
-     knob ({!Faros_vm.Machine.dift_fast_enabled}) is read once here, so a
-     per-replay override must land before the plugins attach. *)
+     fixed both switches when it was created. *)
   let fastpath =
     if Faros_vm.Machine.dift_fast_enabled kernel.machine then
       Some (Faros_dift.Fastpath.create ~machine:kernel.machine engine)

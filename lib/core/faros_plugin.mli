@@ -33,7 +33,6 @@ val create :
   ?metrics:Faros_obs.Metrics.t ->
   ?profile:Faros_obs.Profile.t ->
   ?sink:Faros_obs.Sink.t ->
-  ?interner:Faros_dift.Prov_intern.store ->
   Faros_os.Kernel.t ->
   t
 (** Build the analysis against a freshly constructed kernel, before any
@@ -43,9 +42,8 @@ val create :
     events are routed into it, and the profiler is shared by the
     kernel, the DIFT engine and the graph builder so one span tree
     covers the whole replay at syscall granularity.
-    [interner] is the provenance store the engine works against (default:
-    the calling domain's current store — campaign jobs install a fresh
-    one per job). *)
+    The engine works against the calling domain's current provenance
+    store (campaign jobs install a fresh one per job). *)
 
 val plugin : t -> Faros_replay.Plugin.t
 (** The attachable plugin carrying the execution and event hooks. *)

@@ -124,7 +124,9 @@ type tainted_string = {
 
 let printable c = Char.code c >= 0x20 && Char.code c < 0x7F
 
-let strings ?(min_len = 4) (faros : Faros_plugin.t) =
+let min_len = 4
+
+let strings (faros : Faros_plugin.t) =
   let mmu = faros.kernel.machine.mmu in
   let results = ref [] in
   List.iter

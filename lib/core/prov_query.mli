@@ -38,10 +38,9 @@ type tainted_string = {
   ts_prov : Faros_dift.Provenance.t;
 }
 
-val strings : ?min_len:int -> Faros_plugin.t -> tainted_string list
-(** Provenance-aware [strings]: printable runs (length >= [min_len],
-    default 4) in netflow-tainted memory, each with the provenance of its
-    first byte — "this string came off that wire, through those
-    processes". *)
+val strings : Faros_plugin.t -> tainted_string list
+(** Provenance-aware [strings]: printable runs of at least 4 bytes in
+    netflow-tainted memory, each with the provenance of its first byte —
+    "this string came off that wire, through those processes". *)
 
 val pp_region : faros:Faros_plugin.t -> region_taint Fmt.t

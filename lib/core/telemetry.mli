@@ -7,9 +7,8 @@
     of the replay.
 
     Feed {!sample} to {!Faros_replay.Replayer.replay}'s [?sample] hook (as
-    {!Analysis.analyze} does) to record one row every
-    [Config.sample_interval] ticks plus a final row at the end of the
-    replay. *)
+    {!Analysis.analyze} does) to record one row every 64 ticks plus a
+    final row at the end of the replay. *)
 
 val columns : string list
 (** [tick; syscalls; instrs; tainted_bytes; tainted_regs; shadow_pages;

@@ -88,4 +88,4 @@ let make ~family ~c2_port ?(scrub = false) () =
 
 (* DarkComet's default port is 1604; Njrat's is 1177. *)
 let darkcomet ?scrub () = make ~family:"darkcomet" ~c2_port:1604 ?scrub ()
-let njrat ?scrub () = make ~family:"njrat" ~c2_port:1177 ?scrub ()
+let njrat () = make ~family:"njrat" ~c2_port:1177 ()

@@ -21,5 +21,5 @@ val make : family:string -> c2_port:int -> ?scrub:bool -> unit -> Scenario.t
 val darkcomet : ?scrub:bool -> unit -> Scenario.t
 (** C2 on DarkComet's default port 1604. *)
 
-val njrat : ?scrub:bool -> unit -> Scenario.t
+val njrat : unit -> Scenario.t
 (** C2 on Njrat's default port 1177. *)

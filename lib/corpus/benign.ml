@@ -79,7 +79,8 @@ let programs : (string * int * Behavior.t list) list =
 
 (* 14 benign samples: variants of the three networked tools plus the local
    snipping tool. *)
-let samples ?(total = 14) () =
+let samples () =
+  let total = 14 in
   let networked_total = total - (total / 4) in
   let nprog = List.length programs in
   let networked_samples =

@@ -12,6 +12,5 @@ val snipping_tool : seed:int -> Scenario.t
 
 val programs : (string * int * Behavior.t list) list
 
-val samples :
-  ?total:int -> unit -> (string * string * Behavior.t list * Scenario.t) list
-(** [total] builds (default 14). *)
+val samples : unit -> (string * string * Behavior.t list * Scenario.t) list
+(** 14 builds. *)

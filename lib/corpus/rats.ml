@@ -80,9 +80,9 @@ let families : (string * int * Behavior.t list) list =
 
 (* 90 sample builds spread across the 17 families, seeds making each build
    distinct. *)
-let samples ?(total = 90) () =
+let samples () =
   let nfam = List.length families in
-  List.init total (fun idx ->
+  List.init 90 (fun idx ->
       let family_idx = idx mod nfam in
       let seed = idx / nfam in
       let family, base_port, behaviors = List.nth families family_idx in

@@ -21,6 +21,5 @@ val scenario :
 val families : (string * int * Behavior.t list) list
 (** The 17 malware rows of Table IV: family, base port, behaviours. *)
 
-val samples :
-  ?total:int -> unit -> (string * string * Behavior.t list * Scenario.t) list
-(** [total] builds (default 90) spread across the families. *)
+val samples : unit -> (string * string * Behavior.t list * Scenario.t) list
+(** 90 builds spread across the families. *)

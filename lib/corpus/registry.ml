@@ -140,17 +140,17 @@ let extras () =
       })
     (Extras.samples ())
 
-let rats ?total () =
+let rats () =
   List.map
     (fun (id, family, behaviors, scenario) ->
       { id; family; category = Rat; expected = Expect_clean; behaviors; scenario })
-    (Rats.samples ?total ())
+    (Rats.samples ())
 
-let benign ?total () =
+let benign () =
   List.map
     (fun (id, family, behaviors, scenario) ->
       { id; family; category = Benign_app; expected = Expect_clean; behaviors; scenario })
-    (Benign.samples ?total ())
+    (Benign.samples ())
 
 let jits () =
   List.map
@@ -290,7 +290,7 @@ let netd_sweeps () =
    samples over the behaviour matrix.  Kept out of [all] so the core-130
    goldens stay the paper's; `faros campaign --corpus sweep1k` and the
    scaling bench pull it in. *)
-let sweep1k ?seeds () =
+let sweep1k () =
   List.map
     (fun (id, kind, scenario) ->
       let category, expected =
@@ -302,21 +302,7 @@ let sweep1k ?seeds () =
         | Sweep.Drop -> (Benign_app, Expect_clean)
       in
       { id; family = "sweep"; category; expected; behaviors = []; scenario })
-    (Sweep.samples ?seeds ())
-
-(* The Table V performance workloads: named after the paper's table. *)
-let perf_workloads () =
-  (* Hash the wanted ids first: the List.mem version was O(wanted x
-     samples), which generated corpora turn into real time. *)
-  let by_id wanted samples =
-    let want = Hashtbl.create (List.length wanted) in
-    List.iter (fun id -> Hashtbl.replace want id ()) wanted;
-    List.filter (fun s -> Hashtbl.mem want s.id) samples
-  in
-  by_id
-    [ "skype_s2"; "teamviewer_s1"; "remote_utility_s0" ]
-    (benign ())
-  @ by_id [ "bozok_s0"; "spygate_v3.2_s0"; "pandora_v2.2_s0" ] (rats ())
+    (Sweep.samples ())
 
 (* A deliberately crashing sample, hidden from [all]: its boot list names
    an executable that is never installed, so analyzing it raises

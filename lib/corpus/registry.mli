@@ -39,10 +39,10 @@ val extras : unit -> sample list
 (** Extra benign workloads (DLL loading, loopback IPC); kept out of {!all}
     so the Table IV sample counts stay exactly the paper's. *)
 
-val rats : ?total:int -> unit -> sample list
+val rats : unit -> sample list
 (** The 90 non-injecting malware builds of Table IV. *)
 
-val benign : ?total:int -> unit -> sample list
+val benign : unit -> sample list
 (** The 14 benign-software builds of Table IV. *)
 
 val jits : unit -> sample list
@@ -58,12 +58,10 @@ val netd_sweeps : unit -> sample list
     payload staging) — the long-job corpus for
     [faros campaign --corpus netd|full]. *)
 
-val sweep1k : ?seeds:int -> unit -> sample list
-(** The generated sweep corpus ({!Sweep}): 1,000+ deterministic samples
-    over the behaviour matrix at the default seed count.  Kept out of
-    {!all} so the core-130 goldens stay the paper's. *)
-
-val perf_workloads : unit -> sample list
+val sweep1k : unit -> sample list
+(** The generated sweep corpus ({!Sweep}): 1,093 deterministic samples
+    over the behaviour matrix.  Kept out of {!all} so the core-130
+    goldens stay the paper's. *)
 
 val crash_test : unit -> sample
 (** A deliberately crashing hidden sample (its boot image is never

@@ -43,14 +43,14 @@ let record t =
     ~boot:(boot t) ()
 
 (* Replay a trace without any analysis plugin (the Table V baseline). *)
-let replay_plain ?tb_cache ?dift_fast t trace =
-  Faros_replay.Replayer.replay ~max_ticks:t.max_ticks ?tb_cache ?dift_fast
-    ~setup:(setup_replay t) ~boot:(boot t) trace
+let replay_plain t trace =
+  Faros_replay.Replayer.replay ~max_ticks:t.max_ticks ~setup:(setup_replay t)
+    ~boot:(boot t) trace
 
 (* Replay a trace with a given plugin set. *)
-let replay_with t ?tb_cache ?dift_fast ?sample ~plugins trace =
-  Faros_replay.Replayer.replay ~max_ticks:t.max_ticks ?tb_cache ?dift_fast
-    ?sample ~plugins ~setup:(setup_replay t) ~boot:(boot t) trace
+let replay_with t ?sample ~plugins trace =
+  Faros_replay.Replayer.replay ~max_ticks:t.max_ticks ?sample ~plugins
+    ~setup:(setup_replay t) ~boot:(boot t) trace
 
 (* Full FAROS workflow: record, then replay under the FAROS plugin.
    [max_ticks] overrides the scenario's own tick budget (campaign jobs cap

@@ -37,22 +37,11 @@ val boot : t -> Faros_os.Kernel.t -> unit
 val record : t -> Faros_os.Kernel.t * Faros_replay.Trace.t
 (** Record the scenario live. *)
 
-val replay_plain :
-  ?tb_cache:bool ->
-  ?dift_fast:bool ->
-  t ->
-  Faros_replay.Trace.t ->
-  Faros_replay.Replayer.result
-(** Replay without any analysis plugin (the Table V baseline).
-    [tb_cache] forces the translation-block cache on/off for this replay;
-    [dift_fast] likewise for the DIFT untainted fast path (only
-    meaningful when a DIFT plugin is attached — a no-op here, accepted
-    for harness symmetry). *)
+val replay_plain : t -> Faros_replay.Trace.t -> Faros_replay.Replayer.result
+(** Replay without any analysis plugin (the Table V baseline). *)
 
 val replay_with :
   t ->
-  ?tb_cache:bool ->
-  ?dift_fast:bool ->
   ?sample:(int * (tick:int -> syscalls:int -> unit)) ->
   plugins:(Faros_os.Kernel.t -> Faros_replay.Plugin.t list) ->
   Faros_replay.Trace.t ->

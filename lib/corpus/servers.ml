@@ -69,12 +69,11 @@ let guilty_flow sched guilty = Gen.flow_of_client sched guilty
 (* Arbitrary per-client chunk lists against the vulnerable listener: the
    property-based tests drive random benign/evil traffic mixes through
    exactly the machinery the curated samples use. *)
-let custom_load ?(arrival = Gen.Uniform 40) ?(worker_close = false) ~name
-    ~payloads () =
+let custom_load ?(worker_close = false) ~name ~payloads () =
   let clients = List.length payloads in
   let table = Array.of_list payloads in
   let sched =
-    Gen.make ~arrival ~dst_ip:guest_ip ~dst_port:server_port
+    Gen.make ~arrival:(Gen.Uniform 40) ~dst_ip:guest_ip ~dst_port:server_port
       ~payload:(fun i -> table.(i))
       clients
   in
@@ -92,10 +91,10 @@ let split_payload s n =
    the stager daemon reassembles and executes it.  No single flow carries
    enough to be the whole story — the slice must reach netflow origins
    through the reassembled buffer. *)
-let staged_c2 ?(stages = 3) ?(gap = 600) ?(name = "netd_staged_c2") () =
+let staged_c2 ?(stages = 3) ?(name = "netd_staged_c2") () =
   let pieces = split_payload (Payloads.popup ~text:"staged via netd" ()) stages in
   let sched =
-    Gen.make ~arrival:(Gen.Uniform gap) ~dst_ip:guest_ip ~dst_port:server_port
+    Gen.make ~arrival:(Gen.Uniform 600) ~dst_ip:guest_ip ~dst_port:server_port
       ~payload:(fun i -> [ List.nth pieces i ])
       stages
   in
@@ -113,17 +112,17 @@ let staged_c2 ?(stages = 3) ?(gap = 600) ?(name = "netd_staged_c2") () =
 let mux_payload i =
   Printf.sprintf "FLOW-%04d:%s" i (String.make (40 + (i mod 7)) (Char.chr (65 + (i mod 26))))
 
-let mux_fanin ?(clients = 6) ?(arrival = Gen.Burst { size = 3; gap = 300 })
-    ?(name = "netd_mux_fanin") () =
+let mux_fanin ?(clients = 6) () =
   let image, layout = Daemon.mux_image ~slots:clients ~expected:clients () in
   let sched =
-    Gen.make ~arrival ~dst_ip:guest_ip ~dst_port:server_port
+    Gen.make ~arrival:(Gen.Burst { size = 3; gap = 300 }) ~dst_ip:guest_ip
+      ~dst_port:server_port
       ~payload:(fun i -> [ mux_payload i ])
       clients
   in
   let scn =
     Scenario.make ~inbound:(Gen.events sched)
       ~images:[ ("muxd.exe", image) ]
-      ~boot:[ "muxd.exe" ] ~max_ticks:(budget sched) name
+      ~boot:[ "muxd.exe" ] ~max_ticks:(budget sched) "netd_mux_fanin"
   in
   (scn, sched, layout)

@@ -40,29 +40,26 @@ val inject_under_load :
 val guilty_flow : Gen.schedule -> int -> Faros_os.Types.flow
 
 val custom_load :
-  ?arrival:Gen.arrival ->
   ?worker_close:bool ->
   name:string ->
   payloads:string list list ->
   unit ->
   Scenario.t * Gen.schedule
 (** Arbitrary per-client chunk lists against the vulnerable listener
-    (client [i] sends [List.nth payloads i]) — the entry point the
-    property-based tests drive random traffic mixes through. *)
+    (client [i] sends [List.nth payloads i], a new client every 40
+    ticks) — the entry point the property-based tests drive random
+    traffic mixes through. *)
 
 val staged_c2 :
-  ?stages:int -> ?gap:int -> ?name:string -> unit -> Scenario.t * Gen.schedule
-(** The payload split across [stages] sequential flows; the stager daemon
-    reassembles and executes it. *)
+  ?stages:int -> ?name:string -> unit -> Scenario.t * Gen.schedule
+(** The payload split across [stages] sequential flows, 600 ticks apart;
+    the stager daemon reassembles and executes it. *)
 
 val mux_payload : int -> string
 
 val mux_fanin :
-  ?clients:int ->
-  ?arrival:Gen.arrival ->
-  ?name:string ->
-  unit ->
-  Scenario.t * Gen.schedule * Daemon.mux_layout
-(** One process, [clients] concurrent connections, each delivering a
-    distinct payload into its own slot buffer — the per-flow-attribution
+  ?clients:int -> unit -> Scenario.t * Gen.schedule * Daemon.mux_layout
+(** ["netd_mux_fanin"]: one process, [clients] concurrent connections
+    arriving in waves of 3, 300 ticks apart, each delivering a distinct
+    payload into its own slot buffer — the per-flow-attribution
     workload. *)

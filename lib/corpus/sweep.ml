@@ -183,12 +183,12 @@ let chunk_counts = [ 1; 2; 4 ]
 let sizes = [ 16; 64; 256 ]
 let iat_ports = [ 1604; 1177; 8443 ]
 
-(* Default seed count: sized so the full sweep crosses 1,000 samples
+(* Seed count: sized so the full sweep crosses 1,000 samples
    (3*2*3*3*s refl + 2*3*3*s self + 3*2*3*s iat + 3*3*s drop + 4
    launder = 1093 at s = 11). *)
-let default_seeds = 11
+let seeds = 11
 
-let samples ?(seeds = default_seeds) () =
+let samples () =
   let seed_list = List.init seeds Fun.id in
   let refl_samples =
     List.concat_map

@@ -15,9 +15,6 @@ type kind =
           direct-flow policy (the paper's conceded evasion) *)
   | Drop  (** benign download, never executed — expected clean *)
 
-val default_seeds : int
-(** Seed count that puts the full sweep over 1,000 samples. *)
-
-val samples : ?seeds:int -> unit -> (string * kind * Scenario.t) list
-(** [(id, kind, scenario)] tuples, deterministic in content and order.
-    [seeds] scales the corpus (samples per sweep point). *)
+val samples : unit -> (string * kind * Scenario.t) list
+(** [(id, kind, scenario)] tuples, deterministic in content and order:
+    11 seeds per sweep point, 1,093 samples. *)

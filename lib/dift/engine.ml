@@ -43,12 +43,12 @@ type t = {
 }
 
 let create ?(policy = Policy.faros_default) ?(metrics = Faros_obs.Metrics.create ())
-    ?(sink = Faros_obs.Sink.null) ?(profile = Faros_obs.Profile.disabled)
-    ?(interner = Prov_intern.current_store ()) () =
+    ?(sink = Faros_obs.Sink.null) ?(profile = Faros_obs.Profile.disabled) () =
+  let shadow = Shadow.create ~sink () in
   {
-    shadow = Shadow.create ~sink ~interner ();
+    shadow;
     store = Tag_store.create ();
-    interner;
+    interner = Shadow.interner shadow;
     policy;
     file_shadow = Hashtbl.create 16;
     control = Hashtbl.create 8;

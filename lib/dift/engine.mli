@@ -54,15 +54,13 @@ val create :
   ?metrics:Faros_obs.Metrics.t ->
   ?sink:Faros_obs.Sink.t ->
   ?profile:Faros_obs.Profile.t ->
-  ?interner:Prov_intern.store ->
   unit ->
   t
 (** [metrics] is the registry the engine's counters and gauges live in (a
     fresh one by default); [sink] receives ["tag_insert"] trace events
     (category ["engine"]) and the shadow's ["page_alloc"] events, and
-    defaults to the disabled sink.  [interner] is the provenance store
-    the engine's shadow resolves against (default: the calling domain's
-    current store). *)
+    defaults to the disabled sink.  The engine works against the calling
+    domain's current provenance store, which its shadow captures. *)
 
 val add_load_observer : t -> (load_info -> unit) -> unit
 

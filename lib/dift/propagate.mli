@@ -6,9 +6,9 @@
       delete(a)       prov(a) <- {}
     v}
 
-    The engine expresses every instruction's taint semantics in terms of
-    these; keeping them as a separate, directly-testable module pins the
-    reproduction to the paper's Table I. *)
+    The engine applies the same three operations inline over the shadow
+    (it does not call this module); stating them here on their own keeps
+    Table I directly testable. *)
 
 type loc =
   | Mem of int  (** a physical byte *)

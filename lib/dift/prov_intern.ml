@@ -100,8 +100,6 @@ let resolve st i =
   if i < 0 || i >= st.node_count then invalid_arg "Prov_intern.resolve";
   st.nodes.(i)
 
-let of_id i = resolve (current_store ()) i
-
 let register st n =
   if n.id >= Array.length st.nodes then begin
     let grown = Array.make (2 * Array.length st.nodes) empty in

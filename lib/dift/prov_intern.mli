@@ -66,10 +66,6 @@ val id : t -> int
 (** Dense non-negative integer identifying this list within its store;
     0 iff empty. *)
 
-val of_id : int -> t
-(** [resolve (current_store ())] — inverse of {!id} for values minted
-    under this domain's active store. *)
-
 val length : t -> int
 val is_empty : t -> bool
 

@@ -47,9 +47,6 @@ let indices_of f p =
 let process_indices p =
   indices_of (function Tag.Process i -> Some i | _ -> None) p
 
-let netflow_indices p =
-  indices_of (function Tag.Netflow i -> Some i | _ -> None) p
-
 let file_indices p = indices_of (function Tag.File i -> Some i | _ -> None) p
 
 (* Tag confluence (Section IV): number of distinct tag *types* present —

@@ -55,7 +55,6 @@ val has_file : t -> bool
 val process_indices : t -> int list
 (** Distinct process-tag indices, newest first. *)
 
-val netflow_indices : t -> int list
 val file_indices : t -> int list
 
 val distinct_types : t -> Tag.ty list

@@ -42,8 +42,7 @@ type t = {
   interner : Prov_intern.store;  (* the store the page ids resolve against *)
 }
 
-let create ?(sink = Faros_obs.Sink.null)
-    ?(interner = Prov_intern.current_store ()) () =
+let create ?(sink = Faros_obs.Sink.null) () =
   {
     mem_dir = Hashtbl.create 64;
     mem_tainted = 0;
@@ -51,7 +50,7 @@ let create ?(sink = Faros_obs.Sink.null)
     regs = Hashtbl.create 64;
     flags = Hashtbl.create 8;
     sink;
-    interner;
+    interner = Prov_intern.current_store ();
   }
 
 let interner t = t.interner

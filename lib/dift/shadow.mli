@@ -17,13 +17,12 @@ val page_size : int
 val page_shift : int
 (** [log2 page_size] (12): [paddr lsr page_shift] is a shadow page number. *)
 
-val create :
-  ?sink:Faros_obs.Sink.t -> ?interner:Prov_intern.store -> unit -> t
+val create : ?sink:Faros_obs.Sink.t -> unit -> t
 (** [sink] receives a ["page_alloc"] trace event (category ["shadow"])
     each time a shadow page materializes; defaults to the disabled sink.
-    [interner] is the {!Prov_intern.store} the page ids resolve against
-    (default: the calling domain's current store); provenance written
-    into this shadow must be interned under that same store. *)
+    The page ids resolve against the calling domain's current
+    {!Prov_intern.store}, captured here; provenance written into this
+    shadow must be interned under that same store. *)
 
 val interner : t -> Prov_intern.store
 (** The store this shadow's ids resolve against. *)

@@ -197,7 +197,7 @@ let job_result ~tick_budget (s : Faros_corpus.Registry.sample) ~worker
     jr_segments = segments;
   }
 
-let run_job ~config ~graph ~graph_segments ~tick_budget ~deadline ~profile
+let run_job ~config ~graph_segments ~tick_budget ~deadline ~profile
     ~want_trace ~worker (s : Faros_corpus.Registry.sample) =
   let prof =
     if profile then Faros_obs.Profile.create () else Faros_obs.Profile.disabled
@@ -219,25 +219,22 @@ let run_job ~config ~graph ~graph_segments ~tick_budget ~deadline ~profile
   let builder = ref None in
   let seg = ref None in
   let extra_plugins kernel faros =
-    if not graph then []
-    else begin
-      (* With graph_segments, the builder's delta stream additionally
-         feeds a segment writer spilling JSONL rows into a private
-         buffer; the rows ship back as plain strings and the driver
-         writes them out in submission order. *)
-      let consumer =
-        if graph_segments then begin
-          let rows = Faros_obs.Sink.create () in
-          let w = Faros_query.Segment.writer ~sink:rows ~run:s.id () in
-          seg := Some (rows, w);
-          Some (Faros_query.Segment.consume w)
-        end
-        else None
-      in
-      let b = Faros_graph.Build.create ~metrics ?consumer ~sample:s.id () in
-      builder := Some b;
-      [ Faros_graph.Build.plugin b ~kernel ~faros ]
-    end
+    (* With graph_segments, the builder's delta stream additionally feeds
+       a segment writer spilling JSONL rows into a private buffer; the
+       rows ship back as plain strings and the driver writes them out in
+       submission order. *)
+    let consumer =
+      if graph_segments then begin
+        let rows = Faros_obs.Sink.create () in
+        let w = Faros_query.Segment.writer ~sink:rows ~run:s.id () in
+        seg := Some (rows, w);
+        Some (Faros_query.Segment.consume w)
+      end
+      else None
+    in
+    let b = Faros_graph.Build.create ~metrics ?consumer ~sample:s.id () in
+    builder := Some b;
+    [ Faros_graph.Build.plugin b ~kernel ~faros ]
   in
   match
     (* Graph enrichment runs inside the [farm.job.run] span too, so its
@@ -247,13 +244,10 @@ let run_job ~config ~graph ~graph_segments ~tick_budget ~deadline ~profile
           Faros_corpus.Scenario.analyze ~config ~metrics ~sink ~profile:prof
             ?max_ticks:tick_budget ?deadline ~extra_plugins s.scenario
         in
-        let gs =
-          match !builder with
-          | None -> no_graph
-          | Some b ->
-            Faros_graph.Build.enrich b outcome.faros;
-            summarize_graph (Faros_graph.Build.graph b)
-        in
+        (* the replay built the plugins, so the builder exists *)
+        let b = Option.get !builder in
+        Faros_graph.Build.enrich b outcome.faros;
+        let gs = summarize_graph (Faros_graph.Build.graph b) in
         let segments =
           match !seg with
           | None -> []
@@ -356,7 +350,7 @@ let emit_sink sink ~results ~profile ~metrics =
   g "obs.sink.dropped" (Faros_obs.Sink.dropped sink);
   Faros_obs.Sink.metric_snapshot sink ~source:"campaign" metrics
 
-let run ?(workers = 1) ?(config = Core.Config.default) ?(graph = true)
+let run ?(workers = 1) ?(config = Core.Config.default)
     ?(graph_segments = false) ?tick_budget ?deadline ?(profile = false)
     ?(sink = Faros_obs.Sink.null) ?(farm_metrics = false) ?on_progress
     samples =
@@ -377,7 +371,7 @@ let run ?(workers = 1) ?(config = Core.Config.default) ?(graph = true)
           List.map
             (fun s ->
               Pool.submit_indexed pool (fun ~worker ->
-                  run_job ~config ~graph ~graph_segments ~tick_budget ~deadline
+                  run_job ~config ~graph_segments ~tick_budget ~deadline
                     ~profile ~want_trace ~worker s))
             samples
         in

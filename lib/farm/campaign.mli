@@ -100,7 +100,6 @@ type t = {
 val run :
   ?workers:int ->
   ?config:Core.Config.t ->
-  ?graph:bool ->
   ?graph_segments:bool ->
   ?tick_budget:int ->
   ?deadline:float ->
@@ -111,8 +110,8 @@ val run :
   Faros_corpus.Registry.sample list ->
   t
 (** Run the samples on a transient pool of [workers] domains (default 1).
-    [config] applies to every job; [graph] (default [true]) builds the
-    per-sample attack graph and folds its slice summary into each result;
+    [config] applies to every job; every job builds its sample's attack
+    graph and folds the slice summary into its result;
     [graph_segments] (default [false]) additionally streams each job's
     graph through a {!Faros_query.Segment} writer and ships the JSONL
     rows back in [jr_segments]; [tick_budget] overrides each scenario's

@@ -43,14 +43,14 @@ let exec_magic = 0x45584543
 
 let default_port = 8080
 
-(* socket -> r7, bind [port], listen. *)
-let server_prologue ~port =
+(* socket -> r7, bind [default_port], listen. *)
+let server_prologue =
   List.concat
     [
       [ lbl "start" ];
       syscall Syscall.sys_socket;
       [ movr Isa.r7 Isa.r0 ];
-      [ movr Isa.r1 Isa.r7; movi Isa.r2 port ];
+      [ movr Isa.r1 Isa.r7; movi Isa.r2 default_port ];
       syscall Syscall.sys_bind;
       [ movr Isa.r1 Isa.r7 ];
       syscall Syscall.sys_listen;
@@ -61,12 +61,11 @@ let server_prologue ~port =
 (* Accept [expected] connections, spawning a [worker_path] process per
    connection; poll/yield while idle.  r7 = listening socket, r6 = served
    count, r5 = accepted handle. *)
-let listener_image ?(name = "netd.exe") ?(port = default_port) ~expected
-    ~worker_path () =
+let listener_image ~expected ~worker_path () =
   let items =
     List.concat
       [
-        server_prologue ~port;
+        server_prologue;
         [ movi Isa.r6 0; lbl "loop" ];
         [ i (Isa.Cmp_ri (Isa.r6, expected)); Asm.Jge_l "done" ];
         [ movr Isa.r1 Isa.r7 ];
@@ -89,7 +88,7 @@ let listener_image ?(name = "netd.exe") ?(port = default_port) ~expected
         [ Asm.Align 4; lbl "wpath"; Asm.Bytes worker_path ];
       ]
   in
-  Pe.of_program ~name ~base:Process.image_base items
+  Pe.of_program ~name:"netd.exe" ~base:Process.image_base items
 
 let worker_buf_cap = 4096
 let worker_chunk = 512
@@ -99,7 +98,7 @@ let worker_chunk = 512
    (benign) or — when [vulnerable] and the request starts with
    {!exec_magic} — self-injects the request body and jumps to it,
    mirroring the paper's reflective loader tail. *)
-let worker_image ?(name = "worker.exe") ?(close_conn = false) ~vulnerable () =
+let worker_image ?(close_conn = false) ~vulnerable () =
   let tail =
     if vulnerable then
       List.concat
@@ -162,7 +161,7 @@ let worker_image ?(name = "worker.exe") ?(close_conn = false) ~vulnerable () =
         [ Asm.Align 4; lbl "buf"; Asm.Space worker_buf_cap ];
       ]
   in
-  Pe.of_program ~name ~base:Process.image_base items
+  Pe.of_program ~name:"worker.exe" ~base:Process.image_base items
 
 (* -- mux: one process, many concurrent connections ------------------------ *)
 
@@ -181,10 +180,10 @@ type mux_layout = {
    opportunistically, then give every live connection one recv turn per
    sweep, into its own [mux_stride]-byte buffer.  Halts once [expected]
    connections have reached EOF.  r7 = listener, r4 = sweep index. *)
-let mux_items ~port ~slots ~expected =
+let mux_items ~slots ~expected =
   List.concat
     [
-      server_prologue ~port;
+      server_prologue;
       [ lbl "outer" ];
       (* all served? *)
       [
@@ -276,8 +275,8 @@ let mux_items ~port ~slots ~expected =
       ];
     ]
 
-let mux_image ?(name = "muxd.exe") ?(port = default_port) ~slots ~expected () =
-  let items = mux_items ~port ~slots ~expected in
+let mux_image ~slots ~expected () =
+  let items = mux_items ~slots ~expected in
   (* [Pe.of_program] hides symbols; assemble the same items separately to
      recover the buffer layout for provenance queries. *)
   let prog = Asm.assemble ~origin:Process.image_base items in
@@ -289,7 +288,7 @@ let mux_image ?(name = "muxd.exe") ?(port = default_port) ~slots ~expected () =
       mux_slots = slots;
     }
   in
-  (Pe.of_program ~name ~base:Process.image_base items, layout)
+  (Pe.of_program ~name:"muxd.exe" ~base:Process.image_base items, layout)
 
 (* -- stager: reassemble a payload across sequential flows ----------------- *)
 
@@ -299,12 +298,11 @@ let stager_chunk = 256
    each delivers into one buffer; after the last stage, allocate + copy
    via write-to-self + jump — a C2 payload reassembled across flows.
    r7 = listener, r6 = cursor, r5 = connection, r4 = stages left. *)
-let stager_image ?(name = "staged.exe") ?(port = default_port)
-    ?(cap = worker_buf_cap) ~stages () =
+let stager_image ~stages () =
   let items =
     List.concat
       [
-        server_prologue ~port;
+        server_prologue;
         [ movi Isa.r6 0; movi Isa.r4 stages ];
         [ lbl "stage"; i (Isa.Cmp_ri (Isa.r4, 0)); Asm.Jle_l "inject" ];
         [ lbl "waitc"; movr Isa.r1 Isa.r7 ];
@@ -314,7 +312,7 @@ let stager_image ?(name = "staged.exe") ?(port = default_port)
         [ Asm.Jmp_l "waitc" ];
         [ lbl "gotc"; movr Isa.r5 Isa.r0 ];
         [ lbl "drain" ];
-        [ i (Isa.Cmp_ri (Isa.r6, cap - stager_chunk)); Asm.Jg_l "staged" ];
+        [ i (Isa.Cmp_ri (Isa.r6, worker_buf_cap - stager_chunk)); Asm.Jg_l "staged" ];
         [
           Asm.Mov_label (Isa.r2, "sbuf");
           i (Isa.Add_rr (Isa.r2, Isa.r6));
@@ -342,7 +340,7 @@ let stager_image ?(name = "staged.exe") ?(port = default_port)
         ];
         syscall Syscall.nt_write_virtual_memory;
         [ i (Isa.Jmp_r Isa.r5) ];
-        [ Asm.Align 4; lbl "sbuf"; Asm.Space cap ];
+        [ Asm.Align 4; lbl "sbuf"; Asm.Space worker_buf_cap ];
       ]
   in
-  Pe.of_program ~name ~base:Process.image_base items
+  Pe.of_program ~name:"staged.exe" ~base:Process.image_base items

@@ -12,20 +12,20 @@ val exec_magic : int
     server trigger. *)
 
 val default_port : int
+(** The port every daemon listens on (8080). *)
 
-val listener_image :
-  ?name:string -> ?port:int -> expected:int -> worker_path:string -> unit -> Faros_os.Pe.t
-(** Accepts [expected] connections, spawning a [worker_path] process per
-    connection (the accepted handle is duplicated into the child and
-    arrives in its r1); polls + yields while idle; halts when done. *)
+val listener_image : expected:int -> worker_path:string -> unit -> Faros_os.Pe.t
+(** ["netd.exe"]: accepts [expected] connections, spawning a [worker_path]
+    process per connection (the accepted handle is duplicated into the
+    child and arrives in its r1); polls + yields while idle; halts when
+    done. *)
 
 val worker_buf_cap : int
 val worker_chunk : int
 
-val worker_image :
-  ?name:string -> ?close_conn:bool -> vulnerable:bool -> unit -> Faros_os.Pe.t
-(** Connection worker (r1 = inherited connection handle): drains the
-    stream to EOF, then echoes it back — unless [vulnerable] and the
+val worker_image : ?close_conn:bool -> vulnerable:bool -> unit -> Faros_os.Pe.t
+(** ["worker.exe"], the connection worker (r1 = inherited connection
+    handle): drains the stream to EOF, then echoes it back — unless [vulnerable] and the
     request starts with {!exec_magic}, in which case it self-injects the
     request body (allocate, NtWriteVirtualMemory-to-self, jump),
     mirroring the paper's reflective loader tail.  With [close_conn]
@@ -43,22 +43,17 @@ type mux_layout = {
   mux_slots : int;
 }
 
-val mux_image :
-  ?name:string ->
-  ?port:int ->
-  slots:int ->
-  expected:int ->
-  unit ->
-  Faros_os.Pe.t * mux_layout
-(** One process serving up to [slots] concurrent connections round-robin
-    into per-slot buffers; halts once [expected] connections reached EOF.
+val mux_image : slots:int -> expected:int -> unit -> Faros_os.Pe.t * mux_layout
+(** ["muxd.exe"]: one process serving up to [slots] concurrent
+    connections round-robin into per-slot buffers; halts once [expected]
+    connections reached EOF.
     The layout locates each slot's buffer for per-flow provenance
     queries. *)
 
 val stager_chunk : int
 
-val stager_image :
-  ?name:string -> ?port:int -> ?cap:int -> stages:int -> unit -> Faros_os.Pe.t
-(** Accepts [stages] sequential connections, concatenates everything they
-    deliver into one buffer, then allocates + copies + jumps — a C2
-    payload reassembled across flows. *)
+val stager_image : stages:int -> unit -> Faros_os.Pe.t
+(** ["staged.exe"]: accepts [stages] sequential connections,
+    concatenates everything they deliver into one {!worker_buf_cap}-byte
+    buffer, then allocates + copies + jumps — a C2 payload reassembled
+    across flows. *)

@@ -7,9 +7,9 @@
    the same schedule always produces the same traffic and a recorded run
    replays it byte-for-byte.
 
-   Client [i] always connects from [base_src_port + i]: the source port
-   is the client's identity, which is what lets a whodunit slice name the
-   exact guilty connection among hundreds. *)
+   Client [i] always connects from [default_base_src_port + i]: the
+   source port is the client's identity, which is what lets a whodunit
+   slice name the exact guilty connection among hundreds. *)
 
 open Faros_os
 
@@ -24,10 +24,6 @@ type arrival =
 type schedule = {
   clients : int;
   arrival : arrival;
-  first_tick : int;
-      (* first connect; must leave the server time to bind/listen *)
-  src_ip : Types.Ip.t;
-  base_src_port : int;
   dst_ip : Types.Ip.t;
   dst_port : int;
   data_gap : int;  (* ticks between a client's chunks (0 = same tick) *)
@@ -37,40 +33,32 @@ type schedule = {
 let default_src_ip = Types.Ip.of_string "169.254.80.14"
 let default_base_src_port = 40000
 
-let make ?(arrival = Uniform 40) ?(first_tick = 500)
-    ?(src_ip = default_src_ip) ?(base_src_port = default_base_src_port)
-    ?(data_gap = 0) ~dst_ip ~dst_port ~payload clients =
-  {
-    clients;
-    arrival;
-    first_tick;
-    src_ip;
-    base_src_port;
-    dst_ip;
-    dst_port;
-    data_gap;
-    payload;
-  }
+(* The first connect: late enough for the server to bind and listen. *)
+let first_tick = 500
+
+let make ?(arrival = Uniform 40) ?(data_gap = 0) ~dst_ip ~dst_port ~payload
+    clients =
+  { clients; arrival; dst_ip; dst_port; data_gap; payload }
 
 (* The 5-tuple client [i] connects from — its identity in the graph. *)
 let flow_of_client s i : Types.flow =
   {
-    src_ip = s.src_ip;
-    src_port = s.base_src_port + i;
+    src_ip = default_src_ip;
+    src_port = default_base_src_port + i;
     dst_ip = s.dst_ip;
     dst_port = s.dst_port;
   }
 
 let connect_tick s i =
   match s.arrival with
-  | Uniform gap -> s.first_tick + (i * gap)
+  | Uniform gap -> first_tick + (i * gap)
   | Burst { size; gap } ->
     let size = max 1 size in
-    s.first_tick + (i / size * gap)
+    first_tick + (i / size * gap)
   | Ramp { start_gap; end_gap } ->
     (* sum of the first i interpolated gaps *)
     let span = max 1 (s.clients - 1) in
-    let t = ref s.first_tick in
+    let t = ref first_tick in
     for j = 0 to i - 1 do
       t := !t + start_gap + ((end_gap - start_gap) * j / span)
     done;

@@ -3,8 +3,9 @@
     pump consumes.  Pure integer arithmetic — the same schedule always
     produces the same traffic, so a recorded run replays exactly.
 
-    Client [i] always connects from [base_src_port + i]: the source port
-    is the client's identity, which lets a whodunit slice name the exact
+    Every client connects from {!default_src_ip}, client [i] from port
+    [default_base_src_port + i], the first at tick 500: the source port is
+    the client's identity, which lets a whodunit slice name the exact
     guilty connection among hundreds. *)
 
 open Faros_os
@@ -19,10 +20,6 @@ type arrival =
 type schedule = {
   clients : int;
   arrival : arrival;
-  first_tick : int;
-      (** first connect; must leave the server time to bind/listen *)
-  src_ip : Types.Ip.t;
-  base_src_port : int;
   dst_ip : Types.Ip.t;
   dst_port : int;
   data_gap : int;  (** ticks between a client's chunks (0 = same tick) *)
@@ -34,9 +31,6 @@ val default_base_src_port : int
 
 val make :
   ?arrival:arrival ->
-  ?first_tick:int ->
-  ?src_ip:Types.Ip.t ->
-  ?base_src_port:int ->
   ?data_gap:int ->
   dst_ip:Types.Ip.t ->
   dst_port:int ->

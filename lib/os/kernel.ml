@@ -7,8 +7,8 @@
 
 type t = Kstate.t
 
-let create ?(local_ip = Types.Ip.of_string "169.254.57.168") () =
-  Kstate.create ~local_ip
+(* The guest's local IP is the victim address in the paper's figures. *)
+let create () = Kstate.create ~local_ip:(Types.Ip.of_string "169.254.57.168")
 
 let subscribe = Kstate.subscribe
 

@@ -8,8 +8,8 @@
 
 type t = Kstate.t
 
-val create : ?local_ip:Types.Ip.t -> unit -> t
-(** A fresh machine with the kernel region built.  The default local IP is
+val create : unit -> t
+(** A fresh machine with the kernel region built.  The local IP is
     169.254.57.168, the victim address in the paper's figures. *)
 
 val subscribe : t -> (Os_event.t -> unit) -> unit

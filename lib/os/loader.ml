@@ -6,10 +6,11 @@
    export directory (the kernel does the lookup), so ordinary imports never
    trip FAROS's export-table policy.
 
-   Imports are resolved before anything is mapped, so an image the kernel
-   cannot link leaves the address space as it was.  Returns the physical
-   extents that received file bytes so the kernel can report the load as a
-   file read for provenance purposes. *)
+   The layout and the imports are checked before anything is mapped, so an
+   image the kernel cannot load leaves the address space as it was.  Only
+   the pages the sections cover are mapped, however far apart the sections
+   lie.  Returns the physical extents that received file bytes so the
+   kernel can report the load as a file read for provenance purposes. *)
 
 type loaded = {
   ld_image : Pe.t;
@@ -20,22 +21,62 @@ type loaded = {
 
 exception Unresolved_import of string
 
-(* (IAT slot, stub address) per import, in import order. *)
-let resolve_imports (exports : Export_table.t) (image : Pe.t) =
+let section_end (s : Pe.section) = s.sec_vaddr + String.length s.sec_data
+
+(* Every write [load] makes must land in a page it maps: each section lies
+   between the base and the top of the 32-bit address space, and each IAT
+   slot inside a section.  Returns the (IAT slot, stub address) writes, in
+   import order. *)
+let link (exports : Export_table.t) (image : Pe.t) =
+  let bad fmt = Printf.ksprintf (fun m -> raise (Pe.Bad_image m)) fmt in
+  List.iter
+    (fun (s : Pe.section) ->
+      if s.sec_vaddr < image.base then
+        bad "section %s starts below the image base" s.sec_name;
+      if section_end s > 1 lsl 32 then
+        bad "section %s ends past the 32-bit address space" s.sec_name)
+    image.sections;
   List.map
     (fun (api, slot) ->
+      let holds (s : Pe.section) =
+        s.sec_vaddr <= slot && slot + 4 <= section_end s
+      in
+      if not (List.exists holds image.sections) then
+        bad "IAT slot of %s lies outside every section" api;
       match List.assoc_opt api exports.exports with
       | Some addr -> (slot, addr)
       | None -> raise (Unresolved_import api))
     image.imports
 
-let check_imports exports image = ignore (resolve_imports exports image)
+let check exports image = ignore (link exports image)
+
+(* The pages the sections cover, as (vaddr, pages) runs in address order. *)
+let page_runs (image : Pe.t) =
+  let page = Faros_vm.Phys_mem.page_size in
+  let vpns =
+    List.concat_map
+      (fun (s : Pe.section) ->
+        if s.sec_data = "" then []
+        else
+          let first = s.sec_vaddr / page and last = (section_end s - 1) / page in
+          List.init (last - first + 1) (fun i -> first + i))
+      image.sections
+    |> List.sort_uniq compare
+  in
+  List.fold_right
+    (fun vpn runs ->
+      match runs with
+      | (next, n) :: rest when next = vpn + 1 -> (vpn, n + 1) :: rest
+      | _ -> (vpn, 1) :: runs)
+    vpns []
+  |> List.map (fun (vpn, pages) -> (vpn * page, pages))
 
 let load (mmu : Faros_vm.Mmu.t) (space : Faros_vm.Mmu.space)
     (exports : Export_table.t) (image : Pe.t) : loaded =
-  let iat = resolve_imports exports image in
-  let pages = Pe.mapped_pages image in
-  Faros_vm.Mmu.map mmu space ~vaddr:image.base ~pages;
+  let iat = link exports image in
+  List.iter
+    (fun (vaddr, pages) -> Faros_vm.Mmu.map mmu space ~vaddr ~pages)
+    (page_runs image);
   let asid = space.asid in
   let section_extents =
     List.map

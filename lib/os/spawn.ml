@@ -13,9 +13,12 @@ let spawn (k : Kstate.t) ~path ~suspended ~parent : Types.pid =
     | false -> raise (Bad_executable path)
   in
   let image =
-    try Pe.parse image_bytes with Pe.Bad_image m -> raise (Bad_executable (path ^ ": " ^ m))
+    try
+      let image = Pe.parse image_bytes in
+      Loader.check k.exports image;
+      image
+    with Pe.Bad_image m -> raise (Bad_executable (path ^ ": " ^ m))
   in
-  Loader.check_imports k.exports image;
   let mmu = k.machine.mmu in
   let space = Faros_vm.Mmu.create_space mmu ~name:image.img_name in
   Export_table.map_into k.exports mmu space;

@@ -6,6 +6,7 @@ exception Bad_executable of string
 
 val spawn :
   Kstate.t -> path:string -> suspended:bool -> parent:Types.pid option -> Types.pid
-(** Raises {!Bad_executable} for a missing or malformed image and
+(** Raises {!Bad_executable} for a missing or malformed image (including
+    one {!Loader.check} rejects for its layout) and
     {!Loader.Unresolved_import} for one the kernel cannot link; both are
     raised before an address space is created. *)

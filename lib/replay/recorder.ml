@@ -35,7 +35,7 @@ let finish (s : session) : Trace.t =
 (* Record a full run: [setup] provisions images/actors/keys, [boot] spawns
    the initial processes, then the system runs to completion.  [plugins]
    lets live monitors (the Cuckoo-style sandbox) watch the recording run. *)
-let record ?max_ticks ?timeslice ?(profile = Faros_obs.Profile.disabled)
+let record ?max_ticks ?(profile = Faros_obs.Profile.disabled)
     ?(plugins : (Faros_os.Kernel.t -> Plugin.t list) option) ~setup ~boot () =
   let kernel = Faros_os.Kernel.create () in
   kernel.profile <- profile;
@@ -47,5 +47,5 @@ let record ?max_ticks ?timeslice ?(profile = Faros_obs.Profile.disabled)
   | None -> ());
   boot kernel;
   Faros_obs.Profile.exit profile;
-  Faros_os.Kernel.run ?max_ticks ?timeslice kernel;
+  Faros_os.Kernel.run ?max_ticks kernel;
   (kernel, finish session)

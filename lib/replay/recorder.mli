@@ -14,7 +14,6 @@ val finish : session -> Trace.t
 
 val record :
   ?max_ticks:int ->
-  ?timeslice:int ->
   ?profile:Faros_obs.Profile.t ->
   ?plugins:(Faros_os.Kernel.t -> Plugin.t list) ->
   setup:(Faros_os.Kernel.t -> unit) ->

@@ -17,8 +17,7 @@ type result = {
 (* [plugins] builds the plugin list against the freshly constructed kernel,
    after images are provisioned but before any process runs — the window in
    which FAROS scans and taints the export tables. *)
-let replay ?max_ticks ?timeslice ?tb_cache ?dift_fast
-    ?(profile = Faros_obs.Profile.disabled)
+let replay ?max_ticks ?(profile = Faros_obs.Profile.disabled)
     ?(plugins : (Faros_os.Kernel.t -> Plugin.t list) option)
     ?(sample : (int * (tick:int -> syscalls:int -> unit)) option) ~setup ~boot
     (trace : Trace.t) =
@@ -26,17 +25,6 @@ let replay ?max_ticks ?timeslice ?tb_cache ?dift_fast
   (* Installed before the plugins so a bare replay gets [kernel.syscall]
      spans too; the FAROS plugin installs the same profiler again. *)
   kernel.profile <- profile;
-  (* Per-replay overrides of the machine's translation-block cache and the
-     DIFT fast path: the differential harness and the bench compare
-     configurations over the same trace without touching the process-wide
-     defaults.  Both must land before the plugins attach — the FAROS
-     plugin reads them at create time. *)
-  (match tb_cache with
-  | Some b -> Faros_vm.Machine.set_tb_enabled kernel.machine b
-  | None -> ());
-  (match dift_fast with
-  | Some b -> Faros_vm.Machine.set_dift_fast kernel.machine b
-  | None -> ());
   (* Everything up to the run loop — image install, plugin construction
      (the FAROS plugin scans and taints export tables here), boot — is one
      [replay.setup] span, so the replay's own span keeps almost no
@@ -68,7 +56,7 @@ let replay ?max_ticks ?timeslice ?tb_cache ?dift_fast
   | Some _ | None -> ());
   boot kernel;
   Faros_obs.Profile.exit profile;
-  Faros_os.Kernel.run ?max_ticks ?timeslice kernel;
+  Faros_os.Kernel.run ?max_ticks kernel;
   (* One forced sample at the end so the series' last row reflects the
      final system state regardless of where the interval landed. *)
   (match sample with

@@ -15,9 +15,6 @@ type result = {
 
 val replay :
   ?max_ticks:int ->
-  ?timeslice:int ->
-  ?tb_cache:bool ->
-  ?dift_fast:bool ->
   ?profile:Faros_obs.Profile.t ->
   ?plugins:(Faros_os.Kernel.t -> Plugin.t list) ->
   ?sample:(int * (tick:int -> syscalls:int -> unit)) ->
@@ -28,15 +25,6 @@ val replay :
 (** [plugins] builds the plugin list against the freshly constructed
     kernel, after images are provisioned but before any process runs — the
     window in which FAROS scans and taints the export tables.
-
-    [tb_cache] forces the machine's translation-block cache on or off for
-    this replay only (default: {!Faros_vm.Machine.tb_default_enabled});
-    replays of the same trace are byte-identical either way.
-
-    [dift_fast] forces the DIFT untainted fast path on or off for this
-    replay only (default: {!Faros_vm.Machine.dift_fast_default_enabled});
-    it only takes effect when the TB cache is on, and never changes
-    analysis results — only how much propagation work is skipped.
 
     [sample] is [(interval, fire)]: [fire] runs every [interval] kernel
     ticks (installed after the plugins, so it observes post-propagation

@@ -9,24 +9,24 @@
    last step executed, so straight-line code costs one validity check per
    instruction; falling off the cursor costs a hashtable lookup; a cold pc
    costs one decode of the whole run.  Any of those failing (or the cache
-   being disabled via FAROS_NO_TBCACHE) falls back to the uncached
-   fetch/decode interpreter, whose effects the cached path reproduces
-   byte-identically. *)
+   being off for this machine, see [tb_default_enabled]) falls back to the
+   uncached fetch/decode interpreter, whose effects the cached path
+   reproduces byte-identically. *)
 
 type t = {
   mem : Phys_mem.t;
   mmu : Mmu.t;
   mutable hooks : (Cpu.t -> Cpu.effect -> unit) array;
   tb : Tb_cache.t;
-  mutable tb_enabled : bool;
-  mutable dift_fast : bool;
+  tb_enabled : bool;
+  dift_fast : bool;
   mutable cur_block : Tb_cache.block option;
   mutable cur_idx : int;
 }
 
-(* Process-wide defaults, so the differential harness and CI can force the
-   uncached interpreter / always-on propagation without plumbing a flag
-   through every layer. *)
+(* The one switch per optimisation: process-wide, read once by [create],
+   so the differential harness and CI can force the uncached interpreter /
+   always-on propagation without plumbing a flag through every layer. *)
 let tb_default_enabled = ref (Sys.getenv_opt "FAROS_NO_TBCACHE" = None)
 let dift_fast_default_enabled = ref (Sys.getenv_opt "FAROS_NO_DIFTFAST" = None)
 
@@ -48,17 +48,9 @@ let create () =
     cur_idx = 0;
   }
 
-let set_tb_enabled t b =
-  t.tb_enabled <- b;
-  if not b then begin
-    t.cur_block <- None;
-    Tb_cache.flush t.tb
-  end
-
 (* The fast path only exists on top of cached blocks, so it is effectively
    [dift_fast && tb_enabled]; consumers (the FAROS plugin) read this at
    attach time. *)
-let set_dift_fast t b = t.dift_fast <- b
 let dift_fast_enabled t = t.dift_fast && t.tb_enabled
 
 let tb_stats t = Tb_cache.stats t.tb
@@ -70,7 +62,6 @@ let retire_asid t asid = Tb_cache.invalidate_asid t.tb asid
    order.  Stored as an array snapshot and iterated by index so dispatch
    allocates nothing per instruction. *)
 let add_exec_hook t f = t.hooks <- Array.append t.hooks [| f |]
-let clear_exec_hooks t = t.hooks <- [||]
 
 let dispatch t cpu eff =
   let hooks = t.hooks in

@@ -157,10 +157,6 @@ let invalidate_asid t asid =
   in
   List.iter (retire_block t) victims
 
-let flush t =
-  let victims = Hashtbl.fold (fun _ b acc -> b :: acc) t.blocks [] in
-  List.iter (retire_block t) victims
-
 (* -- taint summaries ------------------------------------------------------ *)
 
 let reg_bit r = 1 lsl r

@@ -74,8 +74,6 @@ val invalidate_paddr : t -> int -> unit
 val invalidate_asid : t -> int -> unit
 (** Retire every block belonging to this address space. *)
 
-val flush : t -> unit
-
 val record_hit : t -> unit
 val record_miss : t -> unit
 

@@ -1224,8 +1224,9 @@ let soundness_tests =
 (* Like [harness], but executing through the TB cache with the fast path
    interposed between the machine and the engine. *)
 let fast_harness ?(policy = Policy.faros_default) items =
-  let machine = Faros_vm.Machine.create () in
-  Faros_vm.Machine.set_tb_enabled machine true;
+  let machine =
+    Machine_defaults.with_defaults ~tb:true ~fast:true Faros_vm.Machine.create
+  in
   let space = Faros_vm.Mmu.create_space machine.mmu ~name:"guest" in
   Faros_vm.Mmu.map machine.mmu space ~vaddr:0x1000 ~pages:4;
   Faros_vm.Mmu.map machine.mmu space ~vaddr:0x7F000 ~pages:2;

@@ -375,11 +375,7 @@ let scenario_tests =
 (* Analyze with the DIFT fast path forced on or off; fresh interner per
    run so rendered provenance does not depend on run order. *)
 let analyze_fast ~fast scn =
-  let saved = !Faros_vm.Machine.dift_fast_default_enabled in
-  Faros_vm.Machine.dift_fast_default_enabled := fast;
-  Fun.protect
-    ~finally:(fun () -> Faros_vm.Machine.dift_fast_default_enabled := saved)
-    (fun () ->
+  Machine_defaults.with_defaults ~tb:true ~fast (fun () ->
       fresh_store ();
       Faros_corpus.Scenario.analyze scn)
 

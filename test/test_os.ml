@@ -341,6 +341,81 @@ let run_guest ?(name = "t.exe") ?(imports = []) ?(setup = fun _ -> ()) items =
 let events_of_kind name events =
   List.filter (fun ev -> Os_event.name ev = name) events
 
+(* A guest that calls LoadLibrary on [path] (where [dll] is installed)
+   and exits with the result.  Returns the result, the caller's mapped
+   ranges on entry to and exit from the call, and the run's events. *)
+let load_library_run ~path dll =
+  let ranges = ref [] in
+  let k, pid, events =
+    run_guest
+      ~setup:(fun k ->
+        Kernel.install_image k ~path dll;
+        Kernel.subscribe k (function
+          | Os_event.Sys_enter { pid; sysno; _ } | Os_event.Sys_exit { pid; sysno; _ }
+            when sysno = Syscall.ldr_load_library ->
+            ranges := Faros_vm.Mmu.mapped_ranges (Kstate.proc_exn k pid).space :: !ranges
+          | _ -> ()))
+      (List.concat
+         [
+           [
+             Faros_vm.Asm.Label "start";
+             Faros_corpus.Progs.lea_label r1 "name";
+             i (Faros_vm.Isa.Mov_ri (r2, String.length path));
+           ];
+           Faros_corpus.Progs.syscall Syscall.ldr_load_library;
+           [ i (Faros_vm.Isa.Mov_rr (r1, r0)); i Faros_vm.Isa.Halt ];
+           Faros_corpus.Progs.cstring "name" path;
+         ])
+  in
+  match !ranges with
+  | [ after; before ] -> ((Option.get (Kstate.proc k pid)).exit_code, before, after, events)
+  | l -> Alcotest.failf "expected one LoadLibrary call, saw %d events" (List.length l)
+
+(* The same for CreateProcess on [path], counting address spaces instead. *)
+let create_process_run ~path image =
+  let spaces = ref [] in
+  let k, pid, events =
+    run_guest
+      ~setup:(fun k ->
+        Kernel.install_image k ~path image;
+        Kernel.subscribe k (function
+          | Os_event.Sys_enter { sysno; _ } | Os_event.Sys_exit { sysno; _ }
+            when sysno = Syscall.nt_create_process ->
+            spaces := Hashtbl.length k.machine.mmu.spaces :: !spaces
+          | _ -> ()))
+      (List.concat
+         [
+           [
+             Faros_vm.Asm.Label "start";
+             Faros_corpus.Progs.lea_label r1 "path";
+             i (Faros_vm.Isa.Mov_ri (r2, String.length path));
+             i (Faros_vm.Isa.Mov_ri (Faros_vm.Isa.r3, 0));
+             i (Faros_vm.Isa.Mov_ri (Faros_vm.Isa.r4, 0));
+           ];
+           Faros_corpus.Progs.syscall Syscall.nt_create_process;
+           [ i (Faros_vm.Isa.Mov_rr (r1, r0)); i Faros_vm.Isa.Halt ];
+           Faros_corpus.Progs.cstring "path" path;
+         ])
+  in
+  match !spaces with
+  | [ after; before ] -> ((Option.get (Kstate.proc k pid)).exit_code, before, after, events)
+  | l -> Alcotest.failf "expected one CreateProcess call, saw %d events" (List.length l)
+
+(* An image of one data section at [vaddr], which need not be its base. *)
+let one_section_image ~name ~base ~vaddr data : Pe.t =
+  {
+    img_name = name;
+    base;
+    entry = base;
+    sections =
+      [
+        { sec_name = ".data"; sec_vaddr = vaddr; sec_data = data; sec_exec = false;
+          sec_write = true };
+      ];
+    imports = [];
+    exports = [];
+  }
+
 let kernel_tests =
   [
     Alcotest.test_case "spawn + halt emits lifecycle events" `Quick (fun () ->
@@ -624,38 +699,9 @@ let kernel_tests =
           Pe.of_program ~name:"bad.dll" ~base:Process.dll_base ~imports:[ "NoSuchApi" ]
             [ Faros_vm.Asm.Label "bad_fn"; i Faros_vm.Isa.Ret ]
         in
-        (* the caller's mapped ranges on entry to and exit from the call *)
-        let ranges = ref [] in
-        let snapshot k pid =
-          ranges := Faros_vm.Mmu.mapped_ranges (Kstate.proc_exn k pid).space :: !ranges
-        in
-        let k, pid, events =
-          run_guest
-            ~setup:(fun k ->
-              Kernel.install_image k ~path:"bad.dll" dll;
-              Kernel.subscribe k (function
-                | Os_event.Sys_enter { pid; sysno; _ } | Os_event.Sys_exit { pid; sysno; _ }
-                  when sysno = Syscall.ldr_load_library ->
-                  snapshot k pid
-                | _ -> ()))
-            (List.concat
-               [
-                 [
-                   Faros_vm.Asm.Label "start";
-                   Faros_corpus.Progs.lea_label r1 "name";
-                   i (Faros_vm.Isa.Mov_ri (r2, 7));
-                 ];
-                 Faros_corpus.Progs.syscall Syscall.ldr_load_library;
-                 [ i (Faros_vm.Isa.Mov_rr (r1, r0)); i Faros_vm.Isa.Halt ];
-                 Faros_corpus.Progs.cstring "name" "bad.dll";
-               ])
-        in
-        check "LoadLibrary returned -1" (-1 land Faros_vm.Word.mask)
-          (Option.get (Kstate.proc k pid)).exit_code;
-        (match !ranges with
-        | [ after; before ] ->
-          Alcotest.(check (list (pair int int))) "mapped ranges unchanged" before after
-        | l -> Alcotest.failf "expected one LoadLibrary call, saw %d events" (List.length l));
+        let ret, before, after, events = load_library_run ~path:"bad.dll" dll in
+        check "LoadLibrary returned -1" (-1 land Faros_vm.Word.mask) ret;
+        Alcotest.(check (list (pair int int))) "mapped ranges unchanged" before after;
         check "only the caller's own image loaded" 1
           (List.length (events_of_kind "module_loaded" events)));
     Alcotest.test_case "CreateProcess of an image with an unknown import returns -1"
@@ -664,35 +710,58 @@ let kernel_tests =
           Pe.of_program ~name:"bad.exe" ~base:Process.image_base ~imports:[ "NoSuchApi" ]
             [ Faros_vm.Asm.Label "start"; i Faros_vm.Isa.Halt ]
         in
-        let spaces = ref [] in
-        let k, pid, events =
-          run_guest
-            ~setup:(fun k ->
-              Kernel.install_image k ~path:"bad.exe" child;
-              Kernel.subscribe k (function
-                | Os_event.Sys_enter { sysno; _ } | Os_event.Sys_exit { sysno; _ }
-                  when sysno = Syscall.nt_create_process ->
-                  spaces := Hashtbl.length k.machine.mmu.spaces :: !spaces
-                | _ -> ()))
-            (List.concat
-               [
-                 [
-                   Faros_vm.Asm.Label "start";
-                   Faros_corpus.Progs.lea_label r1 "path";
-                   i (Faros_vm.Isa.Mov_ri (r2, 7));
-                   i (Faros_vm.Isa.Mov_ri (Faros_vm.Isa.r3, 0));
-                   i (Faros_vm.Isa.Mov_ri (Faros_vm.Isa.r4, 0));
-                 ];
-                 Faros_corpus.Progs.syscall Syscall.nt_create_process;
-                 [ i (Faros_vm.Isa.Mov_rr (r1, r0)); i Faros_vm.Isa.Halt ];
-                 Faros_corpus.Progs.cstring "path" "bad.exe";
-               ])
+        let ret, before, after, events = create_process_run ~path:"bad.exe" child in
+        check "CreateProcess returned -1" (-1 land Faros_vm.Word.mask) ret;
+        check "no address space created" before after;
+        check "no process created" 1 (List.length (events_of_kind "proc_created" events)));
+    Alcotest.test_case "LoadLibrary maps only the page a far section covers"
+      `Quick (fun () ->
+        let far = Process.dll_base + 0x4000_0000 in
+        let dll =
+          one_section_image ~name:"far.dll" ~base:Process.dll_base ~vaddr:far
+            "\000\000\000\000"
         in
-        check "CreateProcess returned -1" (-1 land Faros_vm.Word.mask)
-          (Option.get (Kstate.proc k pid)).exit_code;
-        (match !spaces with
-        | [ after; before ] -> check "no address space created" before after
-        | l -> Alcotest.failf "expected one CreateProcess call, saw %d events" (List.length l));
+        let ret, before, after, _ = load_library_run ~path:"far.dll" dll in
+        check "LoadLibrary returned the base" Process.dll_base ret;
+        Alcotest.(check (list (pair int int)))
+          "one page mapped" [ (far, Faros_vm.Phys_mem.page_size) ]
+          (List.filter (fun r -> not (List.mem r before)) after));
+    Alcotest.test_case "LoadLibrary of a badly laid-out DLL returns -1"
+      `Quick (fun () ->
+        let page = Faros_vm.Phys_mem.page_size in
+        let below =
+          one_section_image ~name:"low.dll" ~base:Process.dll_base
+            ~vaddr:(Process.dll_base - page) "\000\000\000\000"
+        and past_4g =
+          one_section_image ~name:"high.dll" ~base:0xFFFFF000 ~vaddr:0xFFFFF000
+            (String.make (2 * page) '\000')
+        and stray_slot =
+          {
+            (one_section_image ~name:"slot.dll" ~base:Process.dll_base
+               ~vaddr:Process.dll_base "\000\000\000\000")
+            with
+            imports = [ ("WriteFile", Process.dll_base + (2 * page)) ];
+          }
+        in
+        List.iter
+          (fun (path, dll) ->
+            let ret, before, after, events = load_library_run ~path dll in
+            check (path ^ ": LoadLibrary returned -1") (-1 land Faros_vm.Word.mask) ret;
+            Alcotest.(check (list (pair int int)))
+              (path ^ ": mapped ranges unchanged") before after;
+            check (path ^ ": only the caller's own image loaded") 1
+              (List.length (events_of_kind "module_loaded" events)))
+          [ ("low.dll", below); ("high.dll", past_4g); ("slot.dll", stray_slot) ]);
+    Alcotest.test_case "CreateProcess of an image with a section below its base returns -1"
+      `Quick (fun () ->
+        let child =
+          one_section_image ~name:"low.exe" ~base:Process.image_base
+            ~vaddr:(Process.image_base - Faros_vm.Phys_mem.page_size)
+            "\000\000\000\000"
+        in
+        let ret, before, after, events = create_process_run ~path:"low.exe" child in
+        check "CreateProcess returned -1" (-1 land Faros_vm.Word.mask) ret;
+        check "no address space created" before after;
         check "no process created" 1 (List.length (events_of_kind "proc_created" events)));
   ]
 

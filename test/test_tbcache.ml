@@ -8,10 +8,8 @@ let check = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let i x = Asm.I x
 
-(* Assemble [items] at 0x1000 on a fresh machine and run to halt. *)
-let run_program ?(tb = true) ?(max_steps = 10_000) items =
-  let machine = Machine.create () in
-  Machine.set_tb_enabled machine tb;
+(* Assemble [items] at 0x1000 on [machine] and run to halt. *)
+let run_on (machine : Machine.t) items =
   let space = Mmu.create_space machine.mmu ~name:"t" in
   Mmu.map machine.mmu space ~vaddr:0x1000 ~pages:4;
   Mmu.map machine.mmu space ~vaddr:0x7F000 ~pages:4;
@@ -19,7 +17,7 @@ let run_program ?(tb = true) ?(max_steps = 10_000) items =
   Mmu.write_bytes machine.mmu ~asid:space.asid 0x1000 prog.code;
   let cpu = Cpu.create ~cr3:space.asid ~pc:0x1000 ~sp:(0x7F000 + 0x3FF0) in
   let rec go n =
-    if n >= max_steps then Alcotest.fail "program did not halt"
+    if n >= 10_000 then Alcotest.fail "program did not halt"
     else
       match Machine.step machine cpu with
       | Ok _ when cpu.halted -> ()
@@ -28,6 +26,10 @@ let run_program ?(tb = true) ?(max_steps = 10_000) items =
   in
   go 0;
   (cpu, machine)
+
+(* The same on a fresh machine, with the TB cache on or off. *)
+let run_program ?(tb = true) items =
+  run_on (Machine_defaults.with_defaults ~tb ~fast:true Machine.create) items
 
 (* A guest that patches its own code and re-executes it: the target
    instruction [Mov_ri r0, 1] sits at 0x1006 (origin 0x1000 + the 6-byte
@@ -97,15 +99,7 @@ let analyze_with ~tb ~fast id =
     | Some s -> s
     | None -> Alcotest.failf "unknown sample %s" id
   in
-  let saved_tb = !Machine.tb_default_enabled in
-  let saved_fast = !Machine.dift_fast_default_enabled in
-  Machine.tb_default_enabled := tb;
-  Machine.dift_fast_default_enabled := fast;
-  Fun.protect
-    ~finally:(fun () ->
-      Machine.tb_default_enabled := saved_tb;
-      Machine.dift_fast_default_enabled := saved_fast)
-    (fun () ->
+  Machine_defaults.with_defaults ~tb ~fast (fun () ->
       let store = Faros_dift.Prov_intern.create_store () in
       Faros_dift.Prov_intern.set_store store;
       let outcome = Faros_corpus.Scenario.analyze sample.scenario in
@@ -214,13 +208,14 @@ let fastpath_tests =
         let _k, trace = Faros_corpus.Scenario.record scn in
         let metrics = Faros_obs.Metrics.create () in
         let faros = ref None in
-        ignore
-          (Faros_corpus.Scenario.replay_with scn ~tb_cache:true ~dift_fast:true
-             ~plugins:(fun kernel ->
-               let f = Core.Faros_plugin.create ~metrics kernel in
-               faros := Some f;
-               [ Core.Faros_plugin.plugin f ])
-             trace);
+        Machine_defaults.with_defaults ~tb:true ~fast:true (fun () ->
+            ignore
+              (Faros_corpus.Scenario.replay_with scn
+                 ~plugins:(fun kernel ->
+                   let f = Core.Faros_plugin.create ~metrics kernel in
+                   faros := Some f;
+                   [ Core.Faros_plugin.plugin f ])
+                 trace));
         (match !faros with Some f -> Core.Faros_plugin.finalize f | None -> ());
         let g name =
           Faros_obs.Metrics.gauge_value (Faros_obs.Metrics.gauge metrics name)
@@ -270,14 +265,33 @@ let stats_tests =
         let hits, misses = Machine.tlb_stats machine in
         check "one miss fills the slot" 1 misses;
         check "the rest hit" 9 hits);
-    Alcotest.test_case "disabling the cache flushes it" `Quick (fun () ->
-        let _, machine =
-          run_program [ i (Isa.Mov_ri (Isa.r0, 7)); i Isa.Halt ]
-        in
-        check_bool "blocks cached" true
-          ((Machine.tb_stats machine).Tb_cache.st_blocks >= 1);
-        Machine.set_tb_enabled machine false;
-        check "flushed" 0 (Machine.tb_stats machine).Tb_cache.st_blocks);
+    Alcotest.test_case "Machine.create captures the defaults" `Quick
+      (fun () ->
+        Machine_defaults.with_defaults ~tb:true ~fast:true (fun () ->
+            let uncached =
+              Machine_defaults.with_defaults ~tb:false ~fast:true Machine.create
+            and unfast =
+              Machine_defaults.with_defaults ~tb:true ~fast:false Machine.create
+            in
+            (* both defaults read true again: each machine keeps its own *)
+            let loop =
+              [
+                i (Isa.Mov_ri (Isa.r0, 10));
+                Asm.Label "loop";
+                i (Isa.Sub_ri (Isa.r0, 1));
+                i (Isa.Cmp_ri (Isa.r0, 0));
+                Asm.Jnz_l "loop";
+                i Isa.Halt;
+              ]
+            in
+            let _, uncached = run_on uncached loop in
+            let st = Machine.tb_stats uncached in
+            check "no blocks" 0 st.Tb_cache.st_blocks;
+            check "no TB hits" 0 st.Tb_cache.st_hits;
+            check_bool "no fast path without the cache" false
+              (Machine.dift_fast_enabled uncached);
+            check_bool "fast path stays off" false
+              (Machine.dift_fast_enabled unfast)));
   ]
 
 let () =
