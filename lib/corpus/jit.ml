@@ -38,7 +38,7 @@ let gen_loop ~label ~src_ptr_setup =
       ];
       (* emit: opcode, reg, imm byte, three zero bytes *)
       [
-        Progs.movi Isa.r3 Encode.op_mov_ri;
+        Progs.movi Isa.r3 (Encode.opcode (Isa.Mov_ri (Isa.r1, 0)));
         Progs.i (Isa.Store (1, Isa.based Isa.r6, Isa.r3));
         Progs.movi Isa.r3 1;
         Progs.i (Isa.Store (1, Isa.based ~disp:1 Isa.r6, Isa.r3));
@@ -54,7 +54,7 @@ let gen_loop ~label ~src_ptr_setup =
       [ Progs.lbl (label ^ "_done") ];
       (* terminate the generated code with a ret *)
       [
-        Progs.movi Isa.r3 Encode.op_ret;
+        Progs.movi Isa.r3 (Encode.opcode Isa.Ret);
         Progs.i (Isa.Store (1, Isa.based Isa.r6, Isa.r3));
       ];
     ]

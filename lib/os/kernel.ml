@@ -21,50 +21,69 @@ let spawn (k : t) ?(suspended = false) ?parent path =
 let args_of (cpu : Faros_vm.Cpu.t) =
   [| cpu.regs.(1); cpu.regs.(2); cpu.regs.(3); cpu.regs.(4); cpu.regs.(5) |]
 
-let handler sysno : (Kstate.t -> Process.t -> int array -> int) option =
+type handler = Kstate.t -> Process.t -> int array -> int
+
+(* The syscall ABI: each served number, the name its events carry, and
+   its handler.  Guest programs name the numbers through [Syscall]. *)
+let syscalls : (int * string * handler) list =
   let open Syscall in
-  if sysno = nt_terminate_process then Some Sys_proc.terminate
-  else if sysno = nt_create_process then Some Sys_proc.create_process
-  else if sysno = nt_suspend_process then Some Sys_proc.suspend
-  else if sysno = nt_resume_process then Some Sys_proc.resume
-  else if sysno = nt_allocate_virtual_memory then Some Sys_mem.allocate
-  else if sysno = nt_write_virtual_memory then Some Sys_mem.write_virtual_memory
-  else if sysno = nt_read_virtual_memory then Some Sys_mem.read_virtual_memory
-  else if sysno = nt_unmap_view_of_section then Some Sys_mem.unmap_view
-  else if sysno = nt_get_context_thread then Some Sys_proc.get_context
-  else if sysno = nt_set_context_thread then Some Sys_proc.set_context
-  else if sysno = nt_query_information_process then Some Sys_proc.query_information
-  else if sysno = nt_get_current_pid then Some Sys_proc.get_current_pid
-  else if sysno = nt_delay_execution then Some Sys_proc.delay
-  else if sysno = nt_get_tick_count then Some Sys_proc.get_tick_count
-  else if sysno = nt_yield_execution then Some Sys_proc.yield
-  else if sysno = nt_create_file then Some Sys_file.create_file
-  else if sysno = nt_open_file then Some Sys_file.open_file
-  else if sysno = nt_read_file then Some Sys_file.read_file
-  else if sysno = nt_write_file then Some Sys_file.write_file
-  else if sysno = nt_close then Some Sys_file.close
-  else if sysno = nt_delete_file then Some Sys_file.delete_file
-  else if sysno = nt_query_file_size then Some Sys_file.query_size
-  else if sysno = nt_set_file_position then Some Sys_file.set_position
-  else if sysno = nt_query_directory_file then Some Sys_file.query_directory
-  else if sysno = nt_flush_buffers_file then Some Sys_file.flush_buffers
-  else if sysno = nt_query_attributes_file then Some Sys_file.query_attributes
-  else if sysno = sys_socket then Some Sys_net.socket
-  else if sysno = sys_connect then Some Sys_net.connect
-  else if sysno = sys_send then Some Sys_net.send
-  else if sysno = sys_recv then Some Sys_net.recv
-  else if sysno = sys_bind then Some Sys_net.bind
-  else if sysno = sys_listen then Some Sys_net.listen
-  else if sysno = sys_accept then Some Sys_net.accept
-  else if sysno = sys_poll then Some Sys_net.poll
-  else if sysno = ldr_load_library then Some Sys_misc.load_library
-  else if sysno = ldr_get_proc_address then Some Sys_misc.get_proc_address
-  else if sysno = dev_key_read then Some Sys_misc.key_read
-  else if sysno = dev_audio_record then Some Sys_misc.audio_record
-  else if sysno = dev_screenshot then Some Sys_misc.screenshot
-  else if sysno = dev_popup then Some Sys_misc.popup
-  else if sysno = dbg_print then Some Sys_misc.debug_print
-  else None
+  [
+    (nt_terminate_process, "NtTerminateProcess", Sys_proc.terminate);
+    (nt_create_process, "NtCreateProcess", Sys_proc.create_process);
+    (nt_suspend_process, "NtSuspendProcess", Sys_proc.suspend);
+    (nt_resume_process, "NtResumeProcess", Sys_proc.resume);
+    (nt_allocate_virtual_memory, "NtAllocateVirtualMemory", Sys_mem.allocate);
+    (nt_write_virtual_memory, "NtWriteVirtualMemory", Sys_mem.write_virtual_memory);
+    (nt_read_virtual_memory, "NtReadVirtualMemory", Sys_mem.read_virtual_memory);
+    (nt_unmap_view_of_section, "NtUnmapViewOfSection", Sys_mem.unmap_view);
+    (nt_get_context_thread, "NtGetContextThread", Sys_proc.get_context);
+    (nt_set_context_thread, "NtSetContextThread", Sys_proc.set_context);
+    (nt_query_information_process, "NtQueryInformationProcess", Sys_proc.query_information);
+    (nt_get_current_pid, "NtGetCurrentPid", Sys_proc.get_current_pid);
+    (nt_delay_execution, "NtDelayExecution", Sys_proc.delay);
+    (nt_get_tick_count, "NtGetTickCount", Sys_proc.get_tick_count);
+    (nt_yield_execution, "NtYieldExecution", Sys_proc.yield);
+    (nt_create_file, "NtCreateFile", Sys_file.create_file);
+    (nt_open_file, "NtOpenFile", Sys_file.open_file);
+    (nt_read_file, "NtReadFile", Sys_file.read_file);
+    (nt_write_file, "NtWriteFile", Sys_file.write_file);
+    (nt_close, "NtClose", Sys_file.close);
+    (nt_delete_file, "NtDeleteFile", Sys_file.delete_file);
+    (nt_query_file_size, "NtQueryFileSize", Sys_file.query_size);
+    (nt_set_file_position, "NtSetFilePosition", Sys_file.set_position);
+    (nt_query_directory_file, "NtQueryDirectoryFile", Sys_file.query_directory);
+    (nt_flush_buffers_file, "NtFlushBuffersFile", Sys_file.flush_buffers);
+    (nt_query_attributes_file, "NtQueryAttributesFile", Sys_file.query_attributes);
+    (sys_socket, "socket", Sys_net.socket);
+    (sys_connect, "connect", Sys_net.connect);
+    (sys_send, "send", Sys_net.send);
+    (sys_recv, "recv", Sys_net.recv);
+    (sys_bind, "bind", Sys_net.bind);
+    (sys_listen, "listen", Sys_net.listen);
+    (sys_accept, "accept", Sys_net.accept);
+    (sys_poll, "poll", Sys_net.poll);
+    (ldr_load_library, "LdrLoadLibrary", Sys_misc.load_library);
+    (ldr_get_proc_address, "LdrGetProcAddress", Sys_misc.get_proc_address);
+    (dev_key_read, "DevKeyRead", Sys_misc.key_read);
+    (dev_audio_record, "DevAudioRecord", Sys_misc.audio_record);
+    (dev_screenshot, "DevScreenshot", Sys_misc.screenshot);
+    (dev_popup, "DevPopup", Sys_misc.popup);
+    (dbg_print, "DbgPrint", Sys_misc.debug_print);
+  ]
+
+(* [syscalls] indexed by number. *)
+let by_number =
+  let top = List.fold_left (fun m (n, _, _) -> max m n) 0 syscalls in
+  let table = Array.make (top + 1) None in
+  List.iter (fun (n, name, handler) -> table.(n) <- Some (name, handler)) syscalls;
+  table
+
+(* r0 can hold any 32-bit value, hence the bounds check. *)
+let lookup sysno =
+  if sysno >= 0 && sysno < Array.length by_number then by_number.(sysno) else None
+
+let syscall_name sysno =
+  match lookup sysno with Some (name, _) -> name | None -> Printf.sprintf "sys_%#x" sysno
 
 (* The [kernel.syscall] span covers Sys_enter/Sys_exit fan-out too, so
    everything OS-event subscribers do (DIFT tag insertion, graph
@@ -76,16 +95,14 @@ let dispatch (k : t) (p : Process.t) (eff : Faros_vm.Cpu.effect) =
   let sysno = cpu.regs.(0) in
   let args = args_of cpu in
   let via_stub = Export_table.in_kernel eff.e_pc in
-  Kstate.emit k
-    (Os_event.Sys_enter
-       { pid = p.pid; sysno; sysname = Syscall.name sysno; args; via_stub });
+  let sysname = syscall_name sysno in
+  Kstate.emit k (Os_event.Sys_enter { pid = p.pid; sysno; sysname; args; via_stub });
   if Faros_obs.Sink.enabled k.sink then
-    Faros_obs.Sink.trace_event k.sink ~cat:"syscall"
-      ~name:(Syscall.name sysno) ~pid:p.pid
+    Faros_obs.Sink.trace_event k.sink ~cat:"syscall" ~name:sysname ~pid:p.pid
       [ ("class", Str (Syscall.category sysno)); ("via_stub", Bool via_stub) ];
   let ret =
-    match handler sysno with
-    | Some f -> ( try f k p args with Faros_vm.Mmu.Page_fault _ -> -1 land Faros_vm.Word.mask)
+    match lookup sysno with
+    | Some (_, f) -> ( try f k p args with Faros_vm.Mmu.Page_fault _ -> -1 land Faros_vm.Word.mask)
     | None -> -1 land Faros_vm.Word.mask
   in
   Faros_vm.Cpu.set cpu Faros_vm.Isa.r0 ret;

@@ -21,6 +21,11 @@ val spawn : t -> ?suspended:bool -> ?parent:Types.pid -> string -> Types.pid
 (** Load an image file and create its process.  Raises
     {!Spawn.Bad_executable} for missing or malformed images. *)
 
+val syscall_name : int -> string
+(** The name a syscall number's events carry: its entry in the kernel's
+    syscall table, or [sys_0x..] for a number the kernel does not serve
+    (such a call returns -1). *)
+
 val run : ?max_ticks:int -> ?timeslice:int -> t -> unit
 (** Run the whole system round-robin until every process has terminated (or
     is stuck suspended), or [max_ticks] instructions have executed. *)

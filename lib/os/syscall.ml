@@ -1,4 +1,5 @@
-(* Syscall numbers and names.
+(* Syscall numbers.  The kernel's syscall table (kernel.ml) gives each
+   served number its name and handler.
 
    ABI: the number goes in r0, arguments in r1..r5, the result comes back in
    r0.  Guest code can either call a kernel-exported API stub (which a
@@ -56,51 +57,6 @@ let dev_audio_record = 0x41
 let dev_screenshot = 0x42
 let dev_popup = 0x43
 let dbg_print = 0x44
-
-let name sysno =
-  match sysno with
-  | 0x01 -> "NtTerminateProcess"
-  | 0x02 -> "NtCreateProcess"
-  | 0x03 -> "NtSuspendProcess"
-  | 0x04 -> "NtResumeProcess"
-  | 0x05 -> "NtAllocateVirtualMemory"
-  | 0x06 -> "NtWriteVirtualMemory"
-  | 0x07 -> "NtReadVirtualMemory"
-  | 0x08 -> "NtUnmapViewOfSection"
-  | 0x09 -> "NtGetContextThread"
-  | 0x0A -> "NtSetContextThread"
-  | 0x0B -> "NtQueryInformationProcess"
-  | 0x0C -> "NtGetCurrentPid"
-  | 0x0D -> "NtDelayExecution"
-  | 0x0E -> "NtGetTickCount"
-  | 0x0F -> "NtYieldExecution"
-  | 0x10 -> "NtCreateFile"
-  | 0x11 -> "NtOpenFile"
-  | 0x12 -> "NtReadFile"
-  | 0x13 -> "NtWriteFile"
-  | 0x14 -> "NtClose"
-  | 0x15 -> "NtDeleteFile"
-  | 0x16 -> "NtQueryFileSize"
-  | 0x17 -> "NtSetFilePosition"
-  | 0x18 -> "NtQueryDirectoryFile"
-  | 0x19 -> "NtFlushBuffersFile"
-  | 0x1A -> "NtQueryAttributesFile"
-  | 0x20 -> "socket"
-  | 0x21 -> "connect"
-  | 0x22 -> "send"
-  | 0x23 -> "recv"
-  | 0x24 -> "bind"
-  | 0x25 -> "listen"
-  | 0x26 -> "accept"
-  | 0x27 -> "poll"
-  | 0x30 -> "LdrLoadLibrary"
-  | 0x31 -> "LdrGetProcAddress"
-  | 0x40 -> "DevKeyRead"
-  | 0x41 -> "DevAudioRecord"
-  | 0x42 -> "DevScreenshot"
-  | 0x43 -> "DevPopup"
-  | 0x44 -> "DbgPrint"
-  | n -> Printf.sprintf "sys_%#x" n
 
 (* Coarse family of a syscall number, keyed off the numbering blocks above.
    Used as the [class] argument of syscall-dispatch trace events. *)

@@ -1,4 +1,5 @@
-(** Syscall numbers and names.
+(** Syscall numbers.  The kernel's syscall table ({!Kernel.syscall_name})
+    gives each served number its name and handler.
 
     ABI: the number goes in r0, arguments in r1..r5, the result comes back
     in r0.  Guest code can either call a kernel-exported API stub (which a
@@ -75,8 +76,6 @@ val dev_audio_record : int
 val dev_screenshot : int
 val dev_popup : int
 val dbg_print : int
-
-val name : int -> string
 
 val category : int -> string
 (** Coarse family of a syscall number — ["process"], ["file"], ["net"],

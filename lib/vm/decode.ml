@@ -1,155 +1,12 @@
-(* Instruction decoder: the inverse of {!Encode}.
+(* Instruction decoder: the inverse of {!Encode}, which states the format.
 
    Decoding reads from an abstract byte source so that both the CPU (which
    fetches through the MMU) and the disassembler (which reads flat buffers)
    can share it. *)
 
-exception Invalid_opcode of int
+exception Invalid_opcode = Encode.Invalid_opcode
 
-type cursor = { fetch : int -> int; mutable pos : int }
-(* [fetch off] returns the byte at offset [off]; [pos] advances as we read. *)
-
-let make_cursor fetch = { fetch; pos = 0 }
-
-let u8 c =
-  let v = c.fetch c.pos in
-  c.pos <- c.pos + 1;
-  v
-
-let u32 c =
-  let b0 = u8 c in
-  let b1 = u8 c in
-  let b2 = u8 c in
-  let b3 = u8 c in
-  b0 lor (b1 lsl 8) lor (b2 lsl 16) lor (b3 lsl 24)
-
-let reg c =
-  let r = u8 c in
-  if r >= Isa.num_regs then raise (Invalid_opcode r);
-  r
-
-let addr c : Isa.addr =
-  let mode = u8 c in
-  let base_b = u8 c in
-  let index_b = u8 c in
-  let disp = u32 c in
-  let scale = 1 lsl ((mode lsr 2) land 0x3) in
-  {
-    base = (if mode land 1 <> 0 then Some base_b else None);
-    index = (if mode land 2 <> 0 then Some index_b else None);
-    scale;
-    disp;
-  }
-
-(* Decode one instruction from [fetch]; returns the instruction and its
-   encoded length. *)
-let decode fetch : Isa.t * int =
-  let c = make_cursor fetch in
-  let opcode = u8 c in
-  let i : Isa.t =
-    let open Encode in
-    if opcode = op_nop then Isa.Nop
-    else if opcode = op_halt then Halt
-    else if opcode = op_mov_ri then
-      let r = reg c in
-      Mov_ri (r, u32 c)
-    else if opcode = op_mov_rr then
-      let a = reg c in
-      Mov_rr (a, reg c)
-    else if opcode = op_load1 then
-      let r = reg c in
-      Load (1, r, addr c)
-    else if opcode = op_load2 then
-      let r = reg c in
-      Load (2, r, addr c)
-    else if opcode = op_load4 then
-      let r = reg c in
-      Load (4, r, addr c)
-    else if opcode = op_store1 then
-      let a = addr c in
-      Store (1, a, reg c)
-    else if opcode = op_store2 then
-      let a = addr c in
-      Store (2, a, reg c)
-    else if opcode = op_store4 then
-      let a = addr c in
-      Store (4, a, reg c)
-    else if opcode = op_lea then
-      let r = reg c in
-      Lea (r, addr c)
-    else if opcode = op_push then Push (reg c)
-    else if opcode = op_pop then Pop (reg c)
-    else if opcode = op_add_rr then
-      let a = reg c in
-      Add_rr (a, reg c)
-    else if opcode = op_add_ri then
-      let r = reg c in
-      Add_ri (r, u32 c)
-    else if opcode = op_sub_rr then
-      let a = reg c in
-      Sub_rr (a, reg c)
-    else if opcode = op_sub_ri then
-      let r = reg c in
-      Sub_ri (r, u32 c)
-    else if opcode = op_mul_rr then
-      let a = reg c in
-      Mul_rr (a, reg c)
-    else if opcode = op_and_rr then
-      let a = reg c in
-      And_rr (a, reg c)
-    else if opcode = op_and_ri then
-      let r = reg c in
-      And_ri (r, u32 c)
-    else if opcode = op_or_rr then
-      let a = reg c in
-      Or_rr (a, reg c)
-    else if opcode = op_or_ri then
-      let r = reg c in
-      Or_ri (r, u32 c)
-    else if opcode = op_xor_rr then
-      let a = reg c in
-      Xor_rr (a, reg c)
-    else if opcode = op_xor_ri then
-      let r = reg c in
-      Xor_ri (r, u32 c)
-    else if opcode = op_shl_ri then
-      let r = reg c in
-      Shl_ri (r, u32 c)
-    else if opcode = op_shr_ri then
-      let r = reg c in
-      Shr_ri (r, u32 c)
-    else if opcode = op_not_r then Not_r (reg c)
-    else if opcode = op_shl_rr then
-      let a = reg c in
-      Shl_rr (a, reg c)
-    else if opcode = op_shr_rr then
-      let a = reg c in
-      Shr_rr (a, reg c)
-    else if opcode = op_cmp_rr then
-      let a = reg c in
-      Cmp_rr (a, reg c)
-    else if opcode = op_cmp_ri then
-      let r = reg c in
-      Cmp_ri (r, u32 c)
-    else if opcode = op_test_rr then
-      let a = reg c in
-      Test_rr (a, reg c)
-    else if opcode = op_jmp then Jmp (u32 c)
-    else if opcode = op_jz then Jz (u32 c)
-    else if opcode = op_jnz then Jnz (u32 c)
-    else if opcode = op_jl then Jl (u32 c)
-    else if opcode = op_jge then Jge (u32 c)
-    else if opcode = op_jg then Jg (u32 c)
-    else if opcode = op_jle then Jle (u32 c)
-    else if opcode = op_call then Call (u32 c)
-    else if opcode = op_call_r then Call_r (reg c)
-    else if opcode = op_jmp_r then Jmp_r (reg c)
-    else if opcode = op_ret then Ret
-    else if opcode = op_syscall then Syscall
-    else if opcode = op_int3 then Int3
-    else raise (Invalid_opcode opcode)
-  in
-  (i, c.pos)
+let decode = Encode.read
 
 let of_bytes b off =
   decode (fun i ->

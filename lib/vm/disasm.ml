@@ -15,53 +15,25 @@ let pp_addr ppf (a : Isa.addr) =
   else if a.disp = 0 then Fmt.pf ppf "[%s]" base
   else Fmt.pf ppf "[%s+0x%x]" base a.disp
 
-let pp ppf (i : Isa.t) =
-  let r = Isa.reg_name in
-  let rr m a b = Fmt.pf ppf "%s %s, %s" m (r a) (r b) in
-  let ri m a v = Fmt.pf ppf "%s %s, 0x%x" m (r a) v in
-  let jump m t = Fmt.pf ppf "%s 0x%x" m t in
-  match i with
-  | Nop -> Fmt.string ppf "nop"
-  | Halt -> Fmt.string ppf "halt"
-  | Mov_ri (a, v) -> ri "mov" a v
-  | Mov_rr (a, b) -> rr "mov" a b
-  | Load (w, d, a) -> Fmt.pf ppf "load%d %s, %a" w (r d) pp_addr a
-  | Store (w, a, s) -> Fmt.pf ppf "store%d %a, %s" w pp_addr a (r s)
-  | Lea (d, a) -> Fmt.pf ppf "lea %s, %a" (r d) pp_addr a
-  | Push a -> Fmt.pf ppf "push %s" (r a)
-  | Pop a -> Fmt.pf ppf "pop %s" (r a)
-  | Add_rr (a, b) -> rr "add" a b
-  | Add_ri (a, v) -> ri "add" a v
-  | Sub_rr (a, b) -> rr "sub" a b
-  | Sub_ri (a, v) -> ri "sub" a v
-  | Mul_rr (a, b) -> rr "mul" a b
-  | And_rr (a, b) -> rr "and" a b
-  | And_ri (a, v) -> ri "and" a v
-  | Or_rr (a, b) -> rr "or" a b
-  | Or_ri (a, v) -> ri "or" a v
-  | Xor_rr (a, b) -> rr "xor" a b
-  | Xor_ri (a, v) -> ri "xor" a v
-  | Shl_ri (a, v) -> ri "shl" a v
-  | Shr_ri (a, v) -> ri "shr" a v
-  | Shl_rr (a, b) -> rr "shl" a b
-  | Shr_rr (a, b) -> rr "shr" a b
-  | Not_r a -> Fmt.pf ppf "not %s" (r a)
-  | Cmp_rr (a, b) -> rr "cmp" a b
-  | Cmp_ri (a, v) -> ri "cmp" a v
-  | Test_rr (a, b) -> rr "test" a b
-  | Jmp t -> jump "jmp" t
-  | Jz t -> jump "jz" t
-  | Jnz t -> jump "jnz" t
-  | Jl t -> jump "jl" t
-  | Jge t -> jump "jge" t
-  | Jg t -> jump "jg" t
-  | Jle t -> jump "jle" t
-  | Call t -> jump "call" t
-  | Call_r a -> Fmt.pf ppf "call %s" (r a)
-  | Jmp_r a -> Fmt.pf ppf "jmp %s" (r a)
-  | Ret -> Fmt.string ppf "ret"
-  | Syscall -> Fmt.string ppf "syscall"
-  | Int3 -> Fmt.string ppf "int3"
+(* The mnemonic, then each operand in encoding order; the accumulator is
+   the separator the next operand is printed after. *)
+let pp ppf i =
+  let operand pp_x sep x =
+    Fmt.pf ppf "%s%a" sep pp_x x;
+    ", "
+  in
+  ignore
+    (Encode.fold
+       {
+         opcode =
+           (fun _ _ mnemonic ->
+             Fmt.string ppf mnemonic;
+             " ");
+         reg = operand (fun ppf r -> Fmt.string ppf (Isa.reg_name r));
+         imm = operand (fun ppf v -> Fmt.pf ppf "0x%x" v);
+         addr = operand pp_addr;
+       }
+       "" i)
 
 let to_string i = Fmt.str "%a" pp i
 

@@ -1,4 +1,4 @@
-(** Binary encoding of instructions.
+(** Binary encoding of instructions, and its inverse.
 
     Instructions must live as bytes in guest memory: FAROS's flagging rule
     inspects the provenance of the {e code bytes} of the executing
@@ -8,56 +8,32 @@
     Layout: one opcode byte, then operands in order.  Registers are one
     byte; immediates and branch targets are 4-byte little-endian words;
     effective addresses are a mode byte, base byte, index byte and a 4-byte
-    displacement. *)
+    displacement.
 
-(** Opcode values — exposed so guest JIT compilers in the corpus can emit
-    code at runtime. *)
+    The format is stated once: {!fold} walks an instruction's opcode byte,
+    mnemonic and operands in encoding order, and {!read} is its inverse.
+    Every register byte is range-checked by both. *)
 
-val op_nop : int
-val op_halt : int
-val op_mov_ri : int
-val op_mov_rr : int
-val op_load1 : int
-val op_load2 : int
-val op_load4 : int
-val op_store1 : int
-val op_store2 : int
-val op_store4 : int
-val op_lea : int
-val op_push : int
-val op_pop : int
-val op_add_rr : int
-val op_add_ri : int
-val op_sub_rr : int
-val op_sub_ri : int
-val op_mul_rr : int
-val op_and_rr : int
-val op_and_ri : int
-val op_or_rr : int
-val op_or_ri : int
-val op_xor_rr : int
-val op_xor_ri : int
-val op_shl_ri : int
-val op_shr_ri : int
-val op_not_r : int
-val op_shl_rr : int
-val op_shr_rr : int
-val op_cmp_rr : int
-val op_cmp_ri : int
-val op_test_rr : int
-val op_jmp : int
-val op_jz : int
-val op_jnz : int
-val op_jl : int
-val op_jge : int
-val op_jg : int
-val op_jle : int
-val op_call : int
-val op_call_r : int
-val op_jmp_r : int
-val op_ret : int
-val op_syscall : int
-val op_int3 : int
+exception Invalid_opcode of int
+(** An undefined opcode byte, or a register byte naming no register; the
+    payload is the offending byte. *)
+
+type 'a folder = {
+  opcode : 'a -> int -> string -> 'a;  (** opcode byte and mnemonic *)
+  reg : 'a -> Isa.reg -> 'a;
+  imm : 'a -> int -> 'a;  (** a 4-byte immediate or branch target *)
+  addr : 'a -> Isa.addr -> 'a;
+}
+
+val fold : 'a folder -> 'a -> Isa.t -> 'a
+(** [fold f acc i] calls [f.opcode] once, then one callback per operand
+    in encoding order.  Raises [Invalid_argument] on a load or store width
+    other than 1, 2 or 4. *)
+
+val read : (int -> int) -> Isa.t * int
+(** [read fetch] decodes one instruction, where [fetch off] returns the
+    byte at offset [off]; returns the instruction and its encoded length.
+    Raises {!Invalid_opcode} and lets [fetch]'s exceptions propagate. *)
 
 val put_u32 : Buffer.t -> int -> unit
 (** Append a 4-byte little-endian word (also used by the assembler's data
@@ -71,3 +47,7 @@ val to_bytes : Isa.t -> Bytes.t
 
 val length : Isa.t -> int
 (** Encoded length without emitting — the assembler's first pass. *)
+
+val opcode : Isa.t -> int
+(** The opcode byte — what guest JIT compilers in the corpus store to emit
+    code at runtime. *)
