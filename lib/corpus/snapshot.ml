@@ -69,7 +69,6 @@ let lookup (tbl : (string, 'a) Hashtbl.t) key (build : unit -> 'a) =
 let image key build = lookup images key build
 let blob key build = lookup blobs key build
 let freeze () = Atomic.set frozen true
-let is_frozen () = Atomic.get frozen
 
 let stats () =
   {

@@ -35,8 +35,6 @@ val freeze : unit -> unit
 (** Flip the cache read-only.  Idempotent; call before spawning
     domains. *)
 
-val is_frozen : unit -> bool
-
 val stats : unit -> stats
 
 val reset_for_tests : unit -> unit

@@ -208,10 +208,3 @@ let forward g (start : Graph.node) =
 
 let render_chain chain =
   String.concat " -> " (List.map Graph.node_label chain)
-
-let pp ppf t =
-  Fmt.pf ppf "%s <- %d node(s), %d origin(s)@."
-    (Graph.node_label t.sl_flag)
-    (List.length t.sl_nodes)
-    (List.length t.sl_origins);
-  List.iter (fun chain -> Fmt.pf ppf "  %s@." (render_chain chain)) t.sl_chains

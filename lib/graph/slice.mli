@@ -35,6 +35,3 @@ val forward : Graph.t -> Graph.node -> Graph.node list
 
 val render_chain : Graph.node list -> string
 (** Node labels joined with [" -> "], Table II style. *)
-
-val pp : Format.formatter -> t -> unit
-(** Human rendering: the flag line plus one indented chain per origin. *)

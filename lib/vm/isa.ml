@@ -93,9 +93,3 @@ let is_branch = function
   | Shl_rr _ | Shr_rr _ | Not_r _ | Cmp_rr _ | Cmp_ri _ | Test_rr _ | Syscall
   | Int3 ->
     false
-
-(* Conditional branches whose outcome depends on the flags: the control-
-   dependency policy (Fig. 2) keys on these. *)
-let is_conditional = function
-  | Jz _ | Jnz _ | Jl _ | Jge _ | Jg _ | Jle _ -> true
-  | _ -> false

@@ -84,7 +84,3 @@ type t =
   | Int3
 
 val is_branch : t -> bool
-
-val is_conditional : t -> bool
-(** Branches whose outcome depends on the flags: the control-dependency
-    policy (Fig. 2) keys on these. *)

@@ -16,8 +16,8 @@
    - self-modifying-code tracking for the translation-block cache: frames
      holding cached code are marked, [write_u8] and [write_bytes] report
      stores into them,
-     and every mapping change (map / map_frames / unmap / destroy_space)
-     reports the affected address space.  The TB cache subscribes to both
+     and every mapping change (map / map_frames / unmap) reports the
+     affected address space.  The TB cache subscribes to both
      via {!set_smc_hooks}. *)
 
 type space = {
@@ -102,10 +102,6 @@ let create_space t ~name =
   let s = { asid; space_name = name; table = Hashtbl.create 64 } in
   Hashtbl.replace t.spaces asid s;
   s
-
-let destroy_space t space =
-  Hashtbl.remove t.spaces space.asid;
-  mapping_changed t space.asid
 
 let find_space t asid =
   match Hashtbl.find_opt t.spaces asid with

@@ -40,7 +40,6 @@ val page_shift : int
 
 val create : Phys_mem.t -> t
 val create_space : t -> name:string -> space
-val destroy_space : t -> space -> unit
 val find_space : t -> int -> space
 
 val space_name : t -> int -> string
@@ -51,8 +50,7 @@ val set_smc_hooks :
 (** Subscribe the TB cache: [on_code_write paddr] fires on every store into
     a frame marked by {!mark_code_page} (a host copy reports the first
     byte of each page chunk it writes there); [on_mapping_change asid]
-    fires on every map / map_frames / unmap / destroy_space of that
-    space. *)
+    fires on every map / map_frames / unmap of that space. *)
 
 val mark_code_page : t -> int -> unit
 (** Mark a frame as holding cached code so stores into it are reported. *)
