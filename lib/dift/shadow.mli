@@ -1,9 +1,10 @@
 (** Shadow state: provenance for guest memory, registers and flags.
 
     Shadow memory is keyed by {e physical} address and is byte granular.
-    It is a two-level page table — a directory from page number to 4 KiB
-    pages of interned provenance ids ({!Prov_intern}), id 0 meaning empty —
-    so reads and writes are int-array accesses and {!tainted_bytes} is a
+    It is a two-level page table — a directory indexed by page number
+    (a {!Faros_vm.Phys_mem} frame number, dense from 0) of 4 KiB pages of
+    interned provenance ids ({!Prov_intern}), id 0 meaning empty — so
+    reads and writes are int-array accesses and {!tainted_bytes} is a
     counter read.  Shadow registers are per address space (one guest CPU
     per process) at whole-register granularity — a documented
     simplification over the paper's byte-granular memory.  Shadow flags
@@ -50,11 +51,11 @@ val tainted_bytes : t -> int
 val tainted_regs : t -> int
 
 val pages : t -> int
-(** Number of shadow pages materialized so far. *)
+(** Number of shadow pages materialized since creation or {!clear}. *)
 
 val page_tainted_bytes : t -> int -> int
 (** [page_tainted_bytes t paddr] is the number of non-empty bytes on the
-    4 KiB shadow page containing [paddr] — one hashtable probe (0 for a
+    4 KiB shadow page containing [paddr] — one directory index (0 for a
     never-materialized page).  Kept exact on every mutation path; the
     property suite cross-checks it against a brute-force page scan. *)
 
@@ -63,7 +64,7 @@ val live_page : t -> int -> (int -> int) option
     carries any taint: [Some id_at], where [id_at off] is the interned id
     ({!interner}; 0 = empty) of the byte at page offset [off].  [None] for
     a never-materialized page or one whose live count fell back to 0.  One
-    directory probe; [id_at] reads the page as it is when called.  The
+    directory index; [id_at] reads the page as it is when called.  The
     page-at-a-time walk behind the provenance queries. *)
 
 val page_tainted : t -> int -> bool
@@ -95,5 +96,6 @@ val bump_generation : t -> unit
     not see). *)
 
 val iter_mem : t -> (int -> Provenance.t -> unit) -> unit
+(** Every tainted byte, in ascending physical address. *)
 
 val clear : t -> unit

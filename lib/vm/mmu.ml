@@ -216,18 +216,17 @@ let iter_chunks t ~asid vaddr len f =
     off := !off + n
   done
 
+(* Reads copy out of a frame without giving it bytes of its own: a page
+   nobody wrote reads from the shared zero page. *)
 let read_bytes t ~asid vaddr len =
   let b = Bytes.create len in
-  iter_chunks t ~asid vaddr len (fun off paddr n ->
-      Bytes.blit
-        (Phys_mem.frame t.mem (paddr lsr page_shift))
-        (paddr land (page_size - 1))
-        b off n);
+  iter_chunks t ~asid vaddr len (fun off paddr n -> Phys_mem.blit_out t.mem paddr b off n);
   b
 
-(* One SMC report per chunk that lands on a code frame stands for one per
-   byte: the TB cache retires every block on the frame at the first
-   report, which clears the mark. *)
+(* Writes go through [Phys_mem.frame], so a chunk gives its frame its own
+   bytes.  One SMC report per chunk that lands on a code frame stands for
+   one per byte: the TB cache retires every block on the frame at the
+   first report, which clears the mark. *)
 let write_bytes t ~asid vaddr b =
   iter_chunks t ~asid vaddr (Bytes.length b) (fun off paddr n ->
       let pfn = paddr lsr page_shift in

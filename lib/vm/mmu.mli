@@ -63,7 +63,8 @@ val tlb_stats : t -> int * int
 (** [(hits, misses)] of the software TLB since creation. *)
 
 val map : t -> space -> vaddr:int -> pages:int -> unit
-(** Map fresh zero frames at a page-aligned virtual address. *)
+(** Map fresh frames at a page-aligned virtual address.  They read as
+    zeros and take no host storage until written ({!Phys_mem}). *)
 
 val map_frames : t -> space -> vaddr:int -> int list -> unit
 (** Map existing frames (sharing). *)
@@ -91,7 +92,8 @@ val write : width:int -> t -> asid:int -> int -> int -> unit
 
 val read_bytes : t -> asid:int -> int -> int -> Bytes.t
 (** Host-side copy out of guest memory: one translation and one blit per
-    page.  Raises {!Page_fault} at the first byte of an unmapped page. *)
+    page, materializing no frame.  Raises {!Page_fault} at the first byte
+    of an unmapped page. *)
 
 val write_bytes : t -> asid:int -> int -> Bytes.t -> unit
 (** Host-side copy into guest memory: one translation and one blit per
