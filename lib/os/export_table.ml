@@ -32,13 +32,12 @@ type t = {
 
 let in_kernel vaddr = vaddr >= kernel_base
 
-(* Stub code: [mov r0, sysno; syscall; ret] per API, assembled into the
-   shared kernel region. *)
-let build (machine : Faros_vm.Machine.t) =
-  let mmu = machine.mmu in
-  let space = Faros_vm.Mmu.create_space mmu ~name:"kernel" in
-  Faros_vm.Mmu.map mmu space ~vaddr:kernel_base ~pages:kernel_stub_pages;
-  Faros_vm.Mmu.map mmu space ~vaddr:export_dir_vaddr ~pages:export_dir_pages;
+(* Stub code, [mov r0, sysno; syscall; ret] per API, and the export
+   directory, a 4-byte count then (hash, pointer) pairs.  Both depend only
+   on [Syscall.exported_apis], so they are built once, at module
+   initialisation — before any worker domain exists — as strings, and
+   every kernel copies them in. *)
+let stub_code, exports =
   let items =
     List.concat_map
       (fun (api, sysno) ->
@@ -51,19 +50,27 @@ let build (machine : Faros_vm.Machine.t) =
       Syscall.exported_apis
   in
   let prog = Faros_vm.Asm.assemble ~origin:kernel_base items in
-  Faros_vm.Mmu.write_bytes mmu ~asid:space.asid kernel_base prog.code;
-  let exports =
-    List.map (fun (api, _) -> (api, Faros_vm.Asm.lookup prog api)) Syscall.exported_apis
-  in
-  (* Export directory: count, then (hash, pointer) pairs. *)
-  let w32 vaddr v = Faros_vm.Mmu.write ~width:4 mmu ~asid:space.asid vaddr v in
-  w32 export_dir_vaddr (List.length exports);
+  ( Bytes.to_string prog.code,
+    List.map (fun (api, _) -> (api, Faros_vm.Asm.lookup prog api)) Syscall.exported_apis )
+
+let directory =
+  let b = Bytes.create (4 + (8 * List.length exports)) in
+  let w32 off v = Bytes.set_int32_le b off (Int32.of_int v) in
+  w32 0 (List.length exports);
   List.iteri
     (fun i (api, addr) ->
-      let entry = export_dir_vaddr + 4 + (8 * i) in
-      w32 entry (hash_name api);
-      w32 (entry + 4) addr)
+      w32 (4 + (8 * i)) (hash_name api);
+      w32 (8 + (8 * i)) addr)
     exports;
+  Bytes.to_string b
+
+let build (machine : Faros_vm.Machine.t) =
+  let mmu = machine.mmu in
+  let space = Faros_vm.Mmu.create_space mmu ~name:"kernel" in
+  Faros_vm.Mmu.map mmu space ~vaddr:kernel_base ~pages:kernel_stub_pages;
+  Faros_vm.Mmu.map mmu space ~vaddr:export_dir_vaddr ~pages:export_dir_pages;
+  Faros_vm.Mmu.write_bytes mmu ~asid:space.asid kernel_base (Bytes.of_string stub_code);
+  Faros_vm.Mmu.write_bytes mmu ~asid:space.asid export_dir_vaddr (Bytes.of_string directory);
   let pointers_by_name =
     List.mapi
       (fun i (api, _) ->
@@ -78,7 +85,7 @@ let build (machine : Faros_vm.Machine.t) =
     dir_frames =
       Faros_vm.Mmu.frames_of space ~vaddr:export_dir_vaddr ~pages:export_dir_pages;
     pointers_by_name;
-    stub_span = Bytes.length prog.code;
+    stub_span = String.length stub_code;
     space;
   }
 

@@ -34,9 +34,10 @@ val in_kernel : int -> bool
     syscalls as stub-mediated vs raw.) *)
 
 val build : Faros_vm.Machine.t -> t
-(** Assemble the API stubs, write the export directory, and return the
-    layout.  Directory format: a 4-byte entry count, then 8-byte entries of
-    (name hash, function pointer). *)
+(** Map the kernel region into a new kernel address space, copy in the API
+    stubs and the export directory, and return the layout.  Both byte
+    regions are built once per process.  Directory format: a 4-byte entry
+    count, then 8-byte entries of (name hash, function pointer). *)
 
 val map_into : t -> Faros_vm.Mmu.t -> Faros_vm.Mmu.space -> unit
 (** Share the kernel region into a process address space. *)
