@@ -329,6 +329,28 @@ let shadow_tests =
           [ 0; Shadow.page_size - 1; Shadow.page_size; 3 * Shadow.page_size + 7 ]
           (List.sort compare !seen);
         check "count matches" 4 (Shadow.tainted_bytes s));
+    Alcotest.test_case "a page past the directory's end: pages and ascending iter_mem"
+      `Quick
+      (fun () ->
+        let s = Shadow.create () in
+        let low = 7 and high = (1000 * Shadow.page_size) + 2 in
+        Shadow.set_mem s low (pl [ Tag.File 1 ]);
+        (* page 1000 lies past the directory the low page made; the high
+           page's bytes are written in descending order *)
+        Shadow.set_mem s (high + 7) (pl [ Tag.Netflow 0 ]);
+        Shadow.set_mem s high (pl [ Tag.Netflow 0 ]);
+        check "pages" 2 (Shadow.pages s);
+        let seen () =
+          let acc = ref [] in
+          Shadow.iter_mem s (fun paddr _ -> acc := paddr :: !acc);
+          List.rev !acc
+        in
+        Alcotest.(check (list int)) "ascending paddr" [ low; high; high + 7 ] (seen ());
+        check_b "low page kept" true
+          (Provenance.equal (Shadow.get_mem s low) (pl [ Tag.File 1 ]));
+        Shadow.clear s;
+        check "no pages" 0 (Shadow.pages s);
+        Alcotest.(check (list int)) "nothing to visit" [] (seen ()));
     Alcotest.test_case "clear drops materialized pages, not just contents"
       `Quick
       (fun () ->

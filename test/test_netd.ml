@@ -353,6 +353,17 @@ let scenario_tests =
             check_b "exactly the guilty flow, no benign ones" true
               (origin_flows sl = [ guilty ]))
           slices);
+    Alcotest.test_case "recording 500 connections leaves few frames resident" `Slow
+      (fun () ->
+        (* Worker stacks and buffers are mapped for every connection but
+           mostly never written, so they hold no host bytes. *)
+        let s = Option.get (Faros_corpus.Registry.find "netd_inject_500") in
+        let kernel, _ = Faros_corpus.Scenario.record s.scenario in
+        let mem = kernel.machine.mem in
+        let resident = Faros_vm.Phys_mem.resident_frames mem
+        and count = Faros_vm.Phys_mem.frame_count mem in
+        if resident * 10 >= count then
+          Alcotest.failf "%d of %d frames resident, expected under a tenth" resident count);
     Alcotest.test_case "staged C2: origins are the stager's own flows" `Slow
       (fun () ->
         let scn, schd = Faros_corpus.Servers.staged_c2 ~stages:3 () in

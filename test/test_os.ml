@@ -885,6 +885,28 @@ let abi_tests =
         Kernel.run k;
         check "refused" 0xFFFFFFFF (exit_of k pid);
         Alcotest.(check (list int)) "stack frame kept" before (stack_frame ()));
+    Alcotest.test_case "untouched allocations take no host frames" `Quick (fun () ->
+        (* 400 allocations of 1 MB that the guest never writes: frames are
+           handed out for every page, and only the written ones (the
+           kernel's stub and directory pages, the image page) hold bytes. *)
+        let k, _, _ =
+          run_guest
+            (List.concat
+               [
+                 [ Faros_vm.Asm.Label "start"; i (Faros_vm.Isa.Mov_ri (Faros_vm.Isa.r6, 400)) ];
+                 [ Faros_vm.Asm.Label "again" ];
+                 [ i (Faros_vm.Isa.Mov_ri (r1, 0)); i (Faros_vm.Isa.Mov_ri (r2, 1 lsl 20)) ];
+                 Faros_corpus.Progs.syscall Syscall.nt_allocate_virtual_memory;
+                 [
+                   i (Faros_vm.Isa.Sub_ri (Faros_vm.Isa.r6, 1));
+                   i (Faros_vm.Isa.Cmp_ri (Faros_vm.Isa.r6, 0));
+                   Faros_vm.Asm.Jnz_l "again";
+                   i Faros_vm.Isa.Halt;
+                 ];
+               ])
+        in
+        check "frames handed out" 102_438 (Faros_vm.Phys_mem.frame_count k.machine.mem);
+        check "frames resident" 3 (Faros_vm.Phys_mem.resident_frames k.machine.mem));
   ]
 
 let more_syscall_tests =

@@ -581,8 +581,145 @@ let write_bytes_prop =
       && List.sort_uniq compare (List.map (fun pa -> pa lsr Mmu.page_shift) !reported_a)
          = code_written)
 
+(* -- demand-zero frames against a per-byte model --------------------------- *)
+
+(* Random operations over a few frames.  Every frame is mapped into two
+   spaces with [map_frames]: space a maps frame k at [za + k * page],
+   space b at [zb - (k + 1) * page], so a range crossing pages in b walks
+   the frames downwards.  Positions are taken modulo what the current
+   frames cover, so every access lands. *)
+type zero_op =
+  | Alloc
+  | Write_u8 of int * int  (* physical position, value *)
+  | Write of bool * int * int * int  (* in b, position, width, value *)
+  | Write_bytes of bool * int * string
+  | Read_bytes of bool * int * int  (* in b, position, length *)
+  | Read_u8 of int
+  | Frame_set of int * int  (* [Bytes.set] on [Phys_mem.frame] *)
+
+let za = 0x100000
+let zb = 0x800000
+
+let gen_zero_ops =
+  let open QCheck.Gen in
+  let pos = int_bound (1 lsl 20) and byte = int_bound 255 and in_b = bool in
+  let len = frequency [ (2, int_range 1 8); (1, int_range 1 (2 * page)) ] in
+  let op =
+    frequency
+      [
+        (1, return Alloc);
+        (2, map2 (fun p v -> Write_u8 (p, v)) pos byte);
+        ( 2,
+          let* b = in_b and* p = pos and* w = oneofl [ 1; 2; 4 ] in
+          let+ v = int_bound 0xFFFFFFFF in
+          Write (b, p, w, v) );
+        ( 2,
+          let* b = in_b and* p = pos in
+          let+ data = string_size ~gen:char len in
+          Write_bytes (b, p, data) );
+        (3, map3 (fun b p n -> Read_bytes (b, p, n)) in_b pos len);
+        (2, map (fun p -> Read_u8 p) pos);
+        (2, map2 (fun p v -> Frame_set (p, v)) pos byte);
+      ]
+  in
+  list_size (int_range 1 40) op
+
+let print_zero_op = function
+  | Alloc -> "alloc"
+  | Write_u8 (p, v) -> Printf.sprintf "write_u8 %d %d" p v
+  | Write (b, p, w, v) -> Printf.sprintf "write %b %d ~width:%d %#x" b p w v
+  | Write_bytes (b, p, d) -> Printf.sprintf "write_bytes %b %d len=%d" b p (String.length d)
+  | Read_bytes (b, p, n) -> Printf.sprintf "read_bytes %b %d %d" b p n
+  | Read_u8 p -> Printf.sprintf "read_u8 %d" p
+  | Frame_set (p, v) -> Printf.sprintf "frame_set %d %d" p v
+
+let demand_zero_prop =
+  QCheck.Test.make ~count:300 ~name:"demand-zero frames match a per-byte model"
+    (QCheck.make ~shrink:QCheck.Shrink.list
+       ~print:(fun ops -> String.concat "; " (List.map print_zero_op ops))
+       gen_zero_ops)
+    (fun ops ->
+      let mem = Phys_mem.create () in
+      let mmu = Mmu.create mem in
+      let a = Mmu.create_space mmu ~name:"a" and b = Mmu.create_space mmu ~name:"b" in
+      let model = Hashtbl.create 64 (* paddr -> byte; absent reads 0 *)
+      and touched = Hashtbl.create 8 (* frames a write or [frame] reached *) in
+      let frames = ref 0 in
+      let alloc () =
+        let pfn = Phys_mem.alloc_frame mem in
+        Mmu.map_frames mmu a ~vaddr:(za + (pfn * page)) [ pfn ];
+        Mmu.map_frames mmu b ~vaddr:(zb - ((pfn + 1) * page)) [ pfn ];
+        frames := pfn + 1
+      in
+      alloc ();
+      alloc ();
+      let expect paddr = Option.value ~default:0 (Hashtbl.find_opt model paddr) in
+      let set paddr v =
+        Hashtbl.replace model paddr (v land 0xFF);
+        Hashtbl.replace touched (paddr / page) ()
+      in
+      let paddr_of in_b va =
+        if in_b then
+          let k = (zb - 1 - va) / page in
+          (k * page) + (va - (zb - ((k + 1) * page)))
+        else va - za
+      in
+      (* a virtual range of [n] bytes inside the mapped frames *)
+      let range in_b p n =
+        let span = !frames * page in
+        let n = min n span in
+        let lo = if in_b then zb - span else za in
+        (lo + (p mod (span - n + 1)), n)
+      in
+      let asid in_b = if in_b then b.asid else a.asid in
+      let ok = ref true in
+      List.iter
+        (fun op ->
+          let phys p = p mod (!frames * page) in
+          match op with
+          | Alloc -> alloc ()
+          | Write_u8 (p, v) ->
+            Phys_mem.write_u8 mem (phys p) v;
+            set (phys p) v
+          | Write (in_b, p, width, v) ->
+            let va, width = range in_b p width in
+            Mmu.write ~width mmu ~asid:(asid in_b) va v;
+            for i = 0 to width - 1 do
+              set (paddr_of in_b (va + i)) (v lsr (8 * i))
+            done
+          | Write_bytes (in_b, p, data) ->
+            let va, n = range in_b p (String.length data) in
+            Mmu.write_bytes mmu ~asid:(asid in_b) va (Bytes.of_string (String.sub data 0 n));
+            String.iteri (fun i c -> if i < n then set (paddr_of in_b (va + i)) (Char.code c)) data
+          | Read_bytes (in_b, p, n) ->
+            let va, n = range in_b p n in
+            let got = Mmu.read_bytes mmu ~asid:(asid in_b) va n in
+            Bytes.iteri
+              (fun i c -> if Char.code c <> expect (paddr_of in_b (va + i)) then ok := false)
+              got
+          | Read_u8 p -> if Phys_mem.read_u8 mem (phys p) <> expect (phys p) then ok := false
+          | Frame_set (p, v) ->
+            let paddr = phys p in
+            Bytes.set (Phys_mem.frame mem (paddr / page)) (paddr mod page) (Char.chr v);
+            set paddr v)
+        ops;
+      for paddr = 0 to (!frames * page) - 1 do
+        if Phys_mem.read_u8 mem paddr <> expect paddr then ok := false
+      done;
+      let fresh = Phys_mem.create () in
+      let pfn = Phys_mem.alloc_frame fresh in
+      let fresh_zero = ref true in
+      for off = 0 to page - 1 do
+        if Phys_mem.read_u8 fresh ((pfn * page) + off) <> 0 then fresh_zero := false
+      done;
+      !ok
+      && Phys_mem.frame_count mem = !frames
+      && Phys_mem.resident_frames mem = Hashtbl.length touched
+      && !fresh_zero)
+
 let copy_prop_tests =
-  List.map QCheck_alcotest.to_alcotest [ extents_prop; read_bytes_prop; write_bytes_prop ]
+  List.map QCheck_alcotest.to_alcotest
+    [ extents_prop; read_bytes_prop; write_bytes_prop; demand_zero_prop ]
 
 (* -- CPU ------------------------------------------------------------------ *)
 
