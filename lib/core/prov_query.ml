@@ -24,7 +24,7 @@ let ty_name = function
    kernel region (the stack ends exactly where the shared stubs begin, so
    [Mmu.mapped_ranges] can merge the two), and coalesce contiguous tainted
    bytes into runs.  Cost: one page-table and one shadow probe per mapped
-   page, plus an int scan of the shadow pages that carry taint.  A run's
+   page, plus a slot scan of the shadow pages that carry taint.  A run's
    sample provenance is resolved once, and its type union grows only when
    the interned id changes.  Shadow pages are frame-sized (4 KiB), so one
    frame's bytes are exactly one shadow page. *)

@@ -19,7 +19,7 @@ val regions_of_process :
   Faros_plugin.t -> Faros_os.Process.t -> region_taint list
 (** Contiguous tainted runs in one process's user-space mappings (below
     {!Faros_os.Export_table.kernel_base}), in address order.  A page walk:
-    one page-table and one shadow probe per mapped page, plus an int scan
+    one page-table and one shadow probe per mapped page, plus a slot scan
     of the shadow pages that carry taint. *)
 
 val tainted_regions : Faros_plugin.t -> region_taint list

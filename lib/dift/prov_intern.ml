@@ -4,7 +4,7 @@
    interned cons cells: a cell is unique for its (tag, tail) pair, so a
    whole list is identified by the integer id of its head cell.  Id 0 is
    the empty provenance — the invariant {!Shadow} relies on to store one
-   int per byte with 0 meaning "untracked".
+   4-byte id per byte with 0 meaning "untracked".
 
    Interning buys the hot path three things:
 
@@ -50,7 +50,7 @@ let rec empty =
 (* One interner instance: the id->node table plus the three memo tables.
    Everything mutable in this module lives here. *)
 type store = {
-  mutable nodes : t array;  (* id -> node, for Shadow's int-array pages *)
+  mutable nodes : t array;  (* id -> node, for the ids in Shadow's pages *)
   mutable node_count : int;
   cons_tbl : (int * int, t) Hashtbl.t;
   prepend_tbl : (int * int, t) Hashtbl.t;

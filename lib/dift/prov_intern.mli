@@ -3,7 +3,7 @@
     Every distinct provenance list is interned exactly once; a list is
     identified by a dense integer {!id}, with {b id 0 reserved for the
     empty provenance} — the invariant {!Shadow}'s paged layout relies on
-    (its pages are int arrays where 0 means "untracked byte").
+    (its pages hold one 4-byte id per byte, 0 meaning "untracked byte").
 
     Equality is physical equality, ids are perfect hashes, and the Table I
     operations ({!prepend}, {!union}) are memoized per id, so the steady

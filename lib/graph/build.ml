@@ -529,7 +529,7 @@ let enrich_walk t (faros : Core.Faros_plugin.t) =
     (Faros_os.Kstate.processes kernel)
 
 (* Offline enrichment walks every process's mapped pages (one page-table
-   and one shadow probe per page, plus an int scan of the shadow pages
+   and one shadow probe per page, plus a slot scan of the shadow pages
    that carry taint): one top-level-ish [graph.enrich] span (it runs after
    the replay, outside [kernel.*]). *)
 let enrich t (faros : Core.Faros_plugin.t) =
