@@ -69,18 +69,18 @@ let table1 () =
       { src_ip = 0x01020304; src_port = 4444; dst_ip = 0x05060708; dst_port = 49162 }
   in
   let ft = Tag_store.file store ~name:"a.txt" ~version:1 in
-  Shadow.set_mem shadow 0x100 (Provenance.singleton nf);
-  Shadow.set_mem shadow 0x101 (Provenance.singleton ft);
-  Propagate.copy shadow ~dst:(Propagate.Mem 0x200) ~src:(Propagate.Mem 0x100);
+  let get = Shadow.get_mem shadow and set = Shadow.set_mem shadow in
+  set 0x100 (Provenance.singleton nf);
+  set 0x101 (Provenance.singleton ft);
+  set 0x200 (get 0x100);
   Fmt.pf pp "copy(a, b)     prov(a) <- prov(b)            : %a@." Provenance.pp
-    (Shadow.get_mem shadow 0x200);
-  Propagate.union shadow ~dst:(Propagate.Mem 0x201) ~src1:(Propagate.Mem 0x100)
-    ~src2:(Propagate.Mem 0x101);
+    (get 0x200);
+  set 0x201 (Provenance.union (get 0x100) (get 0x101));
   Fmt.pf pp "union(a, b, c) prov(a) <- prov(b) U prov(c)  : %a@." Provenance.pp
-    (Shadow.get_mem shadow 0x201);
-  Propagate.delete shadow (Propagate.Mem 0x200);
+    (get 0x201);
+  set 0x200 Provenance.empty;
   Fmt.pf pp "delete(a)      prov(a) <- {}                 : %s@."
-    (if Provenance.is_empty (Shadow.get_mem shadow 0x200) then "{}" else "non-empty")
+    (if Provenance.is_empty (get 0x200) then "{}" else "non-empty")
 
 (* -- table 2 ------------------------------------------------------------ *)
 

@@ -50,8 +50,5 @@ val add_flag_observer : t -> (Report.flag -> unit) -> unit
     ones included (observers check [f_whitelisted] themselves).  The
     attack-graph builder registers itself here. *)
 
-val matches : t -> Faros_dift.Engine.load_info -> bool
-(** Pure policy decision for one load observation. *)
-
 val on_load : t -> tick:int -> Faros_dift.Engine.load_info -> unit
 (** Check one load and record a {!Report.flag} when it matches. *)

@@ -25,9 +25,6 @@ type t = {
 val name_of_asid : Faros_os.Kernel.t -> int -> string
 (** Resolve a CR3 back to a process name (OSI-style introspection). *)
 
-val resolve_asid : Faros_os.Kernel.t -> int -> int option
-(** Resolve a pid to its CR3. *)
-
 val create :
   ?config:Config.t ->
   ?metrics:Faros_obs.Metrics.t ->

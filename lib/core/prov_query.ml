@@ -45,7 +45,7 @@ let regions_of_process (faros : Faros_plugin.t) (p : Faros_os.Process.t) =
           rt_vaddr = !start;
           rt_len = !len;
           rt_types = !types;
-          rt_sample = Faros_dift.Prov_intern.resolve store !first;
+          rt_sample = Faros_dift.Provenance.resolve store !first;
         }
         :: !runs;
       len := 0;
@@ -68,7 +68,7 @@ let regions_of_process (faros : Faros_plugin.t) (p : Faros_os.Process.t) =
           types :=
             List.sort_uniq compare
               (Faros_dift.Provenance.distinct_types
-                 (Faros_dift.Prov_intern.resolve store id)
+                 (Faros_dift.Provenance.resolve store id)
               @ !types)
         end
       end

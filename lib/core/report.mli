@@ -51,9 +51,6 @@ val render_provenance :
 (** Provenance rendered oldest-first with ["->"] separators, as Table II
     prints it (origin first: NetFlow -> inject_client.exe -> notepad.exe). *)
 
-val pp_flag :
-  store:Faros_dift.Tag_store.t -> name_of_asid:(int -> string) -> flag Fmt.t
-
 val pp_table :
   store:Faros_dift.Tag_store.t -> name_of_asid:(int -> string) -> t Fmt.t
 (** The Table II layout: memory-address column and provenance column. *)

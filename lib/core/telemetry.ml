@@ -40,7 +40,7 @@ let sample t (faros : Faros_plugin.t) ~tick ~syscalls =
       Faros_dift.Shadow.tainted_bytes e.shadow;
       Faros_dift.Shadow.tainted_regs e.shadow;
       Faros_dift.Shadow.pages e.shadow;
-      Faros_dift.Prov_intern.interned_count ();
+      Faros_dift.Provenance.interned_count ();
       Faros_dift.Tag_store.netflow_count e.store;
       Faros_dift.Tag_store.process_count e.store;
       Faros_dift.Tag_store.file_count e.store;

@@ -10,11 +10,6 @@
     {!Analysis.analyze} does) to record one row every 64 ticks plus a
     final row at the end of the replay. *)
 
-val columns : string list
-(** [tick; syscalls; instrs; tainted_bytes; tainted_regs; shadow_pages;
-    interned_provs; netflow_tags; process_tags; file_tags; export_tags;
-    flags; suppressed]. *)
-
 type t
 
 val create : ?capacity:int -> unit -> t

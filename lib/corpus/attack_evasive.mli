@@ -7,9 +7,5 @@
 val attacker_ip : string
 val attacker_port : int
 
-val launder_sub : label:string -> Faros_vm.Asm.item list
-(** launder(r1 = dst, r2 = src, r3 = len): byte-wise bit-copy whose only
-    information flow is the conditional. *)
-
 val client_image : target_pid:int -> Faros_os.Pe.t
 val scenario : unit -> Scenario.t

@@ -6,6 +6,4 @@
     at it and resumes.  The payload never touches the network — its
     provenance is file-borne. *)
 
-val svchost_unmap_span : int
-val hollowing_image : ?keys:int -> unit -> Faros_os.Pe.t
 val scenario : ?keys:int -> unit -> Scenario.t

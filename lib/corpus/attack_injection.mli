@@ -6,8 +6,6 @@
     perfectly visible to a library-level monitor, and still nothing
     event-based flags the in-memory payload. *)
 
-val c2_ip : string
-
 val injector_image :
   name:string -> c2_port:int -> target_pid:int -> Faros_os.Pe.t
 (** The IAT-based dropper: downloads a framed payload through the hooked
@@ -15,8 +13,6 @@ val injector_image :
     SetThreadContext.  Cached in {!Snapshot}. *)
 
 val c2_actor : port:int -> payload:string -> Faros_os.Netstack.actor
-
-val make : family:string -> c2_port:int -> ?scrub:bool -> unit -> Scenario.t
 
 val darkcomet : ?scrub:bool -> unit -> Scenario.t
 (** C2 on DarkComet's default port 1604. *)

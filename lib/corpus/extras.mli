@@ -2,28 +2,17 @@
     does not: legitimate DLL loading through the OS loader (visible to
     dlllist, untouched by FAROS) and guest-to-guest loopback IPC. *)
 
-val helper_dll : unit -> Faros_os.Pe.t
-val dll_host_image : unit -> Faros_os.Pe.t
-
 val dll_host : unit -> Scenario.t
 (** LdrLoadLibrary + LdrGetProcAddress + call: the legitimate linking path
     the reflective technique bypasses. *)
 
-val ipc_port : int
-val ipc_server_image : unit -> Faros_os.Pe.t
-val ipc_client_image : unit -> Faros_os.Pe.t
-
 val ipc_pair : unit -> Scenario.t
 (** Loopback bind/listen/accept between two guest processes. *)
-
-val export_walker_image : unit -> Faros_os.Pe.t
 
 val export_walker : unit -> Scenario.t
 (** A benign export-directory walker — the precision boundary of the
     file-borne detection rule: flagged by the default policy, clean under
     {!Core.Config.strict_netflow}. *)
-
-val multi_target_client : unit -> Faros_os.Pe.t
 
 val multi_target : unit -> Scenario.t
 (** One downloaded payload injected into two victims: whole-system

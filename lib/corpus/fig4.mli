@@ -6,10 +6,6 @@
 val payload : string
 val file1 : string
 
-val p1_image : unit -> Faros_os.Pe.t
-val p2_image : unit -> Faros_os.Pe.t
-val p3_image : unit -> Faros_os.Pe.t
-
 type experiment = {
   exp_scenario : Scenario.t;
   exp_sink_vaddr : int;  (** process 3's destination buffer *)

@@ -7,11 +7,6 @@
     records expose the buffers' addresses so shadow memory can be
     interrogated afterwards. *)
 
-val input_len : int
-
-val lookup_image : unit -> Faros_os.Pe.t
-val bitcopy_image : unit -> Faros_os.Pe.t
-
 type experiment = {
   exp_name : string;
   exp_scenario : Scenario.t;

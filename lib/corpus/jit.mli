@@ -14,24 +14,8 @@
       with network provenance, and resolve symbols by walking the export
       directory — FAROS flags them, and the analyst whitelists the JVM. *)
 
-val web_ip : string
-val web_port : int
-
-val browser_ajax_image : name:string -> request:string -> Faros_os.Pe.t
-val browser_applet_image : unit -> Faros_os.Pe.t
-val java_image : unit -> Faros_os.Pe.t
-
 val java_cache_base : int
 (** Where the JVM's code cache lands (deterministic allocation). *)
-
-val applet_scenario : name:string -> native:bool -> Scenario.t
-val ajax_scenario : site:string -> Scenario.t
-
-val applets : (string * bool) list
-(** Table III's applet set; [true] marks the two native-stub applets (the
-    expected false positives). *)
-
-val ajax_sites : string list
 
 val samples :
   unit -> (string * [ `Ajax | `Applet ] * bool * Scenario.t) list

@@ -12,9 +12,6 @@
     standing in for the position-independent shellcode real kits
     generate. *)
 
-val default_origin : int
-(** Where the first NtAllocateVirtualMemory in a fresh victim lands. *)
-
 val popup : ?origin:int -> ?scrub:bool -> text:string -> unit -> string
 (** Proves execution inside the victim with a pop-up (the paper's
     reflective-DLL test payload).  With [scrub], the payload unmaps its own
@@ -27,7 +24,6 @@ val keylogger : ?origin:int -> ?keys:int -> ?log:string -> unit -> string
 
 val applet_native_stub : origin:int -> unit -> string
 
-val rdll_bootstrap_origin : int
 val rdll_image_base : int
 
 val rdll_blob : text:string -> unit -> string

@@ -6,21 +6,5 @@
     the paper's observation is that FAROS overhead grows with behavioural
     complexity. *)
 
-val looped_image :
-  name:string ->
-  port:int ->
-  behaviors:Behavior.t list ->
-  reps:int ->
-  seed:int ->
-  Faros_os.Pe.t
-
-val scenario :
-  name:string ->
-  port:int ->
-  behaviors:Behavior.t list ->
-  reps:int ->
-  seed:int ->
-  Scenario.t
-
 val workloads : unit -> (string * Scenario.t) list
 (** The six Table V rows, in the paper's order. *)

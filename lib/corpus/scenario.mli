@@ -29,9 +29,7 @@ val make :
   string ->
   t
 
-val install : t -> Faros_os.Kernel.t -> unit
 val setup_record : t -> Faros_os.Kernel.t -> unit
-val setup_replay : t -> Faros_os.Kernel.t -> unit
 val boot : t -> Faros_os.Kernel.t -> unit
 
 val record : t -> Faros_os.Kernel.t * Faros_replay.Trace.t

@@ -14,9 +14,6 @@ val evil_request : ?text:string -> unit -> string
 (** Exec-magic plus a reflective payload linked for the worker's first
     allocation. *)
 
-val budget : Gen.schedule -> int
-(** Tick budget: schedule horizon + per-connection service + slack. *)
-
 val benign_load :
   ?clients:int -> ?arrival:Gen.arrival -> ?name:string -> unit -> Scenario.t * Gen.schedule
 (** Benign server under load — the false-positive baseline.  Same

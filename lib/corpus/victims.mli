@@ -2,7 +2,6 @@
     They busy-loop long enough for an injector to reach them and halt on
     their own if nothing hijacks them. *)
 
-val worker : name:string -> iterations:int -> Faros_os.Pe.t
 val notepad : unit -> Faros_os.Pe.t
 val firefox : unit -> Faros_os.Pe.t
 val explorer : unit -> Faros_os.Pe.t

@@ -27,7 +27,7 @@ type load_info = {
 type t = {
   shadow : Shadow.t;
   store : Tag_store.t;
-  interner : Prov_intern.store;  (* the interner this engine's state lives in *)
+  interner : Provenance.store;  (* the interner this engine's state lives in *)
   policy : Policy.t;
   file_shadow : (string, Provenance.t array ref) Hashtbl.t;
   control : (int, int * Provenance.t) Hashtbl.t;  (* asid -> window left, prov *)
@@ -126,6 +126,25 @@ let open_control_window t ~asid prov =
 
 let control_active t ~asid = t.policy.control_deps && Hashtbl.mem t.control asid
 
+(* Hand one executed load to the observers: [instr_prov] is the provenance
+   of the load's own code bytes, [read_prov] that of the data it read. *)
+let notify_load t (eff : Faros_vm.Cpu.effect) ~instr_prov
+    (acc : Faros_vm.Cpu.mem_access) read_prov =
+  if not (Queue.is_empty t.load_observers) then begin
+    let info =
+      {
+        li_asid = eff.e_asid;
+        li_pc = eff.e_pc;
+        li_instr = eff.e_instr;
+        li_instr_prov = instr_prov;
+        li_read_vaddr = acc.vaddr;
+        li_read_paddr = acc.paddr;
+        li_read_prov = read_prov;
+      }
+    in
+    Queue.iter (fun f -> f info) t.load_observers
+  end
+
 (* -- per-instruction propagation -- *)
 
 let on_exec t (_cpu : Faros_vm.Cpu.t) (eff : Faros_vm.Cpu.effect) =
@@ -152,22 +171,6 @@ let on_exec t (_cpu : Faros_vm.Cpu.t) (eff : Faros_vm.Cpu.effect) =
     Shadow.set_mem_range t.shadow acc.paddr acc.width final
   in
   let imm_prov = if t.policy.taint_immediates then instr_prov else Provenance.empty in
-  let notify_load (acc : Faros_vm.Cpu.mem_access) prov =
-    if not (Queue.is_empty t.load_observers) then begin
-      let info =
-        {
-          li_asid = asid;
-          li_pc = eff.e_pc;
-          li_instr = eff.e_instr;
-          li_instr_prov = instr_prov;
-          li_read_vaddr = acc.vaddr;
-          li_read_paddr = acc.paddr;
-          li_read_prov = prov;
-        }
-      in
-      Queue.iter (fun f -> f info) t.load_observers
-    end
-  in
   match eff.e_instr with
   | Nop | Halt | Syscall | Int3 | Jmp _ | Jmp_r _ -> ()
   | Mov_ri (r, _) -> set_reg r imm_prov
@@ -176,7 +179,7 @@ let on_exec t (_cpu : Faros_vm.Cpu.t) (eff : Faros_vm.Cpu.effect) =
     match eff.e_loads with
     | acc :: _ ->
       let data_prov = touch_range t ~ptag acc.paddr acc.width in
-      notify_load acc data_prov;
+      notify_load t eff ~instr_prov acc data_prov;
       set_reg r (Provenance.union data_prov (address_dep_prov t ~asid ~width:w a))
     | [] -> ())
   | Store (w, a, r) -> (
@@ -198,7 +201,7 @@ let on_exec t (_cpu : Faros_vm.Cpu.t) (eff : Faros_vm.Cpu.effect) =
     match eff.e_loads with
     | acc :: _ ->
       let prov = touch_range t ~ptag acc.paddr acc.width in
-      notify_load acc prov;
+      notify_load t eff ~instr_prov acc prov;
       set_reg r prov
     | [] -> ())
   | Add_rr (a, b) | Sub_rr (a, b) | Mul_rr (a, b) | And_rr (a, b) | Or_rr (a, b)
@@ -230,36 +233,18 @@ let on_exec t (_cpu : Faros_vm.Cpu.t) (eff : Faros_vm.Cpu.effect) =
 (* -- fast-path support -- *)
 
 (* An instruction the fast path proved propagation-free still counts as
-   processed: downstream accounting (and the pinned `faros stats`
-   goldens) see the same engine.instrs either way. *)
-let note_skipped t = Faros_obs.Metrics.incr t.c_instrs
-
-(* A skipped load still reaches the observers — the detector counts every
-   executed load.  The skip preconditions guarantee the data read was
-   untainted (so [li_read_prov] is the empty the slow path would have
-   computed) and that [instr_prov] — empty for a code-clean block, the
-   cached converged fetch provenance otherwise — is exactly the slow
-   path's [li_instr_prov], so observation stays byte-identical. *)
-let notify_skipped_load t ~instr_prov (eff : Faros_vm.Cpu.effect) =
-  match eff.e_instr with
-  | Load _ | Pop _ -> (
-    match eff.e_loads with
-    | acc :: _ ->
-      if not (Queue.is_empty t.load_observers) then begin
-        let info =
-          {
-            li_asid = eff.e_asid;
-            li_pc = eff.e_pc;
-            li_instr = eff.e_instr;
-            li_instr_prov = instr_prov;
-            li_read_vaddr = acc.vaddr;
-            li_read_paddr = acc.paddr;
-            li_read_prov = Provenance.empty;
-          }
-        in
-        Queue.iter (fun f -> f info) t.load_observers
-      end
-    | [] -> ())
+   processed, so downstream accounting (and the pinned `faros stats`
+   goldens) see the same engine.instrs either way, and a skipped load
+   still reaches the observers — the detector counts every executed load.
+   The skip preconditions guarantee the data read was untainted (so the
+   read provenance is the empty the slow path would have computed) and
+   that [instr_prov] — empty for a code-clean block, the cached converged
+   fetch provenance otherwise — is exactly the slow path's, so
+   observation stays byte-identical. *)
+let on_skipped t ~instr_prov (eff : Faros_vm.Cpu.effect) =
+  Faros_obs.Metrics.incr t.c_instrs;
+  match (eff.e_instr, eff.e_loads) with
+  | (Load _ | Pop _), acc :: _ -> notify_load t eff ~instr_prov acc Provenance.empty
   | _ -> ()
 
 (* -- kernel-event handling: tag insertion and host-side copies -- *)
@@ -430,7 +415,7 @@ let refresh_metrics t =
   set "store.process_tags" (Tag_store.process_count t.store);
   set "store.file_tags" (Tag_store.file_count t.store);
   set "store.export_tags" (Tag_store.export_count t.store);
-  set "prov.interned" (Prov_intern.store_interned_count t.interner)
+  set "prov.interned" (Provenance.store_interned_count t.interner)
 
 type stats = {
   instrs : int;

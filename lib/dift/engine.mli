@@ -28,8 +28,8 @@ type load_info = {
 type t = {
   shadow : Shadow.t;
   store : Tag_store.t;
-  interner : Prov_intern.store;
-      (** the {!Prov_intern.store} this engine's provenance lives in; the
+  interner : Provenance.store;
+      (** the {!Provenance.store} this engine's provenance lives in; the
           engine must only run on a domain whose current store this is *)
   policy : Policy.t;
   file_shadow : (string, Provenance.t array ref) Hashtbl.t;
@@ -72,19 +72,15 @@ val control_active : t -> asid:int -> bool
     every write picks up the window's provenance, so the fast path must
     not skip (see {!Fastpath}). *)
 
-val note_skipped : t -> unit
-(** Account one instruction the fast path proved propagation-free: it
-    still counts toward [engine.instrs], keeping instruction accounting
-    identical to the slow path. *)
-
-val notify_skipped_load :
-  t -> instr_prov:Provenance.t -> Faros_vm.Cpu.effect -> unit
-(** Deliver a skipped load to the observers: empty data provenance (the
-    skip preconditions proved the read untainted) and [instr_prov] as the
-    code-byte provenance — empty for a code-clean block, the cached
-    converged fetch provenance for a code-tainted one.  In both cases
-    exactly what the slow path would have computed, so detector counts
-    and verdicts stay byte-identical. *)
+val on_skipped : t -> instr_prov:Provenance.t -> Faros_vm.Cpu.effect -> unit
+(** Account one instruction the fast path proved propagation-free.  It
+    still counts toward [engine.instrs], and a skipped load still reaches
+    the observers, with empty data provenance (the skip preconditions
+    proved the read untainted) and [instr_prov] as the code-byte
+    provenance — empty for a code-clean block, the cached converged fetch
+    provenance for a code-tainted one.  Both are exactly what the slow
+    path would have computed, so instruction counts, detector counts and
+    verdicts stay byte-identical. *)
 
 val on_os_event :
   t -> resolve_asid:(int -> int option) -> Faros_os.Os_event.t -> unit

@@ -179,8 +179,7 @@ let effect_clean t (b : Faros_vm.Tb_cache.block) eff =
 
 let skip t ~instr_prov eff =
   t.hits <- t.hits + 1;
-  Engine.note_skipped t.engine;
-  Engine.notify_skipped_load t.engine ~instr_prov eff
+  Engine.on_skipped t.engine ~instr_prov eff
 
 let run t cpu eff =
   t.misses <- t.misses + 1;

@@ -3,7 +3,7 @@
    Shadow memory is keyed by *physical* address and is byte granular; it
    is a two-level page table: a directory from page number to 4 KiB pages.
    A page is one 16 KiB [Bytes.t] with a 4-byte little-endian slot per
-   byte holding its interned provenance id (Prov_intern), 0 — the empty
+   byte holding its interned provenance id (Provenance.id), 0 — the empty
    provenance — meaning "untracked".  The GC does not scan [Bytes], so a
    live page costs the major GC nothing to mark.  Shadow page numbers
    are Phys_mem frame numbers, which are dense from 0, so the directory
@@ -62,7 +62,7 @@ type t = {
   regs : (int, Provenance.t) Hashtbl.t;  (* asid * num_regs + reg *)
   flags : (int, Provenance.t) Hashtbl.t;  (* asid -> provenance *)
   sink : Faros_obs.Sink.t;  (* page-allocation trace events *)
-  interner : Prov_intern.store;  (* the store the page ids resolve against *)
+  interner : Provenance.store;  (* the store the page ids resolve against *)
 }
 
 let create ?(sink = Faros_obs.Sink.null) () =
@@ -74,7 +74,7 @@ let create ?(sink = Faros_obs.Sink.null) () =
     regs = Hashtbl.create 64;
     flags = Hashtbl.create 8;
     sink;
-    interner = Prov_intern.current_store ();
+    interner = Provenance.current_store ();
   }
 
 let interner t = t.interner
@@ -93,7 +93,7 @@ let get_mem t paddr =
   if page.live = 0 then Provenance.empty
   else
     let off = paddr land (page_size - 1) in
-    Prov_intern.resolve t.interner (id_at page.data off)
+    Provenance.resolve t.interner (id_at page.data off)
 
 let page_for t pno =
   let len = Array.length t.mem_dir in
@@ -139,7 +139,7 @@ let set_slot t page off id =
   end
 
 let set_mem t paddr prov =
-  let id = Prov_intern.id prov in
+  let id = Provenance.id prov in
   let off = paddr land (page_size - 1) in
   if id = 0 then begin
     let page = find t paddr in
@@ -185,7 +185,7 @@ let set_flags t ~asid prov =
 (* Union of the provenance of [width] bytes starting at [paddr].  One
    directory index per page touched (accesses are small; at most two
    pages), then straight slot reads; absent pages contribute
-   nothing, and the per-id union is memoized by Prov_intern. *)
+   nothing, and the per-id union is memoized by Provenance. *)
 let get_mem_range t paddr width =
   let acc = ref Provenance.empty in
   let i = ref 0 in
@@ -199,14 +199,14 @@ let get_mem_range t paddr width =
       for j = off to off + chunk - 1 do
         let id = id_at page.data j in
         if id <> 0 then
-          acc := Provenance.union !acc (Prov_intern.resolve t.interner id)
+          acc := Provenance.union !acc (Provenance.resolve t.interner id)
       done;
     i := !i + chunk
   done;
   !acc
 
 let set_mem_range t paddr width prov =
-  let id = Prov_intern.id prov in
+  let id = Provenance.id prov in
   let i = ref 0 in
   while !i < width do
     let a = paddr + !i in
@@ -282,7 +282,7 @@ let iter_mem t f =
         let base = pno lsl page_shift in
         for off = 0 to page_size - 1 do
           let id = id_at page.data off in
-          if id <> 0 then f (base + off) (Prov_intern.resolve t.interner id)
+          if id <> 0 then f (base + off) (Provenance.resolve t.interner id)
         done
       end)
     t.mem_dir

@@ -3,7 +3,7 @@
     Shadow memory is keyed by {e physical} address and is byte granular.
     It is a two-level page table — a directory indexed by page number
     (a {!Faros_vm.Phys_mem} frame number, dense from 0) of 4 KiB pages of
-    interned provenance ids ({!Prov_intern}), id 0 meaning empty, each id
+    interned provenance ids ({!Provenance.id}), id 0 meaning empty, each id
     a 4-byte slot in a block the GC does not scan — so reads and writes
     are one 32-bit load or store and {!tainted_bytes} is a counter read.
     Shadow registers are per address space (one guest CPU per process)
@@ -23,10 +23,10 @@ val create : ?sink:Faros_obs.Sink.t -> unit -> t
 (** [sink] receives a ["page_alloc"] trace event (category ["shadow"])
     each time a shadow page materializes; defaults to the disabled sink.
     The page ids resolve against the calling domain's current
-    {!Prov_intern.store}, captured here; provenance written into this
+    {!Provenance.store}, captured here; provenance written into this
     shadow must be interned under that same store. *)
 
-val interner : t -> Prov_intern.store
+val interner : t -> Provenance.store
 (** The store this shadow's ids resolve against. *)
 
 val get_mem : t -> int -> Provenance.t

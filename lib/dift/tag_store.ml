@@ -1,41 +1,36 @@
-(* The three tag hash maps of Fig. 5.
+(* The tag hash maps of Fig. 5.
 
-   Each map interns the payload of a tag type — netflow 4-tuples, process
-   CR3 values, (file name, version) pairs — and hands out the 16-bit index
-   a prov_tag carries.  Entries exist only for objects that have been
-   involved with tainted bytes, which is what bounds the maps. *)
+   Each map interns the payload of one tag type — netflow 4-tuples, process
+   CR3 values, (file name, version) pairs, exported function names — and
+   hands out the 16-bit index a prov_tag carries.  Entries exist only for
+   objects that have been involved with tainted bytes, which is what bounds
+   the maps. *)
 
 type file_id = { file_name : string; file_version : int }
 
-type t = {
-  netflows : (Faros_os.Types.flow, int) Hashtbl.t;
-  netflow_rev : (int, Faros_os.Types.flow) Hashtbl.t;
-  processes : (int, int) Hashtbl.t;  (* cr3 -> index *)
-  process_rev : (int, int) Hashtbl.t;
-  files : (file_id, int) Hashtbl.t;
-  file_rev : (int, file_id) Hashtbl.t;
-  exports : (string, int) Hashtbl.t;  (* exported function name -> index *)
-  export_rev : (int, string) Hashtbl.t;
-  mutable next_netflow : int;
-  mutable next_process : int;
-  mutable next_file : int;
-  mutable next_export : int;
+(* One map: payload -> index, its reverse, and the next index to mint. *)
+type 'k table = {
+  name : string;  (* named in the overflow message *)
+  fwd : ('k, int) Hashtbl.t;
+  rev : (int, 'k) Hashtbl.t;
+  mutable next : int;
 }
+
+type t = {
+  netflows : Faros_os.Types.flow table;
+  processes : int table;  (* cr3 -> index *)
+  files : file_id table;
+  exports : string table;  (* exported function name -> index *)
+}
+
+let table name = { name; fwd = Hashtbl.create 16; rev = Hashtbl.create 16; next = 0 }
 
 let create () =
   {
-    netflows = Hashtbl.create 16;
-    netflow_rev = Hashtbl.create 16;
-    processes = Hashtbl.create 16;
-    process_rev = Hashtbl.create 16;
-    files = Hashtbl.create 16;
-    file_rev = Hashtbl.create 16;
-    exports = Hashtbl.create 16;
-    export_rev = Hashtbl.create 16;
-    next_netflow = 0;
-    next_process = 0;
-    next_file = 0;
-    next_export = 0;
+    netflows = table "netflow";
+    processes = table "process";
+    files = table "file";
+    exports = table "export";
   }
 
 exception Overflow of string
@@ -45,58 +40,39 @@ exception Overflow of string
    of letting Tag.encode raise much later with no hint of the culprit. *)
 let max_index = 0xFFFF
 
-let intern ~store fwd rev next key =
-  match Hashtbl.find_opt fwd key with
+let intern tbl key =
+  match Hashtbl.find_opt tbl.fwd key with
   | Some i -> i
   | None ->
-    let i = !next in
+    let i = tbl.next in
     if i > max_index then
       raise
         (Overflow
            (Printf.sprintf
               "%s tag store overflow: index %d does not fit the 16-bit \
                prov_tag wire format"
-              store i));
-    incr next;
-    Hashtbl.replace fwd key i;
-    Hashtbl.replace rev i key;
+              tbl.name i));
+    tbl.next <- i + 1;
+    Hashtbl.replace tbl.fwd key i;
+    Hashtbl.replace tbl.rev i key;
     i
 
-let netflow t flow =
-  let next = ref t.next_netflow in
-  let i = intern ~store:"netflow" t.netflows t.netflow_rev next flow in
-  t.next_netflow <- !next;
-  Tag.Netflow i
-
-let process t cr3 =
-  let next = ref t.next_process in
-  let i = intern ~store:"process" t.processes t.process_rev next cr3 in
-  t.next_process <- !next;
-  Tag.Process i
+let netflow t flow = Tag.Netflow (intern t.netflows flow)
+let process t cr3 = Tag.Process (intern t.processes cr3)
 
 let file t ~name ~version =
-  let next = ref t.next_file in
-  let i =
-    intern ~store:"file" t.files t.file_rev next
-      { file_name = name; file_version = version }
-  in
-  t.next_file <- !next;
-  Tag.File i
+  Tag.File (intern t.files { file_name = name; file_version = version })
 
 (* The future-work extension of Section V-A: export-table tags carrying the
    touched function's identity. *)
-let export t ~name =
-  let next = ref t.next_export in
-  let i = intern ~store:"export" t.exports t.export_rev next name in
-  t.next_export <- !next;
-  Tag.Export_table i
+let export t ~name = Tag.Export_table (intern t.exports name)
 
-let netflow_of t i = Hashtbl.find_opt t.netflow_rev i
-let cr3_of t i = Hashtbl.find_opt t.process_rev i
-let export_of t i = Hashtbl.find_opt t.export_rev i
-let file_of t i = Hashtbl.find_opt t.file_rev i
+let netflow_of t i = Hashtbl.find_opt t.netflows.rev i
+let cr3_of t i = Hashtbl.find_opt t.processes.rev i
+let file_of t i = Hashtbl.find_opt t.files.rev i
+let export_of t i = Hashtbl.find_opt t.exports.rev i
 
-let netflow_count t = t.next_netflow
-let process_count t = t.next_process
-let file_count t = t.next_file
-let export_count t = t.next_export
+let netflow_count t = t.netflows.next
+let process_count t = t.processes.next
+let file_count t = t.files.next
+let export_count t = t.exports.next

@@ -206,7 +206,7 @@ let run_job ~config ~graph_segments ~tick_budget ~deadline ~profile
      provenance state is shared with any concurrently running job (or any
      previous job on this worker). *)
   Faros_obs.Profile.with_span prof "farm.job.setup" (fun () ->
-      Faros_dift.Prov_intern.set_store (Faros_dift.Prov_intern.create_store ()));
+      Faros_dift.Provenance.set_store (Faros_dift.Provenance.create_store ()));
   let sink =
     if want_trace then
       Faros_obs.Sink.create ~limit:job_trace_limit ~sample:s.id ~worker ()
@@ -265,7 +265,7 @@ let run_job ~config ~graph_segments ~tick_budget ~deadline ~profile
       ~syscalls:outcome.replay.replay_syscalls
       ~tainted_bytes:stats.tainted_bytes
       ~interned:
-        (Faros_dift.Prov_intern.store_interned_count
+        (Faros_dift.Provenance.store_interned_count
            outcome.faros.engine.interner)
       ~gs ~segments
       (if Core.Report.flagged outcome.report then Flagged else Clean)

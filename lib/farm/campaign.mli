@@ -154,9 +154,6 @@ type matrix_row = {
   mr_mismatches : int;
 }
 
-val matrix : t -> matrix_row list
-(** Per-category verdict counts, sorted by category name. *)
-
 val to_json : t -> Faros_obs.Json.t
 (** The whole campaign as one JSON document: matrix, per-sample results,
     mismatch list, worker stats, merged metrics (and the merged profile

@@ -50,7 +50,6 @@ type t = {
   mutable next_lane : int;  (* round-robin placement cursor *)
   mutable accepting : bool;  (* false once shutdown has begun *)
   mutable domains : unit Domain.t list;
-  workers : int;
   stats : worker_stat array;  (* one slot per spawned domain *)
   mutable peak_depth : int;  (* deepest the lanes have been, summed *)
 }
@@ -63,7 +62,6 @@ type 'a promise = {
   mutable p_state : 'a state;
 }
 
-let workers t = t.workers
 let spawned t = Array.length t.stats
 
 let peak_depth t =
@@ -184,7 +182,6 @@ let create ?(workers = 1) () =
       next_lane = 0;
       accepting = true;
       domains = [];
-      workers;
       stats =
         Array.init spawned (fun _ ->
             { ws_jobs = 0; ws_steals = 0; ws_busy_ns = 0; ws_idle_ns = 0 });

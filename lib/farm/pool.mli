@@ -16,7 +16,7 @@
     byte-identical output for any worker count and any steal
     interleaving.  The pool itself shares nothing between jobs;
     isolation of what the jobs touch (notably the domain-local
-    {!Faros_dift.Prov_intern} store) is the job body's responsibility —
+    {!Faros_dift.Provenance.store}) is the job body's responsibility —
     see {!Campaign}.
 
     Telemetry: each spawned domain counts its jobs and steals and splits
@@ -42,10 +42,7 @@ val create : ?workers:int -> unit -> t
 (** Spawn a pool of [workers] domains (default 1).  Raises
     [Invalid_argument] when [workers < 1].  The domains actually spawned
     are capped at the host's recommended domain count (override with
-    [FAROS_FARM_DOMAINS]); {!workers} still reports the request. *)
-
-val workers : t -> int
-(** The requested worker count. *)
+    [FAROS_FARM_DOMAINS]). *)
 
 val spawned : t -> int
 (** The domains actually spawned: [min workers (host cap)]. *)

@@ -55,10 +55,6 @@ val graph : t -> Graph.t
 (** The resident graph.  @raise Invalid_argument if the builder was
     created with [~resident:false]. *)
 
-val ident_window : int
-(** Tick-window width bucketing flow identities (recurring 4-tuples in
-    distinct windows are distinct conversations). *)
-
 val plugin :
   t -> kernel:Faros_os.Kernel.t -> faros:Core.Faros_plugin.t -> Faros_replay.Plugin.t
 (** The attachable online builder.  Registers the flag observer on

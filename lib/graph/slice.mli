@@ -18,10 +18,6 @@ type t = {
           graph form of Table II's provenance lines *)
 }
 
-val whodunit : Graph.t -> Graph.node -> t
-(** Slice backward from one flag-site node.  Raises [Invalid_argument]
-    on any other node kind. *)
-
 val slices : Graph.t -> t list
 (** One slice per flag site, id order; empty when nothing was flagged. *)
 

@@ -20,9 +20,6 @@ val listener_image : expected:int -> worker_path:string -> unit -> Faros_os.Pe.t
     child and arrives in its r1); polls + yields while idle; halts when
     done. *)
 
-val worker_buf_cap : int
-val worker_chunk : int
-
 val worker_image : ?close_conn:bool -> vulnerable:bool -> unit -> Faros_os.Pe.t
 (** ["worker.exe"], the connection worker (r1 = inherited connection
     handle): drains the stream to EOF, then echoes it back — unless [vulnerable] and the
@@ -34,7 +31,6 @@ val worker_image : ?close_conn:bool -> vulnerable:bool -> unit -> Faros_os.Pe.t
     to incremental graph builders. *)
 
 val mux_stride : int
-val mux_chunk : int
 
 type mux_layout = {
   mux_bufs : int;  (** vaddr of the per-slot buffer block *)
@@ -50,10 +46,8 @@ val mux_image : slots:int -> expected:int -> unit -> Faros_os.Pe.t * mux_layout
     The layout locates each slot's buffer for per-flow provenance
     queries. *)
 
-val stager_chunk : int
-
 val stager_image : stages:int -> unit -> Faros_os.Pe.t
 (** ["staged.exe"]: accepts [stages] sequential connections,
-    concatenates everything they deliver into one {!worker_buf_cap}-byte
-    buffer, then allocates + copies + jumps — a C2 payload reassembled
-    across flows. *)
+    concatenates everything they deliver into one buffer as large as the
+    worker's (4,096 bytes), then allocates + copies + jumps — a C2 payload
+    reassembled across flows. *)

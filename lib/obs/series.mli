@@ -12,7 +12,6 @@ val create : capacity:int -> columns:string list -> t
     list. *)
 
 val columns : t -> string list
-val capacity : t -> int
 
 val sample : t -> int array -> unit
 (** Append one row (copied).  Raises [Invalid_argument] if the row arity
@@ -26,9 +25,6 @@ val length : t -> int
 
 val get : t -> int -> int array
 (** The [i]-th oldest retained row (a copy). *)
-
-val rows : t -> int array list
-(** All retained rows, oldest first. *)
 
 val last : t -> int array option
 

@@ -10,7 +10,6 @@ type t
 
 val create : unit -> t
 
-val script_keys : t -> int list -> unit
 val script_string : t -> string -> unit
 (** Queue live-mode keystrokes. *)
 

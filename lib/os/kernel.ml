@@ -102,7 +102,9 @@ let dispatch (k : t) (p : Process.t) (eff : Faros_vm.Cpu.effect) =
       [ ("class", Str (Syscall.category sysno)); ("via_stub", Bool via_stub) ];
   let ret =
     match lookup sysno with
-    | Some (_, f) -> ( try f k p args with Faros_vm.Mmu.Page_fault _ -> -1 land Faros_vm.Word.mask)
+    | Some (_, f) -> (
+      try f k p args
+      with Faros_vm.Mmu.Page_fault _ | Kstate.Name_too_long -> -1 land Faros_vm.Word.mask)
     | None -> -1 land Faros_vm.Word.mask
   in
   Faros_vm.Cpu.set cpu Faros_vm.Isa.r0 ret;

@@ -59,8 +59,6 @@ let processes t =
   Hashtbl.fold (fun _ p acc -> p :: acc) t.procs []
   |> List.sort (fun a b -> compare a.Process.pid b.Process.pid)
 
-let live_processes t = List.filter Process.is_ready (processes t)
-
 (* Guest-memory helpers used across syscall handlers. *)
 let read_guest_bytes t (p : Process.t) vaddr len =
   Faros_vm.Mmu.read_bytes t.machine.mmu ~asid:(Process.asid p) vaddr len
@@ -68,7 +66,16 @@ let read_guest_bytes t (p : Process.t) vaddr len =
 let write_guest_bytes t (p : Process.t) vaddr b =
   Faros_vm.Mmu.write_bytes t.machine.mmu ~asid:(Process.asid p) vaddr b
 
-let read_guest_string t p vaddr len = Bytes.to_string (read_guest_bytes t p vaddr len)
+(* Names (paths, module and export names) are copied whole into the host,
+   so a guest-supplied length is bounded before anything is allocated;
+   64 KiB is also what DbgPrint and DevPopup text is clamped to. *)
+let max_name = 1 lsl 16
+
+exception Name_too_long
+
+let read_guest_string t p vaddr len =
+  if len < 0 || len > max_name then raise Name_too_long;
+  Bytes.to_string (read_guest_bytes t p vaddr len)
 
 let guest_extents t (p : Process.t) vaddr len =
   Faros_vm.Mmu.extents t.machine.mmu ~asid:(Process.asid p) vaddr len

@@ -39,15 +39,19 @@ val proc_by_asid : t -> int -> Process.t option
 val processes : t -> Process.t list
 (** All processes (including terminated), sorted by pid. *)
 
-val live_processes : t -> Process.t list
-
 (** {2 Guest-memory helpers shared by syscall handlers} *)
 
 val read_guest_bytes : t -> Process.t -> int -> int -> Bytes.t
 val write_guest_bytes : t -> Process.t -> int -> Bytes.t -> unit
 (** Host-side copies, one translation and one blit per page. *)
 
+exception Name_too_long
+
 val read_guest_string : t -> Process.t -> int -> int -> string
+(** [read_guest_string t p vaddr len] copies a guest-supplied name into
+    the host.  Raises {!Name_too_long}, before allocating anything, when
+    [len] is negative or past 64 KiB; syscall dispatch turns it into a -1
+    return, as it does a page fault. *)
 
 val guest_extents : t -> Process.t -> int -> int -> Faros_vm.Extent.t list
 (** Physical extents of a guest range, one translation per page (empty

@@ -17,12 +17,3 @@ let rec next (k : Kstate.t) : Process.t option =
     | Some _ | None ->
       k.run_queue <- rest;
       next k)
-
-let runnable_count (k : Kstate.t) =
-  List.length
-    (List.filter
-       (fun pid ->
-         match Kstate.proc k pid with
-         | Some p -> Process.is_ready p
-         | None -> false)
-       k.run_queue)

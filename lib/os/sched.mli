@@ -7,5 +7,3 @@
 val next : Kstate.t -> Process.t option
 (** Pop the next runnable process, rotating it to the back; drops
     terminated/suspended entries encountered on the way. *)
-
-val runnable_count : Kstate.t -> int

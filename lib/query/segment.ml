@@ -148,10 +148,6 @@ let writer ?(seg_rows = 2048) ~sink ~run () =
   marker t "begin";
   t
 
-let run t = t.w_run
-let live_nodes t = Hashtbl.length t.w_nodes
-let live_edges t = Hashtbl.length t.w_edges
-
 let stats t =
   {
     st_spilled_nodes = t.w_spilled_nodes;

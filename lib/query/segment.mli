@@ -34,9 +34,6 @@ val close : t -> unit
     ordinal, edges by creation ordinal) and write the ["final"] marker.
     Idempotent. *)
 
-val run : t -> string
-val live_nodes : t -> int
-val live_edges : t -> int
 val stats : t -> stats
 
 (** {2 Reading node rows back}

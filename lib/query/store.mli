@@ -34,9 +34,6 @@ val runs : t -> string list
 val run_graph : t -> string -> (Faros_graph.Graph.t, string) result
 (** Reconstruct (and cache) one run's resident graph. *)
 
-val ident : t -> run:string -> ord:int -> string option
-(** The stable identity recorded for a node ordinal of a run. *)
-
 type totals = {
   t_runs : int;
   t_complete : int;  (** runs whose "final" marker arrived *)

@@ -17,5 +17,4 @@ val make :
   string ->
   t
 
-val attach : Faros_os.Kernel.t -> t -> unit
 val attach_all : Faros_os.Kernel.t -> t list -> unit

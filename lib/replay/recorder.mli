@@ -7,11 +7,6 @@
 
 type session
 
-val start : Faros_os.Kernel.t -> session
-(** Attach record sinks to a kernel's devices. *)
-
-val finish : session -> Trace.t
-
 val record :
   ?max_ticks:int ->
   ?profile:Faros_obs.Profile.t ->

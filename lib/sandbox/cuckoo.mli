@@ -26,8 +26,6 @@ type report = {
   mutable popups : string list;
 }
 
-val create_report : unit -> report
-
 val plugin : Faros_os.Kernel.t -> report * Faros_replay.Plugin.t
 (** The monitor, ready to attach to a live (recording) run. *)
 

@@ -49,8 +49,6 @@ let scan (dump : Memdump.t) : finding list =
         else None)
     dump.regions
 
-let flags dump = scan dump <> []
-
 let pp_finding ppf f =
   Fmt.pf ppf "pid %d (%s): private executable region at 0x%08x (%d instrs)"
     f.fd_pid f.fd_process f.fd_vaddr f.fd_instructions

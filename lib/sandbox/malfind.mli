@@ -19,5 +19,4 @@ val code_score : string -> int
 val min_instructions : int
 
 val scan : Memdump.t -> finding list
-val flags : Memdump.t -> bool
 val pp_finding : finding Fmt.t

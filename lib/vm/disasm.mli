@@ -1,6 +1,5 @@
 (** Pretty-printer / disassembler for guest instructions. *)
 
-val pp_addr : Isa.addr Fmt.t
 val pp : Isa.t Fmt.t
 val to_string : Isa.t -> string
 

@@ -40,7 +40,6 @@ val page_shift : int
 
 val create : Phys_mem.t -> t
 val create_space : t -> name:string -> space
-val find_space : t -> int -> space
 
 val space_name : t -> int -> string
 (** Display name for an address space (process image name). *)
@@ -56,8 +55,6 @@ val mark_code_page : t -> int -> unit
 (** Mark a frame as holding cached code so stores into it are reported. *)
 
 val clear_code_page : t -> int -> unit
-
-val flush_tlb : t -> unit
 
 val tlb_stats : t -> int * int
 (** [(hits, misses)] of the software TLB since creation. *)

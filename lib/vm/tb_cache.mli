@@ -54,8 +54,6 @@ type stats = {
   st_summarized : int;  (** blocks whose summary was ever compiled *)
 }
 
-val max_entries : int
-
 val create : Mmu.t -> t
 
 val translate : t -> asid:int -> pc:int -> block option

@@ -85,12 +85,12 @@ let pool_tests =
         let counts =
           Pool.map ~workers:4
             (fun n ->
-              let st = Faros_dift.Prov_intern.create_store () in
-              Faros_dift.Prov_intern.set_store st;
+              let st = Faros_dift.Provenance.create_store () in
+              Faros_dift.Provenance.set_store st;
               for i = 1 to n do
-                ignore (Faros_dift.Prov_intern.singleton (Faros_dift.Tag.Netflow i))
+                ignore (Faros_dift.Provenance.singleton (Faros_dift.Tag.Netflow i))
               done;
-              Faros_dift.Prov_intern.store_interned_count st)
+              Faros_dift.Provenance.store_interned_count st)
             [ 5; 10; 15; 20 ]
         in
         Alcotest.(check (list int))

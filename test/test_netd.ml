@@ -267,7 +267,7 @@ let trace_tests =
 (* -- scenarios: record/replay, detection, whodunit ------------------------ *)
 
 let fresh_store () =
-  Faros_dift.Prov_intern.set_store (Faros_dift.Prov_intern.create_store ())
+  Faros_dift.Provenance.set_store (Faros_dift.Provenance.create_store ())
 
 let build_graph (scn : Faros_corpus.Scenario.t) =
   fresh_store ();

@@ -881,8 +881,8 @@ let overhead_tests =
           | None -> Alcotest.fail "missing corpus sample"
         in
         let run f =
-          Faros_dift.Prov_intern.with_store
-            (Faros_dift.Prov_intern.create_store ())
+          Faros_dift.Provenance.with_store
+            (Faros_dift.Provenance.create_store ())
             (fun () ->
               let outcome = f sample.scenario in
               let json =
@@ -913,8 +913,8 @@ let overhead_tests =
           | None -> Alcotest.fail "missing corpus sample"
         in
         let run f =
-          Faros_dift.Prov_intern.with_store
-            (Faros_dift.Prov_intern.create_store ())
+          Faros_dift.Provenance.with_store
+            (Faros_dift.Provenance.create_store ())
             (fun () ->
               let outcome = f sample.scenario in
               ( Core.Report.summary outcome.Core.Analysis.report,

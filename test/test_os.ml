@@ -907,6 +907,49 @@ let abi_tests =
         in
         check "frames handed out" 102_438 (Faros_vm.Phys_mem.frame_count k.machine.mem);
         check "frames resident" 3 (Faros_vm.Phys_mem.resident_frames k.machine.mem));
+    Alcotest.test_case "an oversized name returns -1 before the host allocates" `Quick
+      (fun () ->
+        (* Each syscall that reads a guest-supplied name, called with the
+           name at the image base and a length the host must not copy. *)
+        let named =
+          Syscall.
+            [
+              nt_create_file; nt_open_file; nt_delete_file; nt_query_attributes_file;
+              ldr_load_library; ldr_get_proc_address; nt_create_process;
+            ]
+        in
+        let calls =
+          List.concat_map
+            (fun len -> List.map (fun sysno -> (sysno, len)) named)
+            [ 0x10000000; 0xFFFFFFFF ]
+        in
+        let before = Gc.allocated_bytes () in
+        let _, _, events =
+          run_guest
+            (List.concat
+               [
+                 [ Faros_vm.Asm.Label "start" ];
+                 List.concat_map
+                   (fun (sysno, len) ->
+                     i (Faros_vm.Isa.Mov_ri (r1, Process.image_base))
+                     :: i (Faros_vm.Isa.Mov_ri (r2, len))
+                     :: Faros_corpus.Progs.syscall sysno)
+                   calls;
+                 [ i Faros_vm.Isa.Halt ];
+               ])
+        in
+        let allocated = Gc.allocated_bytes () -. before in
+        let rets =
+          List.filter_map
+            (function Os_event.Sys_exit { sysno; ret; _ } -> Some (sysno, ret) | _ -> None)
+            events
+        in
+        Alcotest.(check (list (pair int int)))
+          "returns" (List.map (fun (sysno, _) -> (sysno, 0xFFFFFFFF)) calls) rets;
+        check_b
+          (Printf.sprintf "allocated %.0f bytes, under 16 MiB" allocated)
+          true
+          (allocated < float_of_int (16 lsl 20)));
   ]
 
 let more_syscall_tests =

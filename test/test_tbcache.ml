@@ -100,8 +100,8 @@ let analyze_with ~tb ~fast id =
     | None -> Alcotest.failf "unknown sample %s" id
   in
   Machine_defaults.with_defaults ~tb ~fast (fun () ->
-      let store = Faros_dift.Prov_intern.create_store () in
-      Faros_dift.Prov_intern.set_store store;
+      let store = Faros_dift.Provenance.create_store () in
+      Faros_dift.Provenance.set_store store;
       let outcome = Faros_corpus.Scenario.analyze sample.scenario in
       let flags = Core.Report.flagged_sites outcome.report in
       let rendered = Fmt.str "%a" Core.Faros_plugin.pp_report outcome.faros in
@@ -202,8 +202,8 @@ let fastpath_tests =
            file-tainted at load, so after each block's first execution the
            fetch touch is a no-op and the fast path takes over.  Also pins
            the accounting invariant hits + misses = engine.instrs. *)
-        let store = Faros_dift.Prov_intern.create_store () in
-        Faros_dift.Prov_intern.set_store store;
+        let store = Faros_dift.Provenance.create_store () in
+        Faros_dift.Provenance.set_store store;
         let _, scn = List.hd (Faros_corpus.Perf.workloads ()) in
         let _k, trace = Faros_corpus.Scenario.record scn in
         let metrics = Faros_obs.Metrics.create () in
