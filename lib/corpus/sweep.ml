@@ -26,8 +26,8 @@
 
    Job lengths are deliberately uneven — laundering samples replay a
    bit-by-bit copy loop and victims idle for tens of thousands of ticks
-   while self-inject samples finish in hundreds — which is exactly the
-   long-tail shape the pool's work stealing exists for.
+   while self-inject samples finish in hundreds — the long-tail shape
+   the pool's one shared queue keeps every domain busy through.
 
    Samples return as plain tuples (like {!Rats.samples}) so {!Registry}
    can map them into categories without a dependency cycle. *)

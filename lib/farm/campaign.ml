@@ -1,7 +1,7 @@
 (* The corpus-campaign driver: FAROS's evaluation (Tables II-IV) as one
    embarrassingly-parallel workload.
 
-   Every sample is one job on the {!Pool}: install a fresh provenance
+   Every sample is one job of a {!Pool.map}: install a fresh provenance
    store (per-job isolation — see the domain-safety contract in
    docs/farm.md), analyze under the given config with a tick budget and a
    wall-clock deadline, and reduce the outcome to plain data (strings and
@@ -10,9 +10,9 @@
    [Timeout]; neither aborts the campaign.
 
    Results come back in submission order regardless of completion order
-   (promises are awaited in order), so verdicts, the mismatch list and
-   the merged metrics registry are deterministic for a given corpus —
-   byte-identical across worker counts.
+   (the pool hands them back in input order), so verdicts, the mismatch
+   list and the merged metrics registry are deterministic for a given
+   corpus — byte-identical across worker counts.
 
    Observability rides the same one-way data flow.  Each job owns its
    whole instrumentation state — a private span profiler and a private
@@ -73,7 +73,7 @@ type t = {
   mismatches : string list;  (* ids, submission order *)
   workers : int;
   spawned : int;  (* domains actually spawned (host cap) *)
-  peak_depth : int;  (* deepest the job queue has been *)
+  peak_depth : int;  (* the job count: every job is queued before the first runs *)
   worker_stats : Pool.worker_stat list;  (* per-worker, index order *)
   wall_s : float;
   metrics : Faros_obs.Metrics.t;  (* all job registries merged *)
@@ -288,7 +288,6 @@ let publish_farm_metrics ~workers ~spawned ~peak_depth ~worker_stats ~results
   List.iteri
     (fun i (ws : Pool.worker_stat) ->
       g (Printf.sprintf "farm.worker.%d.jobs" i) ws.ws_jobs;
-      g (Printf.sprintf "farm.worker.%d.steals" i) ws.ws_steals;
       g (Printf.sprintf "farm.worker.%d.busy_us" i) (ws.ws_busy_ns / 1000);
       g (Printf.sprintf "farm.worker.%d.idle_us" i) (ws.ws_idle_ns / 1000))
     worker_stats;
@@ -362,42 +361,33 @@ let run ?(workers = 1) ?(config = Core.Config.default)
      the job closures capture can be shared across workers without any
      synchronization.  Per-job setup is then tag-store instancing only. *)
   Faros_corpus.Snapshot.freeze ();
-  let pool = Pool.create ~workers () in
-  let results =
-    Fun.protect
-      ~finally:(fun () -> Pool.shutdown pool)
-      (fun () ->
-        let promises =
-          List.map
-            (fun s ->
-              Pool.submit_indexed pool (fun ~worker ->
-                  run_job ~config ~graph_segments ~tick_budget ~deadline
-                    ~profile ~want_trace ~worker s))
-            samples
-        in
-        let completed = ref 0 in
-        List.map2
-          (fun (s : Faros_corpus.Registry.sample) p ->
-            let r =
-              match Pool.await p with
-              | Ok r -> r
-              | Error e ->
-                (* run_job contains its own exception barrier, so this only
-                   fires on failures outside it; record, don't abort. *)
-                job_result ~tick_budget s ~worker:(-1) ~wall_s:0.0
-                  ~metrics:(Faros_obs.Metrics.create ())
-                  ~profile:Faros_obs.Profile.disabled ~sink:Faros_obs.Sink.null
-                  (Error (Printexc.to_string e))
-            in
-            incr completed;
-            Option.iter (fun f -> f ~completed:!completed ~total r) on_progress;
-            r)
-          samples promises)
+  let completed = ref 0 in
+  let on_result (s : Faros_corpus.Registry.sample) outcome =
+    let r =
+      match outcome with
+      | Ok r -> r
+      | Error e ->
+        (* run_job contains its own exception barrier, so this only fires
+           on failures outside it; record, don't abort. *)
+        job_result ~tick_budget s ~worker:(-1) ~wall_s:0.0
+          ~metrics:(Faros_obs.Metrics.create ())
+          ~profile:Faros_obs.Profile.disabled ~sink:Faros_obs.Sink.null
+          (Error (Printexc.to_string e))
+    in
+    incr completed;
+    Option.iter (fun f -> f ~completed:!completed ~total r) on_progress;
+    r
   in
-  (* The pool is shut down here: worker stats are exact. *)
-  let spawned = Pool.spawned pool in
-  let peak_depth = Pool.peak_depth pool in
-  let worker_stats = Pool.worker_stats pool in
+  let results, worker_stats =
+    Pool.map ~workers ~on_result
+      (fun ~worker s ->
+        run_job ~config ~graph_segments ~tick_budget ~deadline ~profile
+          ~want_trace ~worker s)
+      samples
+  in
+  let spawned = List.length worker_stats in
+  (* Every job is queued before the first one runs. *)
+  let peak_depth = total in
   let cam_profile =
     if profile then Faros_obs.Profile.create () else Faros_obs.Profile.disabled
   in
@@ -519,7 +509,7 @@ let matrix_row_json row : Json.t =
 let worker_stat_json i (ws : Pool.worker_stat) : Json.t =
   Obj
     [ ("worker", Int i); ("jobs", Int ws.ws_jobs); ("busy_us", Int (ws.ws_busy_ns / 1000));
-      ("idle_us", Int (ws.ws_idle_ns / 1000)); ("steals", Int ws.ws_steals) ]
+      ("idle_us", Int (ws.ws_idle_ns / 1000)) ]
 
 let to_json t : Json.t =
   let result r = Json.Obj (List.map (fun (k, f) -> (k, f r)) result_fields) in
@@ -591,6 +581,6 @@ let pp_workers ppf t =
         if busy +. idle > 0. then 100. *. busy /. (busy +. idle) else 0.
       in
       Fmt.pf ppf
-        "  worker %d: %4d jobs  %4d steals  %8.2fs busy  %8.2fs idle  %5.1f%% busy@."
-        i ws.ws_jobs ws.ws_steals busy idle util)
+        "  worker %d: %4d jobs  %8.2fs busy  %8.2fs idle  %5.1f%% busy@."
+        i ws.ws_jobs busy idle util)
     t.worker_stats

@@ -1,6 +1,6 @@
 (** The corpus-campaign driver: run any subset of the
-    {!Faros_corpus.Registry} in parallel on a {!Pool} and aggregate the
-    verdicts into the evaluation's Tables II-IV matrix.
+    {!Faros_corpus.Registry} in parallel with {!Pool.map} and aggregate
+    the verdicts into the evaluation's Tables II-IV matrix.
 
     Each sample is one isolated job: a fresh provenance interner is
     installed on the worker domain before anything runs, the analysis is
@@ -88,7 +88,8 @@ type t = {
   mismatches : string list;  (** mismatching sample ids, submission order *)
   workers : int;  (** requested *)
   spawned : int;  (** domains actually spawned (host cap) *)
-  peak_depth : int;  (** deepest the job queue has been *)
+  peak_depth : int;
+      (** the job count: every job is queued before the first one runs *)
   worker_stats : Pool.worker_stat list;  (** per-worker, index order *)
   wall_s : float;
   metrics : Faros_obs.Metrics.t;  (** all job registries merged *)
@@ -109,7 +110,8 @@ val run :
   ?on_progress:(completed:int -> total:int -> job_result -> unit) ->
   Faros_corpus.Registry.sample list ->
   t
-(** Run the samples on a transient pool of [workers] domains (default 1).
+(** Run the samples on [workers] domains (default 1; {!Pool.map} caps
+    the domains actually spawned at the host's).
     [config] applies to every job; every job builds its sample's attack
     graph and folds the slice summary into its result;
     [graph_segments] (default [false]) additionally streams each job's
@@ -129,7 +131,8 @@ val run :
     [farm_metrics] (default [false]) adds [farm.workers.*],
     [farm.worker.<i>.*], [farm.queue.peak_depth] gauges and the
     [farm.job.wall_us] histogram to the merged registry.  [on_progress]
-    runs driver-side as each result is awaited, in submission order. *)
+    runs driver-side as each result is handed back, in submission
+    order. *)
 
 val ok : t -> bool
 (** No mismatches — the [sweep] / [campaign] exit-code criterion. *)
@@ -172,4 +175,4 @@ val pp_summary : Format.formatter -> t -> unit
 val pp_workers : Format.formatter -> t -> unit
 (** The per-worker utilization breakdown: jobs, busy/idle seconds and
     busy%% per spawned worker, plus requested/spawned counts and the
-    queue's peak depth. *)
+    queue's peak depth (the job count). *)

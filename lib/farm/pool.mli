@@ -1,78 +1,43 @@
-(** A fixed-size domain worker pool with per-worker lanes and work
-    stealing.
+(** An in-order parallel map on worker domains.
 
-    Each spawned domain owns a FIFO lane; {!submit} places jobs
-    round-robin across the lanes, and a worker that drains its own lane
-    steals the oldest job from the longest remaining lane instead of
-    idling.  All lanes share one mutex+condition, so scheduling and
-    telemetry have a single synchronization point.  {!submit} returns a
-    promise; {!await} blocks until the job ran.  A job that raises
-    fulfills its promise with [Error] — it never takes its worker down.
-    {!shutdown} is graceful: workers drain every lane first, so every
-    promise submitted before shutdown is fulfilled.
+    {!map} spawns its domains for one list of jobs.  They share one
+    queue, an atomic index into the input: a free domain takes the next
+    job, so no job waits behind a slow one while a domain is free.  A job
+    that raises yields [Error] in its slot and never takes its domain
+    down.  The calling domain hands each result back in input order as
+    soon as it is in, then joins the domains.
 
     The pool schedules where and when jobs run, never what they return:
-    callers that await promises in submission order observe
-    byte-identical output for any worker count and any steal
-    interleaving.  The pool itself shares nothing between jobs;
-    isolation of what the jobs touch (notably the domain-local
+    output built from the results in input order is byte-identical for
+    any worker count.  The pool shares nothing between jobs; isolation of
+    what the jobs touch (notably the domain-local
     {!Faros_dift.Provenance.store}) is the job body's responsibility —
-    see {!Campaign}.
+    see {!Campaign}. *)
 
-    Telemetry: each spawned domain counts its jobs and steals and splits
-    its wall time into busy (inside job bodies) and idle (waiting for
-    work) nanoseconds, and the pool remembers the peak total lane depth.
-    Every counter is written under the pool mutex, so {!worker_stats}
-    and {!peak_depth} are exact point-in-time snapshots even while the
-    domains run. *)
-
-type t
-
-type 'a promise
-
-(** Per-worker counters.  Mutated only under the pool mutex. *)
+(** One domain's counters.  Each domain writes only its own, and {!map}
+    returns them after the join, so none needs a lock. *)
 type worker_stat = {
-  mutable ws_jobs : int;  (** jobs completed by this worker *)
-  mutable ws_steals : int;  (** jobs taken from another worker's lane *)
+  mutable ws_jobs : int;  (** jobs this domain ran *)
+  mutable ws_steals : int;
+      (** always 0: every domain takes from the one shared queue, so no
+          domain takes a job from another's; kept because the pipeline
+          benchmark still reads it *)
   mutable ws_busy_ns : int;  (** time inside job bodies *)
-  mutable ws_idle_ns : int;  (** time waiting for work *)
+  mutable ws_idle_ns : int;  (** the map's lifetime minus [ws_busy_ns] *)
 }
 
-val create : ?workers:int -> unit -> t
-(** Spawn a pool of [workers] domains (default 1).  Raises
-    [Invalid_argument] when [workers < 1].  The domains actually spawned
-    are capped at the host's recommended domain count (override with
-    [FAROS_FARM_DOMAINS]). *)
-
-val spawned : t -> int
-(** The domains actually spawned: [min workers (host cap)]. *)
-
-val submit : t -> (unit -> 'a) -> 'a promise
-(** Enqueue a job on the next lane (round-robin).  Raises
-    [Invalid_argument] after {!shutdown}. *)
-
-val submit_indexed : t -> (worker:int -> 'a) -> 'a promise
-(** Like {!submit}, but the job receives the index (in
-    [0 .. spawned-1]) of the worker domain that runs it — the campaign
-    driver uses it to label per-job artifacts with their producer.
-    With stealing on, the index is the worker that RAN the job, which
-    need not be the lane it was placed on. *)
-
-val await : 'a promise -> ('a, exn) result
-(** Block until the job has run; [Error e] if the job raised [e]. *)
-
-val shutdown : t -> unit
-(** Stop accepting jobs, let the workers drain every lane, then join
-    their domains.  Idempotent. *)
-
-val worker_stats : t -> worker_stat list
-(** An exact snapshot per spawned worker, in worker-index order, taken
-    under the pool mutex — race-free even while the domains run. *)
-
-val peak_depth : t -> int
-(** The deepest the lanes have been (summed across lanes) since
-    {!create}. *)
-
-val map : ?workers:int -> ('a -> 'b) -> 'a list -> ('b, exn) result list
-(** [map ~workers f items] runs [f] over [items] on a transient pool and
-    returns results in input order (completion order never shows). *)
+val map :
+  workers:int ->
+  on_result:('a -> ('b, exn) result -> 'c) ->
+  (worker:int -> 'a -> 'b) ->
+  'a list ->
+  'c list * worker_stat list
+(** [map ~workers ~on_result f items] runs [f ~worker x] for every item
+    on [min workers (host cap)] domains, [worker] being the index (from
+    0) of the domain that runs the job.  The calling domain passes each
+    item and its result ([Error e] if the job raised [e]) to [on_result]
+    in input order, each as soon as it and every earlier result are in.
+    It returns what [on_result] returned, in input order, and one stat
+    per domain in index order.  The host cap is
+    [Domain.recommended_domain_count]; [FAROS_FARM_DOMAINS] overrides it.
+    Raises [Invalid_argument] when [workers < 1]. *)

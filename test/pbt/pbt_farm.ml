@@ -6,20 +6,21 @@
    sample, so the Error path is covered too) and the property runs the
    same subset through [Campaign.run] at workers=1 and workers=4,
    requiring identical results, mismatch lists, matrices and merged
-   metric registries — the farm's determinism contract with work
-   stealing on.
+   metric registries — the farm's determinism contract with jobs
+   finishing out of order.
 
    FAROS_FARM_DOMAINS=4 forces four real domains even on a single-core
    CI host (the pool otherwise caps at the recommended domain count), so
-   the parallel leg genuinely exercises cross-domain scheduling and
-   stealing.  QCheck shrinks a failing subset toward the smallest sample
+   the parallel leg genuinely exercises cross-domain scheduling and the
+   in-order hand-back.  (The property's name keeps its old "stealing on"
+   label; the pool now has one shared queue.)  QCheck shrinks a failing subset toward the smallest sample
    list that still diverges — the repro a scheduler bug report needs. *)
 
 let () = Unix.putenv "FAROS_FARM_DOMAINS" "4"
 
 (* The draw pool: cheap-but-diverse samples.  Uneven job lengths on
-   purpose (idle-loop victims next to hundred-tick self-injects) so the
-   4-worker leg actually steals. *)
+   purpose (idle-loop victims next to hundred-tick self-injects) so on
+   the 4-worker leg later jobs finish before earlier ones. *)
 let pool : Faros_corpus.Registry.sample array =
   let sweep_picks =
     List.filter
