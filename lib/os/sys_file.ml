@@ -54,11 +54,12 @@ let read_file (k : Kstate.t) (p : Process.t) args =
         n
       end)
 
-(* r1 = handle, r2 = buf, r3 = len.  Returns bytes written. *)
+(* r1 = handle, r2 = buf, r3 = len.  Returns bytes written.  Nothing is
+   written past [max_io]: a file grows to at most 1 MiB. *)
 let write_file (k : Kstate.t) (p : Process.t) args =
   with_file p args.(0) (fun fh ->
       let len = args.(2) in
-      if len < 0 || len > max_io then err
+      if len < 0 || fh.pos + len > max_io then err
       else if not (Fs.exists k.fs fh.path) then err
       else begin
         let f = Fs.find k.fs fh.path in
@@ -110,10 +111,11 @@ let query_size (k : Kstate.t) (p : Process.t) args =
   with_file p args.(0) (fun fh ->
       if Fs.exists k.fs fh.path then Fs.size k.fs fh.path else err)
 
-(* r1 = handle, r2 = pos *)
+(* r1 = handle, r2 = pos, at most [max_io]: a write there would make the
+   host zero-fill the file, and its shadow, up to the position. *)
 let set_position (_ : Kstate.t) (p : Process.t) args =
   with_file p args.(0) (fun fh ->
-      if args.(1) < 0 then err
+      if args.(1) < 0 || args.(1) > max_io then err
       else begin
         fh.pos <- args.(1);
         0

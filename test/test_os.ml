@@ -950,6 +950,73 @@ let abi_tests =
           (Printf.sprintf "allocated %.0f bytes, under 16 MiB" allocated)
           true
           (allocated < float_of_int (16 lsl 20)));
+    Alcotest.test_case "a seek past 1 MiB returns -1 before the host allocates" `Quick
+      (fun () ->
+        (* A guest seeks far past its file's end and writes one byte
+           there, then tries the last byte of the 1 MiB bound. *)
+        let max_io = 1 lsl 20 in
+        let seek pos =
+          [ i (Faros_vm.Isa.Mov_rr (r1, Faros_vm.Isa.r7)); i (Faros_vm.Isa.Mov_ri (r2, pos)) ]
+          @ Faros_corpus.Progs.syscall Syscall.nt_set_file_position
+        in
+        let write len =
+          [
+            i (Faros_vm.Isa.Mov_rr (r1, Faros_vm.Isa.r7));
+            Faros_corpus.Progs.lea_label r2 "data";
+            i (Faros_vm.Isa.Mov_ri (r3, len));
+          ]
+          @ Faros_corpus.Progs.syscall Syscall.nt_write_file
+        in
+        let items =
+          List.concat
+            [
+              [
+                Faros_vm.Asm.Label "start";
+                Faros_corpus.Progs.lea_label r1 "path";
+                i (Faros_vm.Isa.Mov_ri (r2, 5));
+              ];
+              Faros_corpus.Progs.syscall Syscall.nt_create_file;
+              [ i (Faros_vm.Isa.Mov_rr (Faros_vm.Isa.r7, r0)) ];
+              seek (8 lsl 20);
+              write 1;
+              seek 0xFFFFFFFF;
+              write 1;
+              seek (max_io - 1);
+              write 2;
+              write 1;
+              [ i Faros_vm.Isa.Halt ];
+              Faros_corpus.Progs.cstring "path" "big.t";
+              Faros_corpus.Progs.cstring "data" "AB";
+            ]
+        in
+        let k, _, events = run_guest items in
+        let rets sysno =
+          List.filter_map
+            (function
+              | Os_event.Sys_exit { sysno = n; ret; _ } when n = sysno -> Some ret
+              | _ -> None)
+            events
+        in
+        Alcotest.(check (list int))
+          "seeks: 8 MiB and 2^32-1 refused, max_io - 1 taken"
+          [ 0xFFFFFFFF; 0xFFFFFFFF; 0 ]
+          (rets Syscall.nt_set_file_position);
+        Alcotest.(check (list int))
+          "writes: two at the start, then 2 bytes refused and 1 byte taken at the bound"
+          [ 1; 1; 0xFFFFFFFF; 1 ]
+          (rets Syscall.nt_write_file);
+        check "file stops at the bound" max_io (Fs.size k.fs "big.t");
+        let image = Pe.of_program ~name:"t.exe" ~base:Process.image_base items in
+        let scn =
+          Faros_corpus.Scenario.make ~images:[ ("t.exe", image) ] ~boot:[ "t.exe" ] "seek"
+        in
+        let before = Gc.allocated_bytes () in
+        ignore (Faros_corpus.Scenario.analyze scn);
+        let allocated = Gc.allocated_bytes () -. before in
+        check_b
+          (Printf.sprintf "record + FAROS replay allocated %.0f bytes, under 32 MiB" allocated)
+          true
+          (allocated < float_of_int (32 lsl 20)));
   ]
 
 let more_syscall_tests =
