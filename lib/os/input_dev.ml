@@ -7,8 +7,7 @@
    counter, so they need no recording. *)
 
 type t = {
-  mutable pending_keys : int list;  (* live-mode script *)
-  mutable replay_keys : int list option;  (* replayed trace, if any *)
+  mutable pending_keys : int list;  (* the script, live or replayed *)
   mutable record_sink : (int -> unit) option;
   mutable audio_counter : int;
   mutable frame_counter : int;
@@ -17,7 +16,6 @@ type t = {
 let create () =
   {
     pending_keys = [];
-    replay_keys = None;
     record_sink = None;
     audio_counter = 0;
     frame_counter = 0;
@@ -29,22 +27,17 @@ let script_string t s =
   script_keys t (List.init (String.length s) (fun i -> Char.code s.[i]))
 
 let set_record_sink t f = t.record_sink <- Some f
-let set_replay_keys t keys = t.replay_keys <- Some keys
 
-(* Next keystroke, or 0 when the script is exhausted. *)
+(* Next keystroke, or 0 when the script is exhausted.  Recording and
+   replay read the same script: replay queues the trace's keys and sets
+   no record sink. *)
 let read_key t =
-  match t.replay_keys with
-  | Some (k :: rest) ->
-    t.replay_keys <- Some rest;
+  match t.pending_keys with
+  | [] -> 0
+  | k :: rest ->
+    t.pending_keys <- rest;
+    (match t.record_sink with Some sink -> sink k | None -> ());
     k
-  | Some [] -> 0
-  | None -> (
-    match t.pending_keys with
-    | [] -> 0
-    | k :: rest ->
-      t.pending_keys <- rest;
-      (match t.record_sink with Some sink -> sink k | None -> ());
-      k)
 
 (* Deterministic synthetic PCM-ish bytes. *)
 let read_audio t len =

@@ -10,11 +10,14 @@ type t
 
 val create : unit -> t
 
+val script_keys : t -> int list -> unit
+(** Queue keystrokes: a live script, or a trace's recorded keys at
+    replay. *)
+
 val script_string : t -> string -> unit
-(** Queue live-mode keystrokes. *)
+(** Queue a live script's keystrokes. *)
 
 val set_record_sink : t -> (int -> unit) -> unit
-val set_replay_keys : t -> int list -> unit
 
 val read_key : t -> int
 (** Next keystroke, or 0 when the script is exhausted. *)

@@ -37,7 +37,7 @@ let replay ?max_ticks ?(profile = Faros_obs.Profile.disabled)
      schedule: the kernel pump delivers them at the same slice boundaries
      as during recording. *)
   Faros_os.Netstack.schedule_inbound kernel.net (Trace.inbound_schedule trace);
-  Faros_os.Input_dev.set_replay_keys kernel.input (Trace.keys trace);
+  Faros_os.Input_dev.script_keys kernel.input (Trace.keys trace);
   let syscalls = ref 0 in
   Faros_os.Kernel.subscribe kernel (fun ev ->
       match ev with
