@@ -4,13 +4,30 @@
 
 exception Bad_executable of string
 
+(* The whole image file at [path] and the version the read gave it
+   ([Fs.open_file] bumps it), or [None] for a missing file. *)
+let read_image (k : Kstate.t) path =
+  if not (Fs.exists k.fs path) then None
+  else
+    let f = Fs.open_file k.fs path in
+    Some (Bytes.to_string (Fs.read f ~offset:0 ~len:(Bytes.length f.data)), f.version)
+
+(* The loaded image's bytes came from [path]: file provenance, one
+   [File_read] per non-empty section extent, then the [Module_loaded]. *)
+let image_loaded (k : Kstate.t) ~pid ~path ~version (loaded : Loader.loaded) =
+  List.iter
+    (fun (_, dst) ->
+      if dst <> [] then
+        Kstate.emit k (Os_event.File_read { pid; path; version; offset = 0; dst }))
+    loaded.ld_section_extents;
+  let image = loaded.ld_image in
+  Kstate.emit k (Os_event.Module_loaded { pid; image = image.img_name; base = image.base })
+
 let spawn (k : Kstate.t) ~path ~suspended ~parent : Types.pid =
-  let image_bytes =
-    match Fs.exists k.fs path with
-    | true ->
-      let f = Fs.open_file k.fs path in
-      Bytes.to_string (Fs.read f ~offset:0 ~len:(Bytes.length f.data))
-    | false -> raise (Bad_executable path)
+  let image_bytes, version =
+    match read_image k path with
+    | Some read -> read
+    | None -> raise (Bad_executable path)
   in
   let image =
     try
@@ -52,12 +69,5 @@ let spawn (k : Kstate.t) ~path ~suspended ~parent : Types.pid =
   Kstate.emit k
     (Os_event.Proc_created
        { pid; name = image.img_name; parent; asid = space.asid; suspended });
-  (* The image bytes now in memory came from [path]: file provenance. *)
-  let version = Fs.version k.fs path in
-  List.iter
-    (fun (_, dst) ->
-      if dst <> [] then
-        Kstate.emit k (Os_event.File_read { pid; path; version; offset = 0; dst }))
-    loaded.ld_section_extents;
-  Kstate.emit k (Os_event.Module_loaded { pid; image = image.img_name; base = image.base });
+  image_loaded k ~pid ~path ~version loaded;
   pid

@@ -12,27 +12,15 @@ let load_library (k : Kstate.t) (p : Process.t) args =
   match List.assoc_opt name p.modules with
   | Some img -> img.Pe.base
   | None -> (
-    if not (Fs.exists k.fs name) then err
-    else
-      let f = Fs.open_file k.fs name in
-      let image_bytes = Bytes.to_string (Fs.read f ~offset:0 ~len:(Bytes.length f.data)) in
-      match
-        Loader.load k.machine.mmu p.space k.exports (Pe.parse image_bytes)
-      with
+    match Spawn.read_image k name with
+    | None -> err
+    | Some (image_bytes, version) -> (
+      match Loader.load k.machine.mmu p.space k.exports (Pe.parse image_bytes) with
       | exception (Pe.Bad_image _ | Loader.Unresolved_import _) -> err
       | loaded ->
-        let image = loaded.ld_image in
-        p.modules <- (name, image) :: p.modules;
-        List.iter
-          (fun (_, dst) ->
-            if dst <> [] then
-              Kstate.emit k
-                (Os_event.File_read
-                   { pid = p.pid; path = name; version = f.version; offset = 0; dst }))
-          loaded.ld_section_extents;
-        Kstate.emit k
-          (Os_event.Module_loaded { pid = p.pid; image = image.img_name; base = image.base });
-        image.base)
+        p.modules <- (name, loaded.ld_image) :: p.modules;
+        Spawn.image_loaded k ~pid:p.pid ~path:name ~version loaded;
+        loaded.ld_image.base))
 
 (* r1 = name ptr, r2 = name len.  Kernel-side symbol resolution: looks up
    kernel exports first, then the caller's loaded modules.  The process
