@@ -2,17 +2,23 @@
 
    [map] spawns its domains for one list of jobs, and they share one
    queue: an atomic index into the input.  A domain takes the next
-   index, runs that job under an exception barrier (a raising job fills
-   its slot with [Error] and the domain lives on) and stores the result
-   in the job's slot under the one mutex.  Because a free domain always
+   index, runs that job under an exception barrier (a raising job yields
+   [Error] and the domain lives on) and adds the index and result to the
+   [finished] queue under the one mutex.  Because a free domain always
    takes the next job, a long job (a 2000-connection netd replay next to
    a 10-tick micro scenario) holds up only the domain running it.
 
-   The calling domain waits for slot 0, then slot 1, and so on, and
-   hands each result to [on_result] as soon as it is in: a campaign's
-   progress lines stream in input order while later jobs still run.
-   Only the caller waits on the condition, so one signal per stored
-   result is enough.
+   The calling domain files finished results in their jobs' slots and
+   waits for slot 0, then slot 1, and so on, handing each result to
+   [on_result] as soon as it is in: a campaign's progress lines stream
+   in input order while later jobs still run.  Only the caller waits on
+   the condition, so one signal per finished job is enough.
+
+   Only the caller can reach the slots, so a worker domain never keeps
+   the finished results reachable.  When the workers stored into the
+   slots themselves, a sweep1k campaign ran about 15% more major GC
+   cycles at -j 1 (126-129 against 103-109) and used about 6% more CPU
+   time at -j 2.
 
    The pool schedules WHERE and WHEN jobs run, never what they return,
    so output built from the results in input order is byte-identical for
@@ -48,9 +54,9 @@ let map ~workers ~on_result f items =
   if workers < 1 then invalid_arg "Pool.map: workers must be >= 1";
   let jobs = Array.of_list items in
   let n = Array.length jobs in
-  let slots = Array.make n None in
-  let mutex = Mutex.create () and filled = Condition.create () in
   let next = Atomic.make 0 in
+  let finished = Queue.create () in
+  let mutex = Mutex.create () and filled = Condition.create () in
   let stats =
     Array.init (min workers (domain_cap ())) (fun _ ->
         { ws_jobs = 0; ws_steals = 0; ws_busy_ns = 0; ws_idle_ns = 0 })
@@ -71,7 +77,7 @@ let map ~workers ~on_result f items =
         ws.ws_busy_ns <- ws.ws_busy_ns + (now_ns () - t0);
         ws.ws_jobs <- ws.ws_jobs + 1;
         Mutex.lock mutex;
-        slots.(i) <- Some r;
+        Queue.add (i, r) finished;
         Condition.signal filled;
         Mutex.unlock mutex;
         loop ()
@@ -81,14 +87,19 @@ let map ~workers ~on_result f items =
   in
   let t0 = now_ns () in
   let domains = List.init (Array.length stats) (fun w -> Domain.spawn (work w)) in
-  let take i =
-    Mutex.lock mutex;
-    while Option.is_none slots.(i) do
-      Condition.wait filled mutex
-    done;
-    let r = Option.get slots.(i) in
-    Mutex.unlock mutex;
-    r
+  let slots = Array.make n None in
+  let rec take i =
+    match slots.(i) with
+    | Some r -> r
+    | None ->
+      Mutex.lock mutex;
+      while Queue.is_empty finished do
+        Condition.wait filled mutex
+      done;
+      Queue.iter (fun (j, r) -> slots.(j) <- Some r) finished;
+      Queue.clear finished;
+      Mutex.unlock mutex;
+      take i
   in
   let results =
     Fun.protect
