@@ -214,73 +214,50 @@ let table4 () =
 
 (* -- table 5 ------------------------------------------------------------ *)
 
-let median xs =
-  let sorted = List.sort compare xs in
-  List.nth sorted (List.length sorted / 2)
-
-let time_runs ~reps f =
-  median
-    (List.init reps (fun _ ->
-         let t0 = Unix.gettimeofday () in
-         f ();
-         Unix.gettimeofday () -. t0))
-
-(* Replay a trace under FAROS while the tick sampler records telemetry;
-   returns the recorded series. *)
-let replay_sampled ?(interval = 64) scn trace =
-  let telemetry = Core.Telemetry.create () in
-  let faros_ref = ref None in
-  ignore
-    (Faros_corpus.Scenario.replay_with scn
-       ~sample:
-         ( interval,
-           fun ~tick ~syscalls ->
-             match !faros_ref with
-             | Some faros -> Core.Telemetry.sample telemetry faros ~tick ~syscalls
-             | None -> () )
-       ~plugins:(fun kernel ->
-         let faros = Core.Faros_plugin.create kernel in
-         faros_ref := Some faros;
-         [ Core.Faros_plugin.plugin faros ])
-       trace);
-  telemetry
-
+(* Each program is recorded once; its trace then replays bare and under
+   FAROS, alternating, [rounds] times each, every replay after the
+   pipeline benchmark's hygiene (a fresh provenance store and a compacted
+   heap) and timed by its clock.  A column is the median and interquartile
+   range of its replays; the overhead is the ratio of the medians, and the
+   peak tainted bytes come from one more, tick-sampled FAROS replay. *)
 let table5 () =
+  let open Bench_pipeline in
   section "Table V: replay time without / with FAROS";
-  Fmt.pf pp "%-16s %-10s %-14s %-14s %-10s %s@." "application" "ticks"
-    "replay (s)" "replay+FAROS" "overhead" "peak tainted";
-  let total_ratio = ref 0.0 and n = ref 0 in
-  List.iter
-    (fun (label, scn) ->
-      let _k, trace = Faros_corpus.Scenario.record scn in
-      let plain () = ignore (Faros_corpus.Scenario.replay_plain scn trace) in
-      let with_faros () =
-        ignore
-          (Faros_corpus.Scenario.replay_with scn
-             ~plugins:(fun kernel ->
-               let faros = Core.Faros_plugin.create kernel in
-               [ Core.Faros_plugin.plugin faros ])
-             trace)
-      in
-      let t_plain = time_runs ~reps:5 plain in
-      let t_faros = time_runs ~reps:3 with_faros in
-      (* untimed sampled pass: peak taint load, from the tick series *)
-      let telemetry = replay_sampled scn trace in
-      let peak =
-        List.fold_left max 0
-          (Faros_obs.Series.column (Core.Telemetry.series telemetry)
-             "tainted_bytes")
-      in
-      let ratio = t_faros /. t_plain in
-      total_ratio := !total_ratio +. ratio;
-      incr n;
-      Fmt.pf pp "%-16s %-10d %-14.4f %-14.4f %-10s %d@." label trace.final_tick
-        t_plain t_faros
-        (Printf.sprintf "%.1fx" ratio)
-        peak)
-    (Faros_corpus.Perf.workloads ());
+  let rounds = 11 in
+  Fmt.pf pp "%-16s %-8s %-27s %-27s %-9s %s@." "application" "ticks"
+    "replay (s) [p25-p75]" "replay+FAROS (s) [p25-p75]" "overhead" "peak tainted";
+  let column times =
+    let p q = Stats.percentile q times in
+    Printf.sprintf "%.4f [%.4f-%.4f]" (p 50.) (p 25.) (p 75.)
+  in
+  let ratios =
+    List.map
+      (fun (label, scn) ->
+        let _k, trace = Faros_corpus.Scenario.record scn in
+        let plain = ref [] and faros = ref [] in
+        for _ = 1 to rounds do
+          Harness.fresh ();
+          plain := Whodunit.replay_plain scn trace :: !plain;
+          Harness.fresh ();
+          faros := Whodunit.replay_faros scn trace :: !faros
+        done;
+        let telemetry = Core.Telemetry.create () in
+        ignore (Faros_corpus.Scenario.analyze_trace ~telemetry scn trace);
+        let peak =
+          List.fold_left max 0 (Faros_obs.Series.column telemetry "tainted_bytes")
+        in
+        let ratio = Stats.median !faros /. Stats.median !plain in
+        Fmt.pf pp "%-16s %-8d %-27s %-27s %-9s %d@." label trace.final_tick
+          (column !plain) (column !faros)
+          (Printf.sprintf "%.1fx" ratio)
+          peak;
+        ratio)
+      (Faros_corpus.Perf.workloads ())
+  in
   Fmt.pf pp "mean overhead: %.1fx over plain replay (paper: 14x over PANDA replay)@."
-    (!total_ratio /. float_of_int !n)
+    (List.fold_left ( +. ) 0. ratios /. float (List.length ratios));
+  Fmt.pf pp "(%d replays per column; %d cores, OCaml %s)@." rounds (Harness.nproc ())
+    Sys.ocaml_version
 
 (* -- cuckoo comparison --------------------------------------------------- *)
 
@@ -461,9 +438,8 @@ let memory () =
     "process" "file";
   List.iter
     (fun (s : Faros_corpus.Registry.sample) ->
-      let telemetry = Core.Telemetry.create () in
-      let outcome = Faros_corpus.Scenario.analyze ~telemetry s.scenario in
-      let series = Core.Telemetry.series telemetry in
+      let series = Core.Telemetry.create () in
+      let outcome = Faros_corpus.Scenario.analyze ~telemetry:series s.scenario in
       let peak name = List.fold_left max 0 (Faros_obs.Series.column series name) in
       let final name =
         match Faros_obs.Series.last series with

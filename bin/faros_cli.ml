@@ -162,12 +162,11 @@ let run_cmd id policy whitelist_jit verbose json trace_out series_out =
   | Some path, Some t ->
     let data =
       if Filename.check_suffix path ".json" then
-        Faros_obs.Json.to_string (Core.Telemetry.to_json t)
-      else Core.Telemetry.to_csv t
+        Faros_obs.Json.to_string (Faros_obs.Series.to_json t)
+      else Faros_obs.Series.to_csv t
     in
     write_file path data;
-    Fmt.pf pp "series:       %d sample(s) -> %s@."
-      (Faros_obs.Series.total (Core.Telemetry.series t))
+    Fmt.pf pp "series:       %d sample(s) -> %s@." (Faros_obs.Series.total t)
       path
   | _ -> ());
   status
@@ -226,22 +225,12 @@ let replay_cmd id input policy verbose =
     Fmt.epr "bad trace file %s: %s@." input m;
     1
   | trace ->
-    let faros_ref = ref None in
-    let result =
-      Faros_corpus.Scenario.replay_with sample.scenario
-        ~plugins:(fun kernel ->
-          let faros = Core.Faros_plugin.create ~config kernel in
-          faros_ref := Some faros;
-          [ Core.Faros_plugin.plugin faros ])
-        trace
-    in
-    let faros = Option.get !faros_ref in
-    let report = Core.Faros_plugin.report faros in
+    let outcome = Faros_corpus.Scenario.analyze_trace ~config sample.scenario trace in
     Fmt.pf pp "replayed %s from %s: %d instructions, diverged: %b@." sample.id
-      input result.replay_ticks result.diverged;
-    Fmt.pf pp "verdict: %s@." (verdict_text report);
-    if Core.Report.flagged report || verbose then
-      Core.Faros_plugin.pp_report pp faros;
+      input outcome.replay.replay_ticks outcome.replay.diverged;
+    Fmt.pf pp "verdict: %s@." (verdict_text outcome.report);
+    if Core.Report.flagged outcome.report || verbose then
+      Core.Faros_plugin.pp_report pp outcome.faros;
     0
 
 (* Cuckoo-style event trace of a live run. *)

@@ -23,16 +23,14 @@ let resolve_asid (kernel : Faros_os.Kernel.t) pid =
   Option.map Faros_os.Process.asid (Faros_os.Kstate.proc kernel pid)
 
 let create ?(config = Config.default) ?(metrics = Faros_obs.Metrics.create ())
-    ?(profile = Faros_obs.Profile.disabled) ?(sink = Faros_obs.Sink.null)
-    (kernel : Faros_os.Kernel.t) =
+    ?(sink = Faros_obs.Sink.null) (kernel : Faros_os.Kernel.t) =
   (* One registry and one sink serve every layer; the kernel tick is the
      sink's time base, and the kernel itself emits syscall events.  The
-     profiler is shared by the kernel, the DIFT engine and the graph
-     builder, so one tree covers the whole replay at syscall
-     granularity. *)
+     kernel's profiler is shared by the DIFT engine and the graph builder,
+     so one tree covers the whole replay at syscall granularity. *)
   Faros_obs.Sink.set_clock sink (fun () -> Faros_os.Kernel.tick kernel);
   Faros_os.Kstate.set_sink kernel sink;
-  kernel.profile <- profile;
+  let profile = kernel.profile in
   let engine =
     Faros_dift.Engine.create ~policy:config.policy ~metrics ~sink ~profile ()
   in

@@ -28,7 +28,6 @@ val name_of_asid : Faros_os.Kernel.t -> int -> string
 val create :
   ?config:Config.t ->
   ?metrics:Faros_obs.Metrics.t ->
-  ?profile:Faros_obs.Profile.t ->
   ?sink:Faros_obs.Sink.t ->
   Faros_os.Kernel.t ->
   t
@@ -36,9 +35,10 @@ val create :
     guest instruction runs (the export-table scan happens here).  The
     registry, sink and profiler thread through every layer: the sink's
     clock is pointed at the kernel tick, the kernel's own syscall-dispatch
-    events are routed into it, and the profiler is shared by the
-    kernel, the DIFT engine and the graph builder so one span tree
-    covers the whole replay at syscall granularity.
+    events are routed into it, and the kernel's profiler (the one
+    {!Faros_replay.Replayer.replay} installed) is shared with the DIFT
+    engine and the graph builder, so one span tree covers the whole
+    replay at syscall granularity.
     The engine works against the calling domain's current provenance
     store (campaign jobs install a fresh one per job). *)
 

@@ -22,17 +22,14 @@ let columns =
     "suppressed";
   ]
 
-type t = { series : Faros_obs.Series.t }
+type t = Faros_obs.Series.t
 
-let create ?(capacity = 4096) () =
-  { series = Faros_obs.Series.create ~capacity ~columns }
-
-let series t = t.series
+let create () = Faros_obs.Series.create ~capacity:4096 ~columns
 
 let sample t (faros : Faros_plugin.t) ~tick ~syscalls =
   let e = faros.engine in
   let d = faros.detector in
-  Faros_obs.Series.sample t.series
+  Faros_obs.Series.sample t
     [|
       tick;
       syscalls;
@@ -40,7 +37,7 @@ let sample t (faros : Faros_plugin.t) ~tick ~syscalls =
       Faros_dift.Shadow.tainted_bytes e.shadow;
       Faros_dift.Shadow.tainted_regs e.shadow;
       Faros_dift.Shadow.pages e.shadow;
-      Faros_dift.Provenance.interned_count ();
+      Faros_dift.Provenance.store_interned_count e.interner;
       Faros_dift.Tag_store.netflow_count e.store;
       Faros_dift.Tag_store.process_count e.store;
       Faros_dift.Tag_store.file_count e.store;
@@ -48,6 +45,3 @@ let sample t (faros : Faros_plugin.t) ~tick ~syscalls =
       Faros_obs.Metrics.counter_value d.c_flags;
       Faros_obs.Metrics.counter_value d.c_suppressed;
     |]
-
-let to_csv t = Faros_obs.Series.to_csv t.series
-let to_json t = Faros_obs.Series.to_json t.series

@@ -6,19 +6,15 @@
     detection discussion, observable over time instead of only at the end
     of the replay.
 
-    Feed {!sample} to {!Faros_replay.Replayer.replay}'s [?sample] hook (as
-    {!Analysis.analyze} does) to record one row every 64 ticks plus a
-    final row at the end of the replay. *)
+    Pass one to [Faros_corpus.Scenario.analyze ~telemetry] to record one
+    row every 64 replay ticks plus a final row at the end of the replay;
+    read it back with the {!Faros_obs.Series} functions. *)
 
-type t
+type t = Faros_obs.Series.t
 
-val create : ?capacity:int -> unit -> t
-(** Ring capacity defaults to 4096 rows. *)
-
-val series : t -> Faros_obs.Series.t
+val create : unit -> t
+(** An empty series over the 13 telemetry columns, retaining the last
+    4096 rows. *)
 
 val sample : t -> Faros_plugin.t -> tick:int -> syscalls:int -> unit
 (** Record one row of the analysis' current state. *)
-
-val to_csv : t -> string
-val to_json : t -> Faros_obs.Json.t

@@ -98,7 +98,6 @@ let ty_bit = function
 let tag_key tag = (Tag.index tag * 8) + Tag.type_byte tag
 
 let store_interned_count st = st.node_count
-let interned_count () = (current_store ()).node_count
 
 let resolve st i =
   if i < 0 || i >= st.node_count then invalid_arg "Provenance.resolve";

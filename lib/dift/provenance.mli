@@ -56,9 +56,6 @@ val with_store : store -> (unit -> 'a) -> 'a
 val store_interned_count : store -> int
 (** Number of distinct lists interned into [store]. *)
 
-val interned_count : unit -> int
-(** [store_interned_count (current_store ())], for memory accounting. *)
-
 val resolve : store -> int -> t
 (** [resolve store id] is the node [store] issued [id] to.  Raises
     [Invalid_argument] on an id the store never issued. *)

@@ -260,7 +260,7 @@ let run_job ~config ~graph_segments ~tick_budget ~deadline ~profile
   | outcome, gs, segments ->
     let stats = Faros_dift.Engine.stats outcome.faros.engine in
     finish ~wall_s:(elapsed ()) ~diverged:outcome.replay.diverged
-      ~record_ticks:outcome.record_ticks
+      ~record_ticks:outcome.trace.final_tick
       ~replay_ticks:outcome.replay.replay_ticks
       ~syscalls:outcome.replay.replay_syscalls
       ~tainted_bytes:stats.tainted_bytes

@@ -89,6 +89,7 @@ let syscall_name sysno =
    everything OS-event subscribers do (DIFT tag insertion, graph
    building) nests inside it. *)
 let dispatch (k : t) (p : Process.t) (eff : Faros_vm.Cpu.effect) =
+  k.syscalls <- k.syscalls + 1;
   let prof = k.Kstate.profile in
   Faros_obs.Profile.enter prof "kernel.syscall";
   let cpu = p.cpu in

@@ -10,6 +10,7 @@ type t = {
   mutable next_pid : int;
   mutable subscribers : (Os_event.t -> unit) list;
   mutable tick : int;  (* instructions executed, whole system *)
+  mutable syscalls : int;  (* syscalls dispatched, whole system *)
   mutable run_queue : Types.pid list;
   mutable sink : Faros_obs.Sink.t;  (* syscall-dispatch trace events *)
   mutable profile : Faros_obs.Profile.t;  (* span profiler; disabled by default *)
@@ -28,6 +29,7 @@ let create ~local_ip =
     next_pid = 100;
     subscribers = [];
     tick = 0;
+    syscalls = 0;
     run_queue = [];
     sink = Faros_obs.Sink.null;
     profile = Faros_obs.Profile.disabled;

@@ -11,6 +11,9 @@ type t = {
   mutable next_pid : int;
   mutable subscribers : (Os_event.t -> unit) list;
   mutable tick : int;  (** instructions executed, whole system *)
+  mutable syscalls : int;
+      (** syscalls dispatched, whole system; bumped on entry to dispatch,
+          after the SYSCALL instruction's exec hooks have run *)
   mutable run_queue : Types.pid list;
   mutable sink : Faros_obs.Sink.t;
       (** receives one [trace_event] row per syscall dispatch; the

@@ -8,28 +8,23 @@
 type session = {
   kernel : Faros_os.Kernel.t;
   mutable rev_events : Trace.event list;
-  mutable syscalls : int;
 }
 
 let start (kernel : Faros_os.Kernel.t) =
-  let s = { kernel; rev_events = []; syscalls = 0 } in
+  let s = { kernel; rev_events = [] } in
   Faros_os.Netstack.set_record_sink kernel.net (fun flow data ->
       s.rev_events <- Trace.Packet (flow, data) :: s.rev_events);
   Faros_os.Netstack.set_inbound_sink kernel.net (fun tick ev ->
       s.rev_events <- Trace.Inbound (tick, ev) :: s.rev_events);
   Faros_os.Input_dev.set_record_sink kernel.input (fun key ->
       s.rev_events <- Trace.Key key :: s.rev_events);
-  Faros_os.Kernel.subscribe kernel (fun ev ->
-      match ev with
-      | Faros_os.Os_event.Sys_enter _ -> s.syscalls <- s.syscalls + 1
-      | _ -> ());
   s
 
 let finish (s : session) : Trace.t =
   {
     events = List.rev s.rev_events;
     final_tick = Faros_os.Kernel.tick s.kernel;
-    syscall_count = s.syscalls;
+    syscall_count = s.kernel.syscalls;
   }
 
 (* Record a full run: [setup] provisions images/actors/keys, [boot] spawns

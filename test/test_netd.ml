@@ -302,7 +302,7 @@ let scenario_tests =
         check "every connection replayed" (3 * 50)
           (Faros_replay.Trace.inbound_count outcome.trace);
         check_b "under budget" true
-          (outcome.record_ticks < scn.max_ticks);
+          (outcome.trace.final_tick < scn.max_ticks);
         ignore schd);
     Alcotest.test_case
       "inject through server: the slice pins the one guilty flow" `Slow
@@ -334,7 +334,7 @@ let scenario_tests =
         in
         let g, outcome = build_graph s.scenario in
         check_b "completes under the tick budget" true
-          (outcome.record_ticks < s.scenario.max_ticks
+          (outcome.trace.final_tick < s.scenario.max_ticks
           && outcome.replay.replay_ticks < s.scenario.max_ticks);
         check_b "not diverged" true (not outcome.replay.diverged);
         check_b "flagged" true (Core.Analysis.flagged outcome);

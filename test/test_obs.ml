@@ -951,7 +951,7 @@ let telemetry_tests =
         let outcome =
           Faros_corpus.Scenario.analyze ~telemetry ~sink sample.scenario
         in
-        let series = Core.Telemetry.series telemetry in
+        let series = telemetry in
         check_b "sampled at least twice" true (Series.total series >= 2);
         (* ticks are strictly increasing; a replay's taint only grows *)
         let ticks = Series.column series "tick" in

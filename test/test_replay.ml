@@ -273,6 +273,47 @@ let more_replay_tests =
         match List.rev !order with
         | `A :: `B :: _ -> ()
         | _ -> Alcotest.fail "expected a then b");
+    Alcotest.test_case "analyze_trace of analyze's trace reproduces it" `Slow
+      (fun () ->
+        (* Each run gets a fresh provenance store: interned counts are per
+           store, and a shared one would carry the first run's lists. *)
+        let run f =
+          Faros_dift.Provenance.set_store (Faros_dift.Provenance.create_store ());
+          let telemetry = Core.Telemetry.create () in
+          let (o : Core.Analysis.outcome) = f telemetry in
+          let report =
+            Faros_obs.Json.to_string
+              (Core.Report.to_json ~store:o.faros.engine.store
+                 ~name_of_asid:(Core.Faros_plugin.name_of_asid o.faros.kernel)
+                 o.report)
+          in
+          (o, report, Faros_obs.Series.to_csv telemetry)
+        in
+        List.iter
+          (fun id ->
+            let scn =
+              match Faros_corpus.Registry.find id with
+              | Some s -> s.scenario
+              | None -> Alcotest.failf "unknown sample %s" id
+            in
+            let a, a_report, a_csv =
+              run (fun telemetry -> Faros_corpus.Scenario.analyze ~telemetry scn)
+            in
+            let b, b_report, b_csv =
+              run (fun telemetry ->
+                  Faros_corpus.Scenario.analyze_trace ~telemetry scn a.trace)
+            in
+            Alcotest.(check string) (id ^ " report") a_report b_report;
+            check (id ^ " replay ticks") a.replay.replay_ticks b.replay.replay_ticks;
+            check (id ^ " replay syscalls") a.replay.replay_syscalls
+              b.replay.replay_syscalls;
+            check_b (id ^ " analyze not diverged") false a.replay.diverged;
+            check_b (id ^ " analyze_trace not diverged") false b.replay.diverged;
+            Alcotest.(check string) (id ^ " telemetry") a_csv b_csv)
+          [
+            "reflective_dll_inject"; "process_hollowing"; "darkcomet_injection";
+            "applet_ncradle"; "skype_s0"; "netd_inject_under_server";
+          ]);
   ]
 
 let () =

@@ -105,7 +105,7 @@ let analyze_with ~tb ~fast id =
       let outcome = Faros_corpus.Scenario.analyze sample.scenario in
       let flags = Core.Report.flagged_sites outcome.report in
       let rendered = Fmt.str "%a" Core.Faros_plugin.pp_report outcome.faros in
-      ( outcome.record_ticks,
+      ( outcome.trace.final_tick,
         outcome.replay.replay_ticks,
         outcome.replay.diverged,
         List.length flags,
