@@ -430,7 +430,9 @@ let tomography () =
 
 (* The discussion section worries about provenance memory: the tick sampler
    records shadow and tag-store growth over the whole replay, so the table
-   reports peaks — not just one-shot endpoints. *)
+   reports peaks — not just one-shot endpoints.  Each sample is analysed
+   with a provenance store of its own, as a campaign job is, so its
+   interned count is its own whatever ran before it. *)
 let memory () =
   section "Memory overhead: shadow and tag-store growth (tick-sampled)";
   Fmt.pf pp "%-28s %-10s %-8s %-13s %-14s %-8s %-10s %-10s %-8s %-8s@." "sample"
@@ -439,7 +441,10 @@ let memory () =
   List.iter
     (fun (s : Faros_corpus.Registry.sample) ->
       let series = Core.Telemetry.create () in
-      let outcome = Faros_corpus.Scenario.analyze ~telemetry:series s.scenario in
+      let outcome =
+        Faros_dift.Provenance.with_store (Faros_dift.Provenance.create_store ()) (fun () ->
+            Faros_corpus.Scenario.analyze ~telemetry:series s.scenario)
+      in
       let peak name = List.fold_left max 0 (Faros_obs.Series.column series name) in
       let final name =
         match Faros_obs.Series.last series with

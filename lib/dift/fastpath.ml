@@ -46,9 +46,10 @@
    re-tagged, and control windows opening — so both a cached skip and
    its cached fetch provenance are revalidated whenever the shadow
    moves, while converged hot loops (which mutate nothing) keep their
-   verdicts indefinitely.  Entries compare the block by physical
-   identity, not key: after SMC retranslation a key aliases a brand-new
-   block whose verdict must be recomputed. *)
+   verdicts indefinitely.  The cache is an array indexed by the block's
+   serial ([b_id]), which the TB cache never reuses: a block retranslated
+   after SMC gets a fresh serial, so it cannot pick up its predecessor's
+   verdict. *)
 
 type verdict =
   | Run  (* tainted state in reach: full propagation *)
@@ -57,18 +58,24 @@ type verdict =
       (* code tainted but converged: per-entry fetch provenance for the
          observers; skip under the same access probes *)
 
-type cached = { c_block : Faros_vm.Tb_cache.block; c_gen : int; c_verdict : verdict }
-
 type t = {
   engine : Engine.t;
   machine : Faros_vm.Machine.t;  (* source of the executing block *)
-  verdicts : (int, cached) Hashtbl.t;  (* b_key -> cached verdict *)
+  mutable gens : int array;  (* b_id -> shadow generation of its verdict, or -1 *)
+  mutable verdicts : verdict array;  (* b_id -> cached verdict *)
   mutable hits : int;  (* instructions skipped *)
   mutable misses : int;  (* instructions propagated *)
 }
 
 let create ~machine engine =
-  { engine; machine; verdicts = Hashtbl.create 256; hits = 0; misses = 0 }
+  {
+    engine;
+    machine;
+    gens = Array.make 256 (-1);
+    verdicts = Array.make 256 Run;
+    hits = 0;
+    misses = 0;
+  }
 
 let stats t = (t.hits, t.misses)
 
@@ -88,38 +95,32 @@ let regs_clean shadow ~asid mask =
 (* Code checks are byte-exact because guest images routinely pack data
    buffers (recv targets, key-logger capture space) onto the same 4 KiB
    pages as code: a page probe alone would pin every block on such a page
-   to the slow path forever after the first received byte.  The page
-   probe still short-circuits the all-clean case; only blocks on live
-   pages pay the per-byte scan, and the verdict is cached until the
-   shadow generation moves. *)
+   to the slow path forever after the first received byte.  Each of the
+   block's code spans is one range probe: a page probe that
+   short-circuits the all-clean case, and a byte scan only on live pages;
+   the verdict is cached until the shadow generation moves. *)
 let code_clean shadow (b : Faros_vm.Tb_cache.block) =
   Array.for_all
-    (fun pfn -> not (Shadow.page_tainted shadow (pfn lsl Shadow.page_shift)))
-    b.b_pfns
-  || Array.for_all
-       (fun (e : Faros_vm.Tb_cache.entry) ->
-         Array.for_all
-           (fun paddr -> not (Shadow.byte_tainted shadow paddr))
-           e.en_code_paddrs)
-       b.b_entries
+    (fun (s : Faros_vm.Tb_cache.span) ->
+      not (Shadow.range_tainted shadow s.sp_lo (s.sp_hi - s.sp_lo)))
+    b.b_spans
 
 (* Has the fetch touch converged — does every tainted code byte already
    carry this process's tag at the head of its provenance, so that
    [touch_byte] (a head prepend) is a no-op on all of them?  If so,
    return the per-entry instruction provenance the slow path would
    compute: the in-order union of each entry's code-byte provenance.
-   The head probe identifies the process tag through {!Tag_store.cr3_of}
-   rather than minting one, so a never-converged process creates its tag
-   on the slow path exactly when the paper says it should — at its first
-   touch of a tainted byte. *)
+   The process tag's index is looked up once, through
+   {!Tag_store.process_index} rather than minting one, so a
+   never-converged process creates its tag on the slow path exactly when
+   the paper says it should — at its first touch of a tainted byte.  A
+   process with no tag yet heads nothing (index -1). *)
 let fetch_converged t (b : Faros_vm.Tb_cache.block) =
-  let shadow = t.engine.Engine.shadow and store = t.engine.Engine.store in
-  let asid = b.b_asid in
-  let converged p =
-    match Provenance.head p with
-    | Some (Tag.Process idx) -> Tag_store.cr3_of store idx = Some asid
-    | Some _ | None -> false
+  let shadow = t.engine.Engine.shadow in
+  let proc =
+    Option.value ~default:(-1) (Tag_store.process_index t.engine.Engine.store b.b_asid)
   in
+  let converged p = Provenance.head_is_process proc p in
   let ok = ref true in
   let provs =
     Array.map
@@ -155,13 +156,20 @@ let compute_verdict t (b : Faros_vm.Tb_cache.block) =
   else match fetch_converged t b with Some provs -> Skip_fetch provs | None -> Run
 
 let verdict_for t (b : Faros_vm.Tb_cache.block) =
-  let gen = Shadow.generation t.engine.Engine.shadow in
-  match Hashtbl.find_opt t.verdicts b.b_key with
-  | Some c when c.c_block == b && c.c_gen = gen -> c.c_verdict
-  | _ ->
+  let gen = Shadow.generation t.engine.Engine.shadow and id = b.b_id in
+  let cap = Array.length t.gens in
+  if id >= cap then begin
+    let more = max cap (id + 1 - cap) in
+    t.gens <- Array.append t.gens (Array.make more (-1));
+    t.verdicts <- Array.append t.verdicts (Array.make more Run)
+  end;
+  if Array.unsafe_get t.gens id = gen then Array.unsafe_get t.verdicts id
+  else begin
     let v = compute_verdict t b in
-    Hashtbl.replace t.verdicts b.b_key { c_block = b; c_gen = gen; c_verdict = v };
+    t.gens.(id) <- gen;
+    t.verdicts.(id) <- v;
     v
+  end
 
 (* Accesses are byte-exact for the same page-sharing reason as code; at
    most 8 bytes, so this is a page probe or two plus a short scan. *)

@@ -146,7 +146,8 @@ let cons tag next = cons_in (current_store ()) tag next
 
 let rec to_list p = if p.len = 0 then [] else p.tag :: to_list p.next
 
-let head p = if p.len = 0 then None else Some p.tag
+let head_is_process i p =
+  p.len > 0 && match p.tag with Tag.Process j -> j = i | _ -> false
 
 (* Keep the newest [max_length] tags (the cap drops oldest entries). *)
 let cap_list tags =

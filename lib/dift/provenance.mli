@@ -84,10 +84,11 @@ val of_list : Tag.t list -> t
 val to_list : t -> Tag.t list
 (** The tags, newest first. *)
 
-val head : t -> Tag.t option
-(** The newest tag, without materializing the list.  [head p = Some tag]
-    iff [prepend tag p == p] — how the DIFT fast path proves a process's
-    fetch touch has converged without minting any tags. *)
+val head_is_process : int -> t -> bool
+(** [head_is_process i p]: the newest tag of [p] is [Process i], iff
+    [prepend (Process i) p == p] — how the DIFT fast path proves a
+    process's fetch touch has converged without minting any tags or
+    allocating. *)
 
 val singleton : Tag.t -> t
 

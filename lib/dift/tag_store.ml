@@ -67,6 +67,8 @@ let file t ~name ~version =
    touched function's identity. *)
 let export t ~name = Tag.Export_table (intern t.exports name)
 
+let process_index t cr3 = Hashtbl.find_opt t.processes.fwd cr3
+
 let netflow_of t i = Hashtbl.find_opt t.netflows.rev i
 let cr3_of t i = Hashtbl.find_opt t.processes.rev i
 let file_of t i = Hashtbl.find_opt t.files.rev i

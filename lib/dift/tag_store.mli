@@ -32,6 +32,10 @@ val export : t -> name:string -> Tag.t
 (** Intern an exported function name; returns its [Export_table] tag.
     This is the per-function payload the paper lists as future work. *)
 
+val process_index : t -> int -> int option
+(** The index {!process} has given this CR3 value, if any; mints
+    nothing. *)
+
 val netflow_of : t -> int -> Faros_os.Types.flow option
 val cr3_of : t -> int -> int option
 val file_of : t -> int -> file_id option

@@ -35,7 +35,7 @@ let create () =
   let mmu = Mmu.create mem in
   let tb = Tb_cache.create mmu in
   Mmu.set_smc_hooks mmu
-    ~on_code_write:(fun paddr -> Tb_cache.invalidate_paddr tb paddr)
+    ~on_code_write:(fun paddr len -> Tb_cache.invalidate_range tb paddr len)
     ~on_mapping_change:(fun asid -> Tb_cache.invalidate_asid tb asid);
   {
     mem;

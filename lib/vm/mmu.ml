@@ -15,10 +15,11 @@
      probe instead of two hashtable lookups;
    - self-modifying-code tracking for the translation-block cache: frames
      holding cached code are marked, [write_u8] and [write_bytes] report
-     stores into them,
-     and every mapping change (map / map_frames / unmap) reports the
-     affected address space.  The TB cache subscribes to both
-     via {!set_smc_hooks}. *)
+     the physical byte range they wrote on such a frame, and every mapping
+     change (map / map_frames / unmap) reports the affected address space.
+     The TB cache subscribes to both via {!set_smc_hooks}; the mark is
+     only the one-byte filter, and the cache decides from the range which
+     blocks' code the store overwrote. *)
 
 type space = {
   asid : int;  (* the "CR3" value *)
@@ -41,7 +42,7 @@ type t = {
   mutable tlb_hits : int;
   mutable tlb_misses : int;
   mutable code_pages : Bytes.t;  (* pfn -> '\001' when cached code lives there *)
-  mutable on_code_write : int -> unit;  (* paddr of a store into a code page *)
+  mutable on_code_write : int -> int -> unit;  (* paddr, len of a store on a code frame *)
   mutable on_mapping_change : int -> unit;  (* asid whose mappings changed *)
 }
 
@@ -60,7 +61,7 @@ let create mem =
     tlb_hits = 0;
     tlb_misses = 0;
     code_pages = Bytes.make 256 '\000';
-    on_code_write = ignore;
+    on_code_write = (fun _ _ -> ());
     on_mapping_change = ignore;
   }
 
@@ -188,7 +189,7 @@ let code_frame t pfn =
 let write_u8 t ~asid vaddr v =
   let paddr = translate t ~asid vaddr in
   Phys_mem.write_u8 t.mem paddr v;
-  if code_frame t (paddr lsr page_shift) then t.on_code_write paddr
+  if code_frame t (paddr lsr page_shift) then t.on_code_write paddr 1
 
 (* Multi-byte accesses translate per byte so they may legally span pages. *)
 let read ~width t ~asid vaddr =
@@ -224,14 +225,14 @@ let read_bytes t ~asid vaddr len =
   b
 
 (* Writes go through [Phys_mem.frame], so a chunk gives its frame its own
-   bytes.  One SMC report per chunk that lands on a code frame stands for
-   one per byte: the TB cache retires every block on the frame at the
-   first report, which clears the mark. *)
+   bytes.  A chunk that lands on a code frame is reported as one range,
+   which stands for one report per byte: the TB cache retires the blocks
+   whose code bytes the range overlaps. *)
 let write_bytes t ~asid vaddr b =
   iter_chunks t ~asid vaddr (Bytes.length b) (fun off paddr n ->
       let pfn = paddr lsr page_shift in
       Bytes.blit b off (Phys_mem.frame t.mem pfn) (paddr land (page_size - 1)) n;
-      if code_frame t pfn then t.on_code_write paddr)
+      if code_frame t pfn then t.on_code_write paddr n)
 
 let extents t ~asid vaddr len =
   let acc = ref [] in

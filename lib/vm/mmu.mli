@@ -11,8 +11,9 @@
     mutations flush it.  The module also carries the self-modifying-code
     plumbing the translation-block cache relies on: frames holding cached
     code are marked, stores into them are reported through
-    [on_code_write] (once per store, or once per page chunk of a host
-    copy), and mapping changes through [on_mapping_change]. *)
+    [on_code_write] as the physical byte range written (one byte per
+    guest store byte, one range per page chunk of a host copy), and
+    mapping changes through [on_mapping_change]. *)
 
 type space = {
   asid : int;  (** the "CR3" value *)
@@ -29,7 +30,7 @@ type t = {
   mutable tlb_hits : int;
   mutable tlb_misses : int;
   mutable code_pages : Bytes.t;
-  mutable on_code_write : int -> unit;
+  mutable on_code_write : int -> int -> unit;
   mutable on_mapping_change : int -> unit;
 }
 
@@ -45,11 +46,13 @@ val space_name : t -> int -> string
 (** Display name for an address space (process image name). *)
 
 val set_smc_hooks :
-  t -> on_code_write:(int -> unit) -> on_mapping_change:(int -> unit) -> unit
-(** Subscribe the TB cache: [on_code_write paddr] fires on every store into
-    a frame marked by {!mark_code_page} (a host copy reports the first
-    byte of each page chunk it writes there); [on_mapping_change asid]
-    fires on every map / map_frames / unmap of that space. *)
+  t -> on_code_write:(int -> int -> unit) -> on_mapping_change:(int -> unit) -> unit
+(** Subscribe the TB cache: [on_code_write paddr len] fires on every store
+    into a frame marked by {!mark_code_page}, with the physical range it
+    wrote there — [len = 1] for each byte of a guest store, the whole
+    chunk for each page chunk of a host copy; the range never leaves the
+    frame.  [on_mapping_change asid] fires on every map / map_frames /
+    unmap of that space. *)
 
 val mark_code_page : t -> int -> unit
 (** Mark a frame as holding cached code so stores into it are reported. *)
@@ -94,9 +97,9 @@ val read_bytes : t -> asid:int -> int -> int -> Bytes.t
 
 val write_bytes : t -> asid:int -> int -> Bytes.t -> unit
 (** Host-side copy into guest memory: one translation and one blit per
-    page, and one [on_code_write] per page chunk that lands on a code
-    frame.  A {!Page_fault} leaves the pages before the faulting one
-    written. *)
+    page, and one [on_code_write paddr n] per page chunk that lands on a
+    code frame, covering the chunk's [n] bytes.  A {!Page_fault} leaves
+    the pages before the faulting one written. *)
 
 val extents : t -> asid:int -> int -> int -> Extent.t list
 (** [extents t ~asid vaddr len]: the physical extents of a guest range,

@@ -11,14 +11,19 @@
 
    - every frame a block's code bytes live in is marked in the MMU
      ({!Mmu.mark_code_page}), so any store into it reaches
-     {!invalidate_paddr} and kills the blocks on that frame;
+     {!invalidate_range}, which kills the blocks whose code bytes the
+     store overwrote.  Each block records one span per frame, from its
+     lowest to one past its highest code byte there, so a store beside
+     the code — a syscall buffer on the same page, say — keeps the
+     block.  This is QEMU's per-page code bitmap at span granularity;
    - any mapping change in an address space (map / map_frames / unmap)
      reaches {!invalidate_asid} and kills all its blocks, since
      translations baked into entries may now be stale;
    - process exit retires the asid's blocks the same way.
 
    Invalidated blocks flip [b_valid] so a machine cursor still holding one
-   drops it before executing another entry. *)
+   drops it before executing another entry.  A frame's mark clears when
+   its last block retires. *)
 
 type entry = {
   en_pc : int;
@@ -42,11 +47,18 @@ type summary = {
   su_flags : bool;  (* compares (flag writes) or conditional jumps (reads) *)
 }
 
+(* A block's code bytes on one frame, as physical addresses
+   [sp_lo, sp_hi).  The block is virtually contiguous, so its bytes on a
+   frame are one run, and an instruction straddling a page puts the block
+   on two frames. *)
+type span = { sp_lo : int; sp_hi : int }
+
 type block = {
+  b_id : int;  (* serial from the cache, never reused *)
   b_key : int;
   b_asid : int;
   b_entries : entry array;
-  b_pfns : int array;  (* distinct frames holding this block's code bytes *)
+  b_spans : span array;  (* one per frame holding this block's code bytes *)
   b_summary : summary;
   mutable b_valid : bool;
 }
@@ -54,12 +66,11 @@ type block = {
 type t = {
   mmu : Mmu.t;
   blocks : (int, block) Hashtbl.t;  (* key -> block *)
-  by_pfn : (int, block list ref) Hashtbl.t;
-  page_refs : (int, int ref) Hashtbl.t;  (* pfn -> live block count *)
+  by_pfn : (int, block list ref) Hashtbl.t;  (* frame -> live blocks with code there *)
   mutable hits : int;
   mutable misses : int;
   mutable invalidations : int;
-  mutable summarized : int;  (* blocks whose summary was ever compiled *)
+  mutable summarized : int;  (* blocks ever compiled: the next block's [b_id] *)
 }
 
 type stats = {
@@ -81,7 +92,6 @@ let create mmu =
     mmu;
     blocks = Hashtbl.create 256;
     by_pfn = Hashtbl.create 64;
-    page_refs = Hashtbl.create 64;
     hits = 0;
     misses = 0;
     invalidations = 0;
@@ -99,56 +109,51 @@ let stats t =
 
 (* -- registration / retirement ------------------------------------------- *)
 
-let ref_page t pfn =
-  match Hashtbl.find_opt t.page_refs pfn with
-  | Some r -> incr r
-  | None ->
-    Hashtbl.replace t.page_refs pfn (ref 1);
-    Mmu.mark_code_page t.mmu pfn
+let span_pfn s = s.sp_lo lsr Mmu.page_shift
 
-let unref_page t pfn =
-  match Hashtbl.find_opt t.page_refs pfn with
-  | Some r ->
-    decr r;
-    if !r <= 0 then begin
-      Hashtbl.remove t.page_refs pfn;
-      Mmu.clear_code_page t.mmu pfn
-    end
-  | None -> ()
-
+(* A frame stays marked while a live block has code on it. *)
 let retire_block t b =
   if b.b_valid then begin
     b.b_valid <- false;
     t.invalidations <- t.invalidations + 1;
     Hashtbl.remove t.blocks b.b_key;
     Array.iter
-      (fun pfn ->
-        (match Hashtbl.find_opt t.by_pfn pfn with
-        | Some l -> l := List.filter (fun b' -> b' != b) !l
-        | None -> ());
-        unref_page t pfn)
-      b.b_pfns
+      (fun s ->
+        let pfn = span_pfn s in
+        match Hashtbl.find_opt t.by_pfn pfn with
+        | Some l -> (
+          match List.filter (fun b' -> b' != b) !l with
+          | [] ->
+            Hashtbl.remove t.by_pfn pfn;
+            Mmu.clear_code_page t.mmu pfn
+          | rest -> l := rest)
+        | None -> ())
+      b.b_spans
   end
 
 let register t b =
   Hashtbl.replace t.blocks b.b_key b;
   Array.iter
-    (fun pfn ->
-      ref_page t pfn;
+    (fun s ->
+      let pfn = span_pfn s in
       match Hashtbl.find_opt t.by_pfn pfn with
       | Some l -> l := b :: !l
-      | None -> Hashtbl.replace t.by_pfn pfn (ref [ b ]))
-    b.b_pfns
+      | None ->
+        Hashtbl.replace t.by_pfn pfn (ref [ b ]);
+        Mmu.mark_code_page t.mmu pfn)
+    b.b_spans
 
 (* -- invalidation -------------------------------------------------------- *)
 
-let invalidate_paddr t paddr =
-  let pfn = paddr lsr Mmu.page_shift in
-  match Hashtbl.find_opt t.by_pfn pfn with
+(* The MMU reports ranges within one frame, so only the blocks listed on
+   that frame can overlap one. *)
+let invalidate_range t paddr len =
+  match Hashtbl.find_opt t.by_pfn (paddr lsr Mmu.page_shift) with
   | Some l ->
-    let bs = !l in
-    l := [];
-    List.iter (retire_block t) bs
+    let overwritten b =
+      Array.exists (fun s -> s.sp_lo < paddr + len && paddr < s.sp_hi) b.b_spans
+    in
+    List.iter (retire_block t) (List.filter overwritten !l)
   | None -> ()
 
 let invalidate_asid t asid =
@@ -204,17 +209,22 @@ let summarize entries =
 
 (* -- translation --------------------------------------------------------- *)
 
-let distinct_pfns entries =
-  let seen = Hashtbl.create 4 in
-  Array.iter
-    (fun e ->
-      Array.iter
-        (fun paddr ->
-          let pfn = paddr lsr Mmu.page_shift in
-          if not (Hashtbl.mem seen pfn) then Hashtbl.replace seen pfn ())
-        e.en_code_paddrs)
-    entries;
-  Hashtbl.fold (fun pfn () acc -> pfn :: acc) seen [] |> Array.of_list
+(* One span per frame: the lowest and one past the highest code paddr the
+   block has there.  A frame mapped at two of the block's pages gets the
+   span covering both runs, which can only retire the block more often. *)
+let code_spans entries =
+  let spans = ref [] in
+  let add pa =
+    let rec go = function
+      | [] -> [ { sp_lo = pa; sp_hi = pa + 1 } ]
+      | s :: rest when span_pfn s = pa lsr Mmu.page_shift ->
+        { sp_lo = min s.sp_lo pa; sp_hi = max s.sp_hi (pa + 1) } :: rest
+      | s :: rest -> s :: go rest
+    in
+    spans := go !spans
+  in
+  Array.iter (fun e -> Array.iter add e.en_code_paddrs) entries;
+  Array.of_list !spans
 
 (* Decode a straight-line run starting at (asid, pc).  A decode failure or
    page fault mid-run truncates the block so the fault is rediscovered by
@@ -253,10 +263,11 @@ let translate t ~asid ~pc =
     let b_entries = Array.of_list (List.rev es) in
     let b =
       {
+        b_id = t.summarized;
         b_key = key ~asid ~pc;
         b_asid = asid;
         b_entries;
-        b_pfns = distinct_pfns b_entries;
+        b_spans = code_spans b_entries;
         b_summary = summarize b_entries;
         b_valid = true;
       }

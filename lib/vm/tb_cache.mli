@@ -6,7 +6,9 @@
 
     Invalidation contract (self-modifying code safety):
     - a store into any frame holding cached code must call
-      {!invalidate_paddr} (wired via {!Mmu.set_smc_hooks});
+      {!invalidate_range} with the bytes it wrote (wired via
+      {!Mmu.set_smc_hooks}); it retires only the blocks whose code bytes
+      the store overwrote, so data written beside code keeps them;
     - any mapping change in a space must call {!invalidate_asid};
     - process exit retires the space's blocks via {!invalidate_asid}.
 
@@ -35,11 +37,17 @@ type summary = {
     register the engine happens to ignore only costs a spurious slow-path
     run, never a missed propagation.  See docs/dift-engine.md. *)
 
+type span = { sp_lo : int; sp_hi : int }
+(** A block's code bytes on one frame: physical addresses from [sp_lo] up
+    to, not including, [sp_hi]. *)
+
 type block = {
+  b_id : int;  (** serial from the block's cache, never reused: a
+                   retranslated block gets a fresh one *)
   b_key : int;
   b_asid : int;
   b_entries : entry array;
-  b_pfns : int array;  (** distinct frames holding this block's code bytes *)
+  b_spans : span array;  (** one per frame holding the block's code bytes *)
   b_summary : summary;
   mutable b_valid : bool;
 }
@@ -65,9 +73,10 @@ val translate : t -> asid:int -> pc:int -> block option
 
 val lookup : t -> asid:int -> pc:int -> block option
 
-val invalidate_paddr : t -> int -> unit
-(** Retire every block whose code bytes share the frame of this physical
-    address. *)
+val invalidate_range : t -> int -> int -> unit
+(** [invalidate_range t paddr len] retires every block whose code span
+    on this frame overlaps [\[paddr, paddr + len)], a range within one
+    frame: every block with a code byte there. *)
 
 val invalidate_asid : t -> int -> unit
 (** Retire every block belonging to this address space. *)

@@ -54,6 +54,150 @@ let smc_program =
     i Isa.Halt;
   ]
 
+(* -- byte-exact SMC against the uncached interpreter ------------------------ *)
+
+(* A three-pass loop whose body straddles the page boundary at 0x2000,
+   with data bytes on both code pages: before the first instruction, in a
+   gap the loop jumps over, and after the halt.  [split] is how many
+   bytes of the straddling instruction lie below the boundary.  Each pass
+   runs up to two guest stores, and host copies land between steps.
+   Every write's target is drawn by kind — beside the code, inside an
+   immediate, on a block's last byte, on the instruction that straddles
+   the page, or anywhere around the code — so writes miss the code by a
+   byte or hit a block's span at its edges, and a copy out of the gap
+   runs into the block after it.  A cache that keeps a block whose code a
+   write changed runs the old instruction, and the two machines part. *)
+type kind = Beside | Imm | Last | Straddle | Anywhere
+
+type smc_case = {
+  split : int;  (* 1..5 *)
+  stores : (int * (kind * int) * int) list;  (* width, target, value *)
+  copies : (int * (kind * int) * int * string) list;
+      (* before step, target, how far the copy starts before it, bytes *)
+}
+
+let smc_loop stores =
+  let open Isa in
+  [
+    i (Mov_ri (r2, 3));
+    i (Mov_ri (r1, 0));
+    Asm.Label "loop";
+    Asm.Label "i0"; i (Mov_ri (r0, 0x11111111));
+    Asm.Label "i1"; i (Add_ri (r1, 0x01020304));
+    Asm.Label "jmp"; Asm.Jmp_l "body";
+    Asm.Label "gap"; Asm.Space 8;
+    Asm.Label "body";
+    Asm.Label "i2"; i (Add_ri (r7, 0x090A0B0C));
+    Asm.Label "straddle"; i (Xor_ri (r3, 0x0A0B0C0D));
+    Asm.Label "i3"; i (Add_ri (r4, 0x05060708));
+    i (Add_rr (r1, r0));
+  ]
+  @ List.concat_map
+      (fun (w, addr, v) ->
+        [ i (Mov_ri (r5, addr)); i (Mov_ri (r6, v)); i (Store (w, based r5, r6)) ])
+      stores
+  @ [
+      i (Sub_ri (r2, 1));
+      i (Cmp_ri (r2, 0));
+      Asm.Label "jnz"; Asm.Jnz_l "loop";
+      Asm.Label "halt"; i Halt;
+      Asm.Label "data";
+    ]
+
+(* Assemble the case: place the loop so [split] bytes of the straddling
+   instruction lie below 0x2000, resolve the targets against that layout
+   (the stores' immediates do not move it), and return the program with
+   the host copies as (step, start, bytes). *)
+let assemble_case c =
+  let placeholder = List.map (fun (w, _, v) -> (w, 0, v)) c.stores in
+  let at0 = Asm.assemble ~origin:0x1000 (smc_loop placeholder) in
+  let origin = 0x2000 - c.split - (Asm.lookup at0 "straddle" - 0x1000) in
+  let layout = Asm.assemble ~origin (smc_loop placeholder) in
+  let l = Asm.lookup layout in
+  let data = l "data" in
+  let resolve (kind, k) =
+    match kind with
+    | Beside -> List.nth [ origin - 8; l "gap"; data ] (k / 8 mod 3) + (k mod 8)
+    | Imm ->
+      (* an [_ri] instruction's immediate is its last 4 of 6 bytes *)
+      l (List.nth [ "i0"; "i1"; "i2"; "straddle"; "i3" ] (k / 4 mod 5)) + 2 + (k mod 4)
+    | Last -> List.nth [ l "jmp" + 4; l "jnz" + 4; 0x1FFF; l "halt" ] (k mod 4)
+    | Straddle -> l "straddle" + (k mod 6)
+    | Anywhere -> origin - 8 + (k mod (data + 16 - origin))
+  in
+  let prog =
+    Asm.assemble ~origin (smc_loop (List.map (fun (w, t, v) -> (w, resolve t, v)) c.stores))
+  in
+  assert (Bytes.length prog.code = Bytes.length layout.code);
+  (prog, List.map (fun (step, t, back, b) -> (step, resolve t - back, b)) c.copies)
+
+let gen_smc_case =
+  let open QCheck.Gen in
+  let target =
+    pair
+      (frequencyl [ (3, Beside); (3, Imm); (1, Last); (1, Straddle); (2, Anywhere) ])
+      (int_bound 1000)
+  in
+  let store = triple (oneofl [ 1; 2; 4 ]) target (int_bound 0xFFFFFFFF) in
+  let copy =
+    let* step = int_bound 80 and* t = target and* len = int_range 1 12 in
+    let+ back = int_bound (len - 1) and+ b = string_size ~gen:char (return len) in
+    (step, t, back, b)
+  in
+  let* split = int_range 1 5 and* stores = list_size (int_bound 2) store in
+  let+ copies = list_size (int_range 1 4) copy in
+  { split; stores; copies }
+
+let print_smc_case c =
+  let kind = function
+    | Beside -> "beside"
+    | Imm -> "imm"
+    | Last -> "last"
+    | Straddle -> "straddle"
+    | Anywhere -> "anywhere"
+  in
+  let target (k, n) = Printf.sprintf "%s %d" (kind k) n in
+  Printf.sprintf "split=%d stores=[%s] copies=[%s]" c.split
+    (String.concat "; "
+       (List.map (fun (w, t, v) -> Printf.sprintf "%d@%s=%#x" w (target t) v) c.stores))
+    (String.concat "; "
+       (List.map
+          (fun (step, t, back, b) ->
+            Printf.sprintf "step %d: %s-%d len %d" step (target t) back (String.length b))
+          c.copies))
+
+(* Run to halt, the first fault or 400 steps, applying each host copy
+   before its step; then the machine state the property compares. *)
+let run_smc ~tb ((prog : Asm.program), copies) =
+  let machine = Machine_defaults.with_defaults ~tb ~fast:true Machine.create in
+  let space = Mmu.create_space machine.mmu ~name:"t" in
+  Mmu.map machine.mmu space ~vaddr:0x1000 ~pages:4;
+  Mmu.map machine.mmu space ~vaddr:0x7F000 ~pages:4;
+  let asid = space.asid in
+  Mmu.write_bytes machine.mmu ~asid prog.origin prog.code;
+  let cpu = Cpu.create ~cr3:asid ~pc:prog.origin ~sp:(0x7F000 + 0x3FF0) in
+  let rec go step =
+    List.iter
+      (fun (s, start, b) ->
+        if s = step then Mmu.write_bytes machine.mmu ~asid start (Bytes.of_string b))
+      copies;
+    if step >= 400 || cpu.halted then None
+    else match Machine.step machine cpu with Ok _ -> go (step + 1) | Error f -> Some f
+  in
+  let fault = go 0 in
+  ( fault,
+    cpu.pc,
+    cpu.instr_count,
+    List.init Isa.num_regs (Cpu.get cpu),
+    Bytes.to_string (Mmu.read_bytes machine.mmu ~asid 0x1000 (4 * Mmu.page_size)) )
+
+let smc_prop =
+  QCheck.Test.make ~count:500
+    ~name:"writes on code pages: the TB cache agrees with the uncached interpreter"
+    (QCheck.make ~print:print_smc_case gen_smc_case) (fun c ->
+      let p = assemble_case c in
+      run_smc ~tb:true p = run_smc ~tb:false p)
+
 let smc_tests =
   [
     Alcotest.test_case "store into a cached block forces re-decode" `Quick
@@ -83,6 +227,32 @@ let smc_tests =
         check_bool "block cached" true (before >= 1);
         Mmu.unmap machine.mmu space ~vaddr:0x1000 ~pages:1;
         check "blocks dropped" 0 (Machine.tb_stats machine).Tb_cache.st_blocks);
+    Alcotest.test_case "a store beside cached code keeps the block" `Quick (fun () ->
+        (* Every pass stores into a data word on the loop's own code page. *)
+        let run passes =
+          let cpu, machine =
+            run_program
+              [
+                i (Isa.Mov_ri (Isa.r0, passes));
+                Asm.Mov_label (Isa.r5, "data");
+                Asm.Label "loop";
+                i (Isa.Store (4, Isa.based Isa.r5, Isa.r0));
+                i (Isa.Sub_ri (Isa.r0, 1));
+                i (Isa.Cmp_ri (Isa.r0, 0));
+                Asm.Jnz_l "loop";
+                i Isa.Halt;
+                Asm.Label "data";
+                Asm.U32 0;
+              ]
+          in
+          check "loop ran" 0 (Cpu.get cpu Isa.r0);
+          Machine.tb_stats machine
+        in
+        let short = run 10 and long = run 100 in
+        check "misses stay flat" short.Tb_cache.st_misses long.Tb_cache.st_misses;
+        check "no invalidations" 0 long.Tb_cache.st_invalidations;
+        check_bool "hits grow" true (long.Tb_cache.st_hits > short.Tb_cache.st_hits));
+    QCheck_alcotest.to_alcotest smc_prop;
   ]
 
 (* -- four-way differential over corpus scenarios -------------------------- *)
@@ -292,6 +462,20 @@ let stats_tests =
               (Machine.dift_fast_enabled uncached);
             check_bool "fast path stays off" false
               (Machine.dift_fast_enabled unfast)));
+    Alcotest.test_case "a Table V replay translates fewer than 64 blocks" `Slow
+      (fun () ->
+        (* Each program runs a handful of distinct blocks; its syscall
+           buffers share pages with its code, so a cache that retired every
+           block on a written page would translate hundreds to thousands. *)
+        Machine_defaults.with_defaults ~tb:true ~fast:true (fun () ->
+            List.iter
+              (fun (name, scn) ->
+                let _, trace = Faros_corpus.Scenario.record scn in
+                let r = Faros_corpus.Scenario.replay_plain scn trace in
+                let st = Machine.tb_stats r.kernel.Faros_os.Kstate.machine in
+                if st.Tb_cache.st_misses >= 64 then
+                  Alcotest.failf "%s: %d translations" name st.Tb_cache.st_misses)
+              (Faros_corpus.Perf.workloads ())));
   ]
 
 let () =

@@ -461,8 +461,9 @@ let print_copy_case c =
     c.start (String.length c.data)
 
 (* Build a case's layout on a fresh machine.  Pool frames carry distinct
-   contents so a misplaced byte shows.  The SMC hook behaves like the TB
-   cache's: it records the reported paddr and clears the frame's mark. *)
+   contents so a misplaced byte shows.  The SMC hook records each reported
+   range (paddr, len) and leaves the mark, so every write onto a code
+   frame is reported. *)
 let build_layout c =
   let mem = Phys_mem.create () in
   let mmu = Mmu.create mem in
@@ -486,9 +487,7 @@ let build_layout c =
   List.iteri (fun k is_code -> if is_code then Mmu.mark_code_page mmu pfns.(k)) c.code;
   let reported = ref [] in
   Mmu.set_smc_hooks mmu
-    ~on_code_write:(fun paddr ->
-      reported := paddr :: !reported;
-      Mmu.clear_code_page mmu (paddr lsr Mmu.page_shift))
+    ~on_code_write:(fun paddr len -> reported := (paddr, len) :: !reported)
     ~on_mapping_change:ignore;
   (mem, mmu, s.asid, reported, pfns)
 
@@ -565,21 +564,24 @@ let write_bytes_prop =
           | Ok ps -> ps
           | Error _ -> [])
       in
-      let code_written =
-        List.sort_uniq compare
-          (List.filter_map
-             (fun pa ->
-               let pfn = pa lsr Mmu.page_shift in
-               match List.filteri (fun k _ -> pfns.(k) = pfn) c.code with
-               | [ true ] -> Some pfn
-               | _ -> None)
-             written)
+      let code_frame pfn =
+        List.filteri (fun k _ -> pfns.(k) = pfn) c.code = [ true ]
+      in
+      let code_written = List.filter (fun pa -> code_frame (pa lsr Mmu.page_shift)) written in
+      let covered reported =
+        List.concat_map (fun (pa, n) -> List.init n (fun i -> pa + i)) (List.rev reported)
+      in
+      (* each range lies on one code frame *)
+      let on_code_frame (pa, n) =
+        n > 0
+        && code_frame (pa lsr Mmu.page_shift)
+        && (pa + n - 1) lsr Mmu.page_shift = pa lsr Mmu.page_shift
       in
       res_a = res_b
       && contents mem_a = contents mem_b
-      && !reported_a = !reported_b
-      && List.sort_uniq compare (List.map (fun pa -> pa lsr Mmu.page_shift) !reported_a)
-         = code_written)
+      && List.for_all on_code_frame !reported_a
+      && covered !reported_a = code_written
+      && covered !reported_b = code_written)
 
 (* -- demand-zero frames against a per-byte model --------------------------- *)
 
