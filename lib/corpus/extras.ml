@@ -45,8 +45,8 @@ let dll_host () =
 
 (* Loopback IPC: a server binds port 9000 and polls accept; a client
    connects over 127.0.0.1 and sends a message.  Loopback traffic is
-   guest-generated and therefore deterministic — it goes through neither
-   the record log nor the replay source. *)
+   guest-generated and therefore deterministic — it reaches no actor and
+   stays out of the trace. *)
 let ipc_port = 9000
 
 let ipc_server_image () =

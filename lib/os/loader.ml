@@ -7,10 +7,13 @@
    trip FAROS's export-table policy.
 
    The layout and the imports are checked before anything is mapped, so an
-   image the kernel cannot load leaves the address space as it was.  Only
-   the pages the sections cover are mapped, however far apart the sections
-   lie.  Returns the physical extents that received file bytes so the
-   kernel can report the load as a file read for provenance purposes. *)
+   image the kernel cannot load leaves the address space as it was: every
+   section lies between the image base and the stack, and every page it
+   covers is still unmapped, so an image never replaces the process's own
+   code, its stack or the shared kernel pages.  Only the pages the
+   sections cover are mapped, however far apart the sections lie.  Returns
+   the physical extents that received file bytes so the kernel can report
+   the load as a file read for provenance purposes. *)
 
 type loaded = {
   ld_image : Pe.t;
@@ -24,7 +27,7 @@ exception Unresolved_import of string
 let section_end (s : Pe.section) = s.sec_vaddr + String.length s.sec_data
 
 (* Every write [load] makes must land in a page it maps: each section lies
-   between the base and the top of the 32-bit address space, and each IAT
+   between the base and the stack, below the kernel's pages, and each IAT
    slot inside a section.  Returns the (IAT slot, stub address) writes, in
    import order. *)
 let link (exports : Export_table.t) (image : Pe.t) =
@@ -33,8 +36,8 @@ let link (exports : Export_table.t) (image : Pe.t) =
     (fun (s : Pe.section) ->
       if s.sec_vaddr < image.base then
         bad "section %s starts below the image base" s.sec_name;
-      if section_end s > 1 lsl 32 then
-        bad "section %s ends past the 32-bit address space" s.sec_name)
+      if section_end s > Process.stack_base then
+        bad "section %s ends past the stack base" s.sec_name)
     image.sections;
   List.map
     (fun (api, slot) ->
@@ -74,9 +77,11 @@ let page_runs (image : Pe.t) =
 let load (mmu : Faros_vm.Mmu.t) (space : Faros_vm.Mmu.space)
     (exports : Export_table.t) (image : Pe.t) : loaded =
   let iat = link exports image in
-  List.iter
-    (fun (vaddr, pages) -> Faros_vm.Mmu.map mmu space ~vaddr ~pages)
-    (page_runs image);
+  let runs = page_runs image in
+  let free (vaddr, pages) = Faros_vm.Mmu.unmapped space ~vaddr ~pages in
+  if not (List.for_all free runs) then
+    raise (Pe.Bad_image (image.img_name ^ " overlaps a mapping"));
+  List.iter (fun (vaddr, pages) -> Faros_vm.Mmu.map mmu space ~vaddr ~pages) runs;
   let asid = space.asid in
   let section_extents =
     List.map

@@ -17,14 +17,15 @@ type loaded = {
 exception Unresolved_import of string
 
 val check : Export_table.t -> Pe.t -> unit
-(** Whether {!load} would accept the image — what process creation checks
-    before it builds an address space.  Raises {!Pe.Bad_image} for a
-    section that starts below the image base or ends past the 32-bit
-    address space, or an IAT slot outside every section, and
-    {!Unresolved_import} for the first import the kernel does not
-    export. *)
+(** Whether {!load} would accept the image's layout — what process
+    creation checks before it builds an address space.  Raises
+    {!Pe.Bad_image} for a section that starts below the image base or
+    ends past {!Process.stack_base}, or an IAT slot outside every
+    section, and {!Unresolved_import} for the first import the kernel
+    does not export. *)
 
 val load : Faros_vm.Mmu.t -> Faros_vm.Mmu.space -> Export_table.t -> Pe.t -> loaded
 (** Map, copy and link an image, mapping only the pages its sections
-    cover.  Runs {!check} first: when it raises, nothing has been mapped
-    or written. *)
+    cover.  Runs {!check} first, then raises {!Pe.Bad_image} if any of
+    those pages is already mapped in the space: when it raises, nothing
+    has been mapped or written. *)

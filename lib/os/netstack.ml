@@ -1,37 +1,26 @@
 (* A miniature TCP-like network stack.
 
    Remote endpoints are [actor]s: host-side scripts that stand in for the
-   attacker machine (Metasploit listener, C2 server, web server).  In live
-   (record) mode actors respond to guest connects/sends and their payloads
-   are handed to a record sink; in replay mode actors are never consulted
-   and received data comes from the recorded trace — the PANDA record/replay
-   discipline, where network input is the non-deterministic event.
+   attacker machine (Metasploit listener, C2 server, web server).  An actor
+   answers each guest connect and each send on the connection, and the
+   record sink sees every answer.  Record and replay take this one path:
+   the recorder registers the scenario's live actors, the replayer actors
+   rebuilt from the recorded answers ([Trace.actors]) — the PANDA
+   record/replay discipline, where network input is the non-deterministic
+   event.  An address no actor serves refuses the connect.
 
    Traffic also flows the other way: host-side *clients* initiate
    connections to guest servers.  Those arrive as a tick-stamped inbound
    schedule pumped at scheduler slice boundaries, so delivery ticks are a
-   pure function of the (deterministic) schedule: record mode consumes a
-   generator's schedule and reports every *delivered* event to the inbound
-   sink with its actual delivery tick; replay mode consumes the recorded
-   schedule and, because slice boundaries replay identically, delivers the
-   same bytes at the same ticks.  Events that find no listener (or a closed
-   socket) are dropped without being recorded — consistently in both modes.
+   pure function of the (deterministic) schedule: at record the schedule
+   is a generator's, and the inbound sink sees every *delivered* event with
+   its actual delivery tick; at replay it is the recorded one and, because
+   slice boundaries replay identically, the same bytes land at the same
+   ticks.  Events that find no listener (or a closed socket) are dropped
+   without being recorded — at record and at replay alike.
 
    Ephemeral ports are allocated deterministically starting at 49162 (the
    port in the paper's Table II / Fig. 7 example). *)
-
-type socket = {
-  sock_id : int;
-  mutable flow : Types.flow option;  (* src = remote, dst = local, as seen by rx *)
-  rx : Buffer.t;
-  mutable rx_pos : int;
-  mutable connected : bool;
-  mutable peer : int option;  (* loopback peer socket *)
-  mutable listening : bool;
-  mutable bound_port : int option;
-  mutable fin : bool;  (* remote end closed; EOF once rx drains *)
-  pending : int Queue.t;  (* connections awaiting accept *)
-}
 
 type actor = {
   actor_name : string;
@@ -39,6 +28,20 @@ type actor = {
   actor_port : int;
   on_connect : Types.flow -> string list;
   on_data : Types.flow -> string -> string list;
+}
+
+type socket = {
+  sock_id : int;
+  mutable flow : Types.flow option;  (* src = remote, dst = local, as seen by rx *)
+  rx : Buffer.t;
+  mutable rx_pos : int;
+  mutable connected : bool;
+  mutable actor : actor option;  (* the remote endpoint a connect reached *)
+  mutable peer : int option;  (* loopback peer socket *)
+  mutable listening : bool;
+  mutable bound_port : int option;
+  mutable fin : bool;  (* remote end closed; EOF once rx drains *)
+  pending : int Queue.t;  (* connections awaiting accept *)
 }
 
 (* One step of a host-initiated connection's life, as seen by the guest. *)
@@ -56,8 +59,7 @@ type t = {
   mutable inbound : (int * inbound_event) list;  (* tick-sorted schedule *)
   mutable next_sock : int;
   mutable next_port : int;
-  mutable record_sink : (Types.flow -> string -> unit) option;
-  mutable replay_source : (Types.flow -> string list) option;
+  mutable record_sink : (Types.flow -> string list -> unit) option;
   mutable inbound_sink : (int -> inbound_event -> unit) option;
   mutable sent : (Types.flow * string) list;  (* outbound traffic, for forensics *)
 }
@@ -78,13 +80,11 @@ let create ~local_ip =
     next_sock = 1;
     next_port = first_ephemeral_port;
     record_sink = None;
-    replay_source = None;
     inbound_sink = None;
     sent = [];
   }
 
 let set_record_sink t f = t.record_sink <- Some f
-let set_replay_source t f = t.replay_source <- Some f
 let set_inbound_sink t f = t.inbound_sink <- Some f
 
 let register_actor t actor =
@@ -111,6 +111,7 @@ let socket t =
       rx = Buffer.create 64;
       rx_pos = 0;
       connected = false;
+      actor = None;
       peer = None;
       listening = false;
       bound_port = None;
@@ -126,16 +127,16 @@ let find t id =
   | Some s -> s
   | None -> raise (Bad_socket id)
 
-let deliver t s chunk =
-  Buffer.add_string s.rx chunk;
-  match (s.flow, t.record_sink) with
-  | Some flow, Some sink -> sink flow chunk
-  | _ -> ()
+(* Queue one actor call's answer on the socket and hand it to the record
+   sink, empty or not: the trace keeps one answer per call. *)
+let answer t s flow chunks =
+  List.iter (Buffer.add_string s.rx) chunks;
+  Option.iter (fun sink -> sink flow chunks) t.record_sink
 
 let loopback_ip = Types.Ip.of_string "127.0.0.1"
 
-(* Guest-to-guest loopback connection: entirely deterministic, so it goes
-   through neither the record sink nor the replay source. *)
+(* Guest-to-guest loopback connection: entirely deterministic, so it
+   reaches no actor and bypasses the record sink. *)
 let connect_loopback t (s : socket) ~port ~local_port =
   match Hashtbl.find_opt t.listeners port with
   | None ->
@@ -179,51 +180,43 @@ let connect_loopback t (s : socket) ~port ~local_port =
     client_flow
 
 (* Connect to a remote endpoint.  Returns the flow describing inbound data
-   (src = remote endpoint, dst = our ephemeral endpoint). *)
+   (src = remote endpoint, dst = our ephemeral endpoint).  The actor
+   serving the endpoint answers, and the socket keeps it for its sends. *)
 let connect t id ~ip ~port =
   let s = find t id in
   let local_port = t.next_port in
   t.next_port <- local_port + 1;
   if ip = loopback_ip || ip = t.local_ip then connect_loopback t s ~port ~local_port
   else begin
-  let flow =
-    { Types.src_ip = ip; src_port = port; dst_ip = t.local_ip; dst_port = local_port }
-  in
-  s.flow <- Some flow;
-  s.connected <- true;
-  (match t.replay_source with
-  | Some source ->
-    (* Replayed input: everything this flow ever received, in order. *)
-    List.iter (fun chunk -> Buffer.add_string s.rx chunk) (source flow)
-  | None -> (
-    match Hashtbl.find_opt t.actors (ip, port) with
-    | Some actor -> List.iter (deliver t s) (actor.on_connect flow)
-    | None -> raise (Connection_refused flow)));
-  flow
+    let flow =
+      { Types.src_ip = ip; src_port = port; dst_ip = t.local_ip; dst_port = local_port }
+    in
+    s.flow <- Some flow;
+    s.connected <- true;
+    s.actor <- Hashtbl.find_opt t.actors (ip, port);
+    match s.actor with
+    | Some actor ->
+      answer t s flow (actor.on_connect flow);
+      flow
+    | None -> raise (Connection_refused flow)
   end
 
 let send t id data =
   let s = find t id in
   match s.flow with
   | None -> raise (Bad_socket id)
-  | Some flow -> (
+  | Some flow ->
     t.sent <- (flow, data) :: t.sent;
-    match s.peer with
-    | Some peer_id ->
+    (match (s.peer, s.actor) with
+    | Some peer_id, _ -> (
       (* loopback: deliver straight into the peer, no recording.  A peer
          that already closed swallows the bytes, like a TCP RST would. *)
-      (match Hashtbl.find_opt t.sockets peer_id with
+      match Hashtbl.find_opt t.sockets peer_id with
       | Some peer -> Buffer.add_string peer.rx data
-      | None -> ());
-      String.length data
-    | None ->
-      (match t.replay_source with
-      | Some _ -> ()  (* replies already preloaded from the trace *)
-      | None -> (
-        match Hashtbl.find_opt t.actors (flow.src_ip, flow.src_port) with
-        | Some actor -> List.iter (deliver t s) (actor.on_data flow data)
-        | None -> ()));
-      String.length data)
+      | None -> ())
+    | None, Some actor -> answer t s flow (actor.on_data flow data)
+    | None, None -> ());
+    String.length data
 
 (* Byte-stream recv: returns at most [len] bytes, "" when nothing pending. *)
 let recv t id ~len =

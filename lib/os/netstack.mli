@@ -1,22 +1,21 @@
 (** A miniature TCP-like network stack.
 
     Remote endpoints are {!actor}s: host-side scripts standing in for the
-    attacker machine (Metasploit listener, C2 server, web server).  In live
-    (record) mode actors respond to guest connects/sends and their payloads
-    are handed to the record sink; in replay mode actors are never
-    consulted and received data comes from the recorded trace — the PANDA
-    record/replay discipline, where network input is the non-deterministic
-    event.
+    attacker machine (Metasploit listener, C2 server, web server).  An
+    actor answers each guest connect and each send on the connection, and
+    the record sink sees every answer.  Record and replay take this one
+    path: the recorder registers the scenario's live actors, the replayer
+    actors rebuilt from the recorded answers — the PANDA record/replay
+    discipline, where network input is the non-deterministic event.
 
     Traffic also flows the other way: host-side clients initiate
     connections {e to} the guest as a tick-stamped {!inbound_event}
-    schedule, pumped at scheduler slice boundaries ({!pump}).  Record mode
-    consumes a generator's schedule and reports every {e delivered} event
-    to the inbound sink with its actual delivery tick; replay mode consumes
-    the recorded schedule and — because slice boundaries replay
-    identically — delivers the same bytes at the same ticks.  Undeliverable
-    events (no listener, closed socket) are dropped unrecorded in both
-    modes alike.
+    schedule, pumped at scheduler slice boundaries ({!pump}).  At record
+    the schedule is a generator's, and the inbound sink sees every
+    {e delivered} event with its actual delivery tick; at replay it is the
+    recorded one and — because slice boundaries replay identically — the
+    same bytes land at the same ticks.  Undeliverable events (no listener,
+    closed socket) are dropped unrecorded at record and replay alike.
 
     Ephemeral ports are allocated deterministically starting at
     {!first_ephemeral_port} = 49162, the port in the paper's Table II /
@@ -50,15 +49,13 @@ val first_ephemeral_port : int
 
 val create : local_ip:Types.Ip.t -> t
 
-val set_record_sink : t -> (Types.flow -> string -> unit) -> unit
-(** Called for every chunk delivered to a guest socket (record mode). *)
-
-val set_replay_source : t -> (Types.flow -> string list) -> unit
-(** Replace actors with recorded per-flow input (replay mode). *)
+val set_record_sink : t -> (Types.flow -> string list -> unit) -> unit
+(** Called once per actor call — the connect, then each send — with the
+    flow and the chunks the actor answered, possibly none. *)
 
 val set_inbound_sink : t -> (int -> inbound_event -> unit) -> unit
 (** Called with [(delivery_tick, event)] for every inbound event actually
-    delivered by {!pump} (record mode: this is what the trace stores). *)
+    delivered by {!pump}: what the recorder stores in the trace. *)
 
 val register_actor : t -> actor -> unit
 
@@ -79,11 +76,13 @@ val socket : t -> int
 
 val connect : t -> int -> ip:Types.Ip.t -> port:int -> Types.flow
 (** Connect to a remote endpoint.  Returns the flow describing inbound data
-    (src = remote, dst = local ephemeral).  Raises
-    {!Connection_refused} in live mode when no actor listens there. *)
+    (src = remote, dst = local ephemeral).  The endpoint's actor answers
+    the connect, and the socket keeps that actor for its sends.  Raises
+    {!Connection_refused} when no actor serves the endpoint. *)
 
 val send : t -> int -> string -> int
-(** Send guest data; live-mode actors may respond.  Returns bytes sent. *)
+(** Send guest data; the actor the connect reached answers it.  Returns
+    bytes sent. *)
 
 val recv : t -> int -> len:int -> string
 (** Byte-stream receive: at most [len] bytes, [""] when nothing pending. *)
@@ -107,8 +106,8 @@ val listen : t -> int -> unit
 
 val accept : t -> int -> int option
 (** Pop a pending connection (loopback or inbound); [None] when nothing is
-    waiting.  Loopback (guest-to-guest) traffic is deterministic and
-    bypasses both the record sink and the replay source. *)
+    waiting.  Loopback (guest-to-guest) traffic is deterministic: it
+    reaches no actor and bypasses the record sink. *)
 
 val flow_of : t -> int -> Types.flow option
 

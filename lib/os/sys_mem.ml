@@ -14,12 +14,6 @@ let with_target (k : Kstate.t) (p : Process.t) pid f =
   let target_pid = if pid = 0 then p.pid else pid in
   match Kstate.proc k target_pid with Some t -> f t | None -> err
 
-(* Whether the [pages] pages from [vaddr] are all unmapped. *)
-let rec unmapped space vaddr pages =
-  pages = 0
-  || (not (Faros_vm.Mmu.is_mapped space ~vaddr))
-     && unmapped space (vaddr + page_size) (pages - 1)
-
 (* r1 = pid (0 = self), r2 = size in bytes.  Returns the new region base,
    or -1 when the region would overlap a mapping or reach the stack. *)
 let allocate (k : Kstate.t) (p : Process.t) args =
@@ -29,7 +23,7 @@ let allocate (k : Kstate.t) (p : Process.t) args =
       let vaddr = t.heap_next in
       if size <= 0 || size > max_copy then err
       else if vaddr + (pages * page_size) > Process.stack_base
-              || not (unmapped t.space vaddr pages)
+              || not (Faros_vm.Mmu.unmapped t.space ~vaddr ~pages)
       then err
       else begin
         Faros_vm.Mmu.map k.machine.mmu t.space ~vaddr ~pages;

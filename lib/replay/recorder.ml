@@ -1,9 +1,9 @@
 (* Recording sessions.
 
-   Wire the kernel's non-deterministic sources (network rx, keyboard) into
-   an event log, run the workload live, and produce a {!Trace.t} that the
-   {!Replayer} can consume.  Mirrors "start PANDA in recording mode, run the
-   malware, stop the recording". *)
+   Wire the kernel's non-deterministic sources (actor answers, inbound
+   traffic, keyboard) into an event log, run the workload live, and
+   produce a {!Trace.t} that the {!Replayer} can consume.  Mirrors "start
+   PANDA in recording mode, run the malware, stop the recording". *)
 
 type session = {
   kernel : Faros_os.Kernel.t;
@@ -12,8 +12,8 @@ type session = {
 
 let start (kernel : Faros_os.Kernel.t) =
   let s = { kernel; rev_events = [] } in
-  Faros_os.Netstack.set_record_sink kernel.net (fun flow data ->
-      s.rev_events <- Trace.Packet (flow, data) :: s.rev_events);
+  Faros_os.Netstack.set_record_sink kernel.net (fun flow chunks ->
+      s.rev_events <- Trace.Answer (flow, chunks) :: s.rev_events);
   Faros_os.Netstack.set_inbound_sink kernel.net (fun tick ev ->
       s.rev_events <- Trace.Inbound (tick, ev) :: s.rev_events);
   Faros_os.Input_dev.set_record_sink kernel.input (fun key ->

@@ -1,9 +1,9 @@
 (** Recording sessions: "start PANDA in recording mode, run the malware,
     stop the recording".
 
-    Wires the kernel's non-deterministic sources (network rx, keyboard)
-    into an event log, runs the workload live, and produces a {!Trace.t}
-    the {!Replayer} can consume. *)
+    Wires the kernel's non-deterministic sources (actor answers, inbound
+    traffic, keyboard) into an event log, runs the workload live, and
+    produces a {!Trace.t} the {!Replayer} can consume. *)
 
 type session
 

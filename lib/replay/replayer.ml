@@ -1,11 +1,11 @@
 (* Deterministic replay.
 
    Rebuilds the system from the same [setup]/[boot] functions used at
-   record time, feeds non-deterministic input from the trace instead of
-   live actors, and runs with analysis plugins attached.  Divergence is
-   detected by comparing instruction and syscall counts against the
-   trace's integrity metadata — if the guest asked for anything the trace
-   does not determine, the counts cannot match. *)
+   record time, answers the guest's connects and sends through actors
+   rebuilt from the trace's answers, and runs with analysis plugins
+   attached.  Divergence is detected by comparing instruction and syscall
+   counts against the trace's integrity metadata — if the guest asked for
+   anything the trace does not determine, the counts cannot match. *)
 
 type result = {
   kernel : Faros_os.Kernel.t;
@@ -30,8 +30,8 @@ let replay ?max_ticks ?(profile = Faros_obs.Profile.disabled)
      unattributed self time. *)
   Faros_obs.Profile.enter profile "replay.setup";
   setup kernel;
-  Faros_os.Netstack.set_replay_source kernel.net (fun flow ->
-      Trace.rx_chunks trace flow);
+  (* Outbound connections reach actors that give the recorded answers. *)
+  List.iter (Faros_os.Netstack.register_actor kernel.net) (Trace.actors trace);
   (* Host-initiated connections replay from the recorded tick-stamped
      schedule: the kernel pump delivers them at the same slice boundaries
      as during recording. *)

@@ -1,10 +1,10 @@
 (** Deterministic replay.
 
     Rebuilds the system from the same [setup]/[boot] functions used at
-    record time, feeds non-deterministic input from the trace instead of
-    live actors, and runs with analysis plugins attached.  Divergence is
-    detected by comparing instruction and syscall counts against the
-    trace's integrity metadata. *)
+    record time, answers the guest's connects and sends through actors
+    rebuilt from the trace's answers, and runs with analysis plugins
+    attached.  Divergence is detected by comparing instruction and syscall
+    counts against the trace's integrity metadata. *)
 
 type result = {
   kernel : Faros_os.Kernel.t;

@@ -1,13 +1,18 @@
 (** Recorded non-deterministic input.
 
     Everything else in the guest is deterministic (pure-function scheduler,
-    synthetic devices, no wall clock), so a trace of network arrivals and
+    synthetic devices, no wall clock), so a trace of network input and
     keystrokes is sufficient to replay a whole-system execution exactly —
     the property PANDA's record/replay gives the paper.  The trace also
-    carries integrity metadata so the replayer can detect divergence. *)
+    carries integrity metadata so the replayer can detect divergence.
+
+    Outbound traffic is recorded as the actors' answers, one per call;
+    {!actors} rebuilds actors that give the same answers at replay. *)
 
 type event =
-  | Packet of Faros_os.Types.flow * string  (** one received chunk *)
+  | Answer of Faros_os.Types.flow * string list
+      (** one actor call on an outbound flow — the connect, then each
+          send — and the chunks the actor answered, possibly none *)
   | Key of int  (** one user keystroke *)
   | Inbound of int * Faros_os.Netstack.inbound_event
       (** one host-initiated connection step, tagged with the
@@ -21,8 +26,12 @@ type t = {
 
 val empty : t
 
-val rx_chunks : t -> Faros_os.Types.flow -> string list
-(** All payload chunks received on a flow, in order. *)
+val actors : t -> Faros_os.Netstack.actor list
+(** One actor per endpoint that answered at record time, answering each
+    call on a flow with that flow's recorded answers in order (and with
+    nothing once they run out).  An endpoint that never answered gets no
+    actor, so its connects are refused as they were at record time.  Each
+    call builds fresh actors, so a trace can be replayed many times. *)
 
 val keys : t -> int list
 
@@ -30,14 +39,16 @@ val inbound_schedule : t -> (int * Faros_os.Netstack.inbound_event) list
 (** The recorded inbound schedule, ready for [Netstack.schedule_inbound]. *)
 
 val packet_count : t -> int
+(** Chunks the actors answered, over all calls. *)
+
 val inbound_count : t -> int
 val total_rx_bytes : t -> int
 
 val serialize : t -> string
-(** Binary trace-file format: "FTR1" when the trace has no inbound events
-    (byte-identical to the v1 format), "FTR2" otherwise. *)
+(** Binary trace-file format, magic "FTR3". *)
 
 exception Bad_trace of string
 
 val parse : string -> t
-(** Inverse of {!serialize}.  Raises {!Bad_trace}. *)
+(** Inverse of {!serialize}.  Raises {!Bad_trace}, also for a trace in an
+    older format, which must be recorded again. *)

@@ -144,6 +144,13 @@ let frames_of space ~vaddr ~pages =
 
 let is_mapped space ~vaddr = Hashtbl.mem space.table (vaddr lsr page_shift)
 
+let unmapped space ~vaddr ~pages =
+  let vpn = vaddr lsr page_shift in
+  let rec free i =
+    i = pages || ((not (Hashtbl.mem space.table (vpn + i))) && free (i + 1))
+  in
+  free 0
+
 let mapped_ranges space =
   let vpns = Hashtbl.fold (fun vpn _ acc -> vpn :: acc) space.table [] in
   let vpns = List.sort compare vpns in

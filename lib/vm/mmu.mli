@@ -76,6 +76,10 @@ val frames_of : space -> vaddr:int -> pages:int -> int list
 
 val is_mapped : space -> vaddr:int -> bool
 
+val unmapped : space -> vaddr:int -> pages:int -> bool
+(** Whether none of the [pages] pages from [vaddr] is mapped — the test
+    an allocation or an image load passes before it maps anything. *)
+
 val mapped_ranges : space -> (int * int) list
 (** Contiguous mapped ranges as (vaddr, byte length), sorted. *)
 

@@ -1,8 +1,8 @@
 (* Server-daemon subsystem tests: the inbound netstack layer (pump,
    EOF/readiness, the bind/close port-release regression), the
-   deterministic traffic generator, the FTR2 trace format, and the
-   inject-through-server scenarios — where a whodunit slice must pin the
-   one guilty flow among hundreds of benign ones. *)
+   deterministic traffic generator, inbound events in the trace format,
+   and the inject-through-server scenarios — where a whodunit slice must
+   pin the one guilty flow among hundreds of benign ones. *)
 
 open Faros_netd
 
@@ -217,7 +217,7 @@ let gen_tests =
         check "payload byte total" (String.length "req-0" * 3) (Gen.total_bytes s));
   ]
 
-(* -- trace format: FTR2 with inbound events, FTR1 back-compat ------------- *)
+(* -- trace format: inbound events, older formats refused ------------------ *)
 
 let trace_tests =
   let open Faros_replay in
@@ -231,7 +231,7 @@ let trace_tests =
               [
                 Trace.Inbound (10, Faros_os.Netstack.Inb_connect f);
                 Trace.Inbound (12, Inb_data (f, "GET /\r\n"));
-                Trace.Packet (f, "interleaved");
+                Trace.Answer (f, [ "interleaved" ]);
                 Trace.Key 65;
                 Trace.Inbound (20, Inb_fin f);
               ];
@@ -240,7 +240,7 @@ let trace_tests =
           }
         in
         let data = Trace.serialize t in
-        check_s "v2 magic" "FTR2" (String.sub data 0 4);
+        check_s "magic" "FTR3" (String.sub data 0 4);
         let t' = Trace.parse data in
         check "inbound count" 3 (Trace.inbound_count t');
         check_b "schedule preserved" true
@@ -249,19 +249,20 @@ let trace_tests =
         check "final tick" t.final_tick t'.final_tick;
         check_b "rx bytes include inbound data" true
           (Trace.total_rx_bytes t' > 0));
-    Alcotest.test_case "traces without inbound events stay byte-format v1"
-      `Quick (fun () ->
-        let f = flow ~src_port:4444 ~dst_port:49162 in
-        let t =
-          {
-            Trace.events = [ Trace.Packet (f, "classic"); Trace.Key 13 ];
-            final_tick = 5;
-            syscall_count = 2;
-          }
+    Alcotest.test_case "FTR1 and FTR2 files are refused" `Quick (fun () ->
+        (* The older formats recorded received chunks, not actor answers:
+           the same header and key events under the old magics. *)
+        let body =
+          let t = { Trace.events = [ Trace.Key 13 ]; final_tick = 5; syscall_count = 2 } in
+          let data = Trace.serialize t in
+          String.sub data 4 (String.length data - 4)
         in
-        let data = Trace.serialize t in
-        check_s "v1 magic" "FTR1" (String.sub data 0 4);
-        check_b "parses back" true (Trace.parse data = t));
+        List.iter
+          (fun magic ->
+            match Trace.parse (magic ^ body) with
+            | exception Trace.Bad_trace _ -> ()
+            | _ -> Alcotest.failf "%s accepted" magic)
+          [ "FTR1"; "FTR2" ]);
   ]
 
 (* -- scenarios: record/replay, detection, whodunit ------------------------ *)

@@ -137,18 +137,53 @@ let net_tests =
     Alcotest.test_case "record sink sees rx traffic" `Quick (fun () ->
         let net = Netstack.create ~local_ip:local in
         let seen = ref [] in
-        Netstack.set_record_sink net (fun _flow data -> seen := data :: !seen);
+        Netstack.set_record_sink net (fun _flow chunks -> seen := chunks :: !seen);
         Netstack.register_actor net
           (mk_actor ~on_connect:(fun _ -> [ "a"; "b" ]) "10.0.0.2" 80);
         let s = Netstack.socket net in
         ignore (Netstack.connect net s ~ip:(Types.Ip.of_string "10.0.0.2") ~port:80);
-        Alcotest.(check (list string)) "chunks" [ "b"; "a" ] !seen);
-    Alcotest.test_case "replay source bypasses actors" `Quick (fun () ->
-        let net = Netstack.create ~local_ip:local in
-        Netstack.set_replay_source net (fun _flow -> [ "replayed" ]);
+        ignore (Netstack.send net s "q");
+        Alcotest.(check (list (list string)))
+          "one answer per call, the send's empty" [ []; [ "a"; "b" ] ] !seen);
+    Alcotest.test_case "trace actors give recorded answers" `Quick (fun () ->
+        let server = Types.Ip.of_string "10.0.0.2" in
+        let flow port =
+          { Types.src_ip = server; src_port = 80; dst_ip = local; dst_port = port }
+        in
+        let f1 = flow Netstack.first_ephemeral_port
+        and f2 = flow (Netstack.first_ephemeral_port + 1) in
+        let trace =
+          {
+            Faros_replay.Trace.empty with
+            events =
+              [
+                Answer (f1, [ "a" ]); Answer (f2, []); Answer (f1, [ "b"; "c" ]);
+                Answer (f2, [ "x" ]);
+              ];
+          }
+        in
+        let replay_net () =
+          let net = Netstack.create ~local_ip:local in
+          List.iter (Netstack.register_actor net) (Faros_replay.Trace.actors trace);
+          net
+        in
+        let net = replay_net () in
+        let s1 = Netstack.socket net and s2 = Netstack.socket net in
+        ignore (Netstack.connect net s1 ~ip:server ~port:80);
+        ignore (Netstack.connect net s2 ~ip:server ~port:80);
+        let answers s = ignore (Netstack.send net s "?"); Netstack.recv net s ~len:100 in
+        check_s "s1 connect" "a" (Netstack.recv net s1 ~len:100);
+        check_s "s2 connect" "" (Netstack.recv net s2 ~len:100);
+        check_s "s2 send" "x" (answers s2);
+        check_s "s1 send" "bc" (answers s1);
+        check_s "s1 past its answers" "" (answers s1);
+        (match Netstack.connect net (Netstack.socket net) ~ip:server ~port:81 with
+        | exception Netstack.Connection_refused _ -> ()
+        | _ -> Alcotest.fail "an endpoint that never answered must refuse");
+        let net = replay_net () in
         let s = Netstack.socket net in
-        ignore (Netstack.connect net s ~ip:7 ~port:7);
-        check_s "data" "replayed" (Netstack.recv net s ~len:100));
+        ignore (Netstack.connect net s ~ip:server ~port:80);
+        check_s "a second call starts fresh" "a" (Netstack.recv net s ~len:100));
     Alcotest.test_case "distinct connects get distinct flows" `Quick (fun () ->
         let net = Netstack.create ~local_ip:local in
         Netstack.register_actor net (mk_actor "10.0.0.2" 80);
@@ -342,10 +377,11 @@ let events_of_kind name events =
   List.filter (fun ev -> Os_event.name ev = name) events
 
 (* A guest that calls LoadLibrary on [path] (where [dll] is installed)
-   and exits with the result.  Returns the result, the caller's mapped
-   ranges on entry to and exit from the call, and the run's events. *)
-let load_library_run ~path dll =
-  let ranges = ref [] in
+   and exits with the result.  Returns the process, what [seen] reads of
+   its address space on entry to and exit from the call, and the run's
+   events. *)
+let load_library_seen ~path ~seen dll =
+  let views = ref [] in
   let k, pid, events =
     run_guest
       ~setup:(fun k ->
@@ -353,7 +389,7 @@ let load_library_run ~path dll =
         Kernel.subscribe k (function
           | Os_event.Sys_enter { pid; sysno; _ } | Os_event.Sys_exit { pid; sysno; _ }
             when sysno = Syscall.ldr_load_library ->
-            ranges := Faros_vm.Mmu.mapped_ranges (Kstate.proc_exn k pid).space :: !ranges
+            views := seen (Kstate.proc_exn k pid).space :: !views
           | _ -> ()))
       (List.concat
          [
@@ -367,9 +403,16 @@ let load_library_run ~path dll =
            Faros_corpus.Progs.cstring "name" path;
          ])
   in
-  match !ranges with
-  | [ after; before ] -> ((Option.get (Kstate.proc k pid)).exit_code, before, after, events)
+  match !views with
+  | [ after; before ] -> (Kstate.proc_exn k pid, before, after, events)
   | l -> Alcotest.failf "expected one LoadLibrary call, saw %d events" (List.length l)
+
+(* The same, seeing the caller's mapped ranges. *)
+let load_library_run ~path dll =
+  let p, before, after, events =
+    load_library_seen ~path ~seen:Faros_vm.Mmu.mapped_ranges dll
+  in
+  (p.exit_code, before, after, events)
 
 (* The same for CreateProcess on [path], counting address spaces instead. *)
 let create_process_run ~path image =
@@ -1017,6 +1060,38 @@ let abi_tests =
           (Printf.sprintf "record + FAROS replay allocated %.0f bytes, under 32 MiB" allocated)
           true
           (allocated < float_of_int (32 lsl 20)));
+    Alcotest.test_case "an image cannot map over an existing mapping" `Quick (fun () ->
+        (* One-page DLLs based on the kernel stubs, the export directory,
+           the stack and the caller's own code page: LoadLibrary returns -1
+           and the frame mapped there stays. *)
+        List.iter
+          (fun (what, base) ->
+            let dll =
+              one_section_image ~name:"over.dll" ~base ~vaddr:base
+                (String.make Faros_vm.Phys_mem.page_size '\001')
+            in
+            let frame space = Faros_vm.Mmu.frames_of space ~vaddr:base ~pages:1 in
+            let p, before, after, _ = load_library_seen ~path:"over.dll" ~seen:frame dll in
+            check (what ^ ": LoadLibrary returned -1") 0xFFFFFFFF p.exit_code;
+            Alcotest.(check (list int)) (what ^ ": frame kept") before after;
+            check_b (what ^ ": no fault") true (p.fault = None))
+          [
+            ("kernel stubs", Export_table.kernel_base);
+            ("export directory", Export_table.export_dir_vaddr);
+            ("stack", Process.stack_base);
+            ("own code", Process.image_base);
+          ];
+        (* A process image with a section on the export directory. *)
+        let k = Kernel.create () in
+        Kernel.install_image k ~path:"over.exe"
+          (one_section_image ~name:"over.exe" ~base:Process.image_base
+             ~vaddr:Export_table.export_dir_vaddr "\000\000\000\000");
+        let spaces () = Hashtbl.length k.machine.mmu.spaces in
+        let before = spaces () in
+        (match Kernel.spawn k "over.exe" with
+        | exception Spawn.Bad_executable _ -> ()
+        | _ -> Alcotest.fail "spawn mapped a section over the export directory");
+        check "no address space created" before (spaces ()));
   ]
 
 let more_syscall_tests =

@@ -9,9 +9,10 @@ let flow a b =
 
 (* -- trace ------------------------------------------------------------------ *)
 
-(* A small pool of flows so generated traces interleave chunks of several
-   concurrent connections, and payload sizes biased toward the edges:
-   zero-length chunks and max-length (64 KiB) payloads both round-trip. *)
+(* A small pool of flows so generated traces interleave answers on several
+   concurrent connections, answers of 0-3 chunks, and chunk sizes biased
+   toward the edges: zero-length and max-length (64 KiB) chunks both
+   round-trip. *)
 let max_payload = 65_536
 
 let arb_event =
@@ -23,7 +24,7 @@ let arb_event =
     else
       let* a = int_range 1 4 in
       let* b = int_range 1 4 in
-      let* size =
+      let size =
         frequency
           [
             (3, int_range 0 64);
@@ -31,8 +32,8 @@ let arb_event =
             (1, return max_payload);
           ]
       in
-      let* data = string_size (return size) in
-      return (Faros_replay.Trace.Packet (flow a b, data)))
+      let* chunks = list_size (int_range 0 3) (string_size size) in
+      return (Faros_replay.Trace.Answer (flow a b, chunks)))
 
 let arb_trace =
   QCheck.Gen.(
@@ -46,40 +47,116 @@ let trace_roundtrip =
     (QCheck.make arb_trace) (fun t ->
       Faros_replay.Trace.parse (Faros_replay.Trace.serialize t) = t)
 
+(* -- trace decoder totality ------------------------------------------------- *)
+
+(* Seeds recorded from samples that cover every event kind: an answer on a
+   connect (reflective_dll_inject), an answer on a send (applet_ncradle),
+   inbound events (netd_inject_under_server) and keys (process_hollowing). *)
+let fuzz_seeds =
+  lazy
+    (List.map
+       (fun id ->
+         let scn = (Option.get (Faros_corpus.Registry.find id)).scenario in
+         let _, trace = Faros_corpus.Scenario.record scn in
+         (scn, trace, Faros_replay.Trace.serialize trace))
+       [
+         "reflective_dll_inject"; "applet_ncradle"; "netd_inject_under_server";
+         "process_hollowing";
+       ])
+
+(* Offsets of the u32 fields in [serialize t], and the length they imply:
+   the header's three, then each event's after its tag byte — flow
+   fields, counts, ticks, keys and string lengths. *)
+let u32_fields (t : Faros_replay.Trace.t) =
+  let flow pos = [ pos; pos + 4; pos + 8; pos + 12 ] in
+  let str (fields, pos) data = (pos :: fields, pos + 4 + String.length data) in
+  List.fold_left
+    (fun (fields, pos) (ev : Faros_replay.Trace.event) ->
+      let pos = pos + 1 in
+      match ev with
+      | Key _ -> (pos :: fields, pos + 4)
+      | Answer (_, chunks) ->
+        List.fold_left str (flow pos @ ((pos + 16) :: fields), pos + 20) chunks
+      | Inbound (_, (Inb_connect _ | Inb_fin _)) ->
+        (flow (pos + 4) @ (pos :: fields), pos + 20)
+      | Inbound (_, Inb_data (_, data)) ->
+        str (flow (pos + 4) @ (pos :: fields), pos + 20) data)
+    ([ 4; 8; 12 ], 16) t.events
+
+(* A seed truncated, with 1-4 bytes overwritten, or with one u32 field set
+   to 0xFFFFFFFF. *)
+let arb_mutant =
+  let gen =
+    QCheck.Gen.(
+      let* seed = int_bound 3 in
+      let _, trace, bytes = List.nth (Lazy.force fuzz_seeds) seed in
+      let len = String.length bytes in
+      let edit f =
+        let b = Bytes.of_string bytes in
+        f b;
+        Bytes.to_string b
+      in
+      let* mutant =
+        oneof
+          [
+            map (String.sub bytes 0) (int_bound (len - 1));
+            (let* n = int_range 1 4 in
+             let* edits = list_repeat n (pair (int_bound (len - 1)) char) in
+             return (edit (fun b -> List.iter (fun (i, c) -> Bytes.set b i c) edits)));
+            map
+              (fun i -> edit (fun b -> Bytes.set_int32_le b i 0xFFFFFFFFl))
+              (oneofl (fst (u32_fields trace)));
+          ]
+      in
+      return (seed, mutant))
+  in
+  QCheck.make gen ~print:(fun (seed, m) -> Printf.sprintf "seed %d: %S" seed m)
+
+(* A mutant either fails to parse with [Bad_trace] or replays to a result,
+   diverged or not; any other exception fails the property. *)
+let trace_mutants =
+  QCheck.Test.make ~count:1200 ~name:"a mutated trace parses and replays, or is Bad_trace"
+    arb_mutant (fun (seed, mutant) ->
+      let scn, _, _ = List.nth (Lazy.force fuzz_seeds) seed in
+      match Faros_replay.Trace.parse mutant with
+      | exception Faros_replay.Trace.Bad_trace _ -> true
+      | trace ->
+        ignore (Faros_corpus.Scenario.replay_plain scn trace);
+        true)
+
 let trace_tests =
   [
-    Alcotest.test_case "rx_chunks filters by flow, keeps order" `Quick (fun () ->
+    Alcotest.test_case "packet_count counts answered chunks" `Quick (fun () ->
         let t =
           {
             Faros_replay.Trace.events =
               [
-                Packet (flow 1 2, "a");
+                Answer (flow 1 2, [ "a" ]);
                 Key 65;
-                Packet (flow 3 4, "x");
-                Packet (flow 1 2, "b");
+                Answer (flow 3 4, [ "x" ]);
+                Answer (flow 1 2, []);
+                Answer (flow 1 2, [ "b" ]);
               ];
             final_tick = 0;
             syscall_count = 0;
           }
         in
-        Alcotest.(check (list string))
-          "chunks" [ "a"; "b" ]
-          (Faros_replay.Trace.rx_chunks t (flow 1 2));
         Alcotest.(check (list int)) "keys" [ 65 ] (Faros_replay.Trace.keys t);
         check "packets" 3 (Faros_replay.Trace.packet_count t);
-        check "bytes" 3 (Faros_replay.Trace.total_rx_bytes t));
+        check "bytes" 3 (Faros_replay.Trace.total_rx_bytes t);
+        check "one actor per endpoint" 2 (List.length (Faros_replay.Trace.actors t)));
     Alcotest.test_case "bad trace rejected" `Quick (fun () ->
         List.iter
           (fun s ->
             match Faros_replay.Trace.parse s with
             | exception Faros_replay.Trace.Bad_trace _ -> ()
             | _ -> Alcotest.failf "accepted %S" s)
-          [ ""; "XXXX"; "FTR1\x01" ]);
+          [ ""; "XXXX"; "FTR3\x01" ]);
     Alcotest.test_case "binary payloads survive" `Quick (fun () ->
         let data = String.init 256 Char.chr in
         let t =
           {
-            Faros_replay.Trace.events = [ Packet (flow 1 2, data) ];
+            Faros_replay.Trace.events = [ Answer (flow 1 2, [ data ]) ];
             final_tick = 1;
             syscall_count = 1;
           }
@@ -93,16 +170,17 @@ let trace_tests =
         (* the empty trace *)
         check_b "empty" true
           (roundtrip Faros_replay.Trace.empty = Faros_replay.Trace.empty);
-        (* interleaved flows with zero-length and max-length chunks *)
+        (* interleaved flows with empty answers, zero-length and max-length
+           chunks *)
         let t =
           {
             Faros_replay.Trace.events =
               [
-                Packet (flow 1 2, "");
-                Packet (flow 3 4, String.make max_payload 'x');
-                Packet (flow 1 2, "tail");
+                Answer (flow 1 2, []);
+                Answer (flow 3 4, [ String.make max_payload 'x'; "" ]);
+                Answer (flow 1 2, [ "tail" ]);
                 Key 13;
-                Packet (flow 3 4, "");
+                Answer (flow 3 4, [ "" ]);
               ];
             final_tick = 42;
             syscall_count = 7;
@@ -110,12 +188,16 @@ let trace_tests =
         in
         let t' = roundtrip t in
         check_b "interleaved equal" true (t = t');
-        Alcotest.(check (list string))
-          "flow 1-2 chunks, order kept" [ ""; "tail" ]
-          (Faros_replay.Trace.rx_chunks t' (flow 1 2));
+        check "every chunk counted" 4 (Faros_replay.Trace.packet_count t');
         check "max payload survives" max_payload
           (Faros_replay.Trace.total_rx_bytes t' - 4));
     QCheck_alcotest.to_alcotest trace_roundtrip;
+    Alcotest.test_case "u32 field offsets follow the encoding" `Quick (fun () ->
+        List.iter
+          (fun (_, trace, bytes) ->
+            check "encoded length" (String.length bytes) (snd (u32_fields trace)))
+          (Lazy.force fuzz_seeds));
+    QCheck_alcotest.to_alcotest trace_mutants;
   ]
 
 (* -- record / replay ---------------------------------------------------------- *)
@@ -150,9 +232,15 @@ let replay_tests =
           List.map
             (fun ev ->
               match ev with
-              | Faros_replay.Trace.Packet (f, data) when String.length data > 8 ->
-                Faros_replay.Trace.Packet
-                  (f, String.sub data 0 (String.length data / 2))
+              | Faros_replay.Trace.Answer (f, chunks) ->
+                Faros_replay.Trace.Answer
+                  ( f,
+                    List.map
+                      (fun data ->
+                        if String.length data > 8 then
+                          String.sub data 0 (String.length data / 2)
+                        else data)
+                      chunks )
               | ev -> ev)
             trace.Faros_replay.Trace.events
         in
@@ -213,6 +301,43 @@ let replay_tests =
 
 
 (* -- more replay properties ------------------------------------------------------ *)
+
+module Progs = Faros_corpus.Progs
+module Isa = Faros_vm.Isa
+
+(* Thirty syscalls a probe guest makes only when replay shows it something
+   recording did not, so a replay that does shows in both counts. *)
+let divergent_branch =
+  List.concat
+    [
+      [ Progs.movi Isa.r6 30; Progs.lbl "branch" ];
+      Progs.syscall Faros_os.Syscall.nt_get_tick_count;
+      [
+        Progs.i (Isa.Sub_ri (Isa.r6, 1));
+        Progs.i (Isa.Cmp_ri (Isa.r6, 0));
+        Faros_vm.Asm.Jnz_l "branch";
+      ];
+    ]
+
+let probe_guest ?actors name items =
+  let path = name ^ ".exe" in
+  let image =
+    Faros_os.Pe.of_program ~name:path ~base:Faros_os.Process.image_base
+      (Progs.lbl "start" :: items)
+  in
+  Faros_corpus.Scenario.make ?actors ~images:[ (path, image) ] ~boot:[ path ] name
+
+(* Record the guest, take its trace through the file format, and replay it:
+   the replay must run exactly as the recording did. *)
+let probe_replays_as_recorded ~ticks ~syscalls scn =
+  let _, trace = Faros_corpus.Scenario.record scn in
+  check "recorded ticks" ticks trace.final_tick;
+  check "recorded syscalls" syscalls trace.syscall_count;
+  let trace = Faros_replay.Trace.(parse (serialize trace)) in
+  let r = Faros_corpus.Scenario.replay_plain scn trace in
+  check_b "not diverged" false r.diverged;
+  check "replayed ticks" ticks r.replay_ticks;
+  check "replayed syscalls" syscalls r.replay_syscalls
 
 let more_replay_tests =
   [
@@ -314,6 +439,47 @@ let more_replay_tests =
             "reflective_dll_inject"; "process_hollowing"; "darkcomet_injection";
             "applet_ncradle"; "skype_s0"; "netd_inject_under_server";
           ]);
+    Alcotest.test_case "a reply to a send arrives after the send" `Quick (fun () ->
+        (* The actor answers only sends, and the guest polls before its
+           first one: the poll must read nothing at replay too. *)
+        let actor =
+          {
+            Faros_os.Netstack.actor_name = "pong";
+            actor_ip = Faros_os.Types.Ip.of_string "10.0.0.2";
+            actor_port = 80;
+            on_connect = (fun _ -> []);
+            on_data = (fun _ _ -> [ "pong" ]);
+          }
+        in
+        probe_replays_as_recorded ~ticks:24 ~syscalls:5
+          (probe_guest ~actors:[ actor ] "poller"
+             (List.concat
+                [
+                  Progs.connect_raw ~ip:"10.0.0.2" ~port:80;
+                  [ Progs.movr Isa.r1 Isa.r7 ];
+                  Progs.syscall Faros_os.Syscall.sys_poll;
+                  [ Progs.i (Isa.Cmp_ri (Isa.r0, 1)); Faros_vm.Asm.Jnz_l "talk" ];
+                  divergent_branch;
+                  [ Progs.lbl "talk"; Progs.movr Isa.r1 Isa.r7 ];
+                  [ Progs.lea_label Isa.r2 "ping"; Progs.movi Isa.r3 4 ];
+                  Progs.syscall Faros_os.Syscall.sys_send;
+                  [ Progs.movr Isa.r1 Isa.r7; Progs.lea_label Isa.r2 "buf" ];
+                  [ Progs.movi Isa.r3 16 ];
+                  Progs.syscall Faros_os.Syscall.sys_recv;
+                  [ Progs.halt ];
+                  Progs.cstring "ping" "ping";
+                  Progs.buffer "buf" 16;
+                ])));
+    Alcotest.test_case "a refused connect stays refused" `Quick (fun () ->
+        probe_replays_as_recorded ~ticks:11 ~syscalls:2
+          (probe_guest "unserved"
+             (List.concat
+                [
+                  Progs.connect_raw ~ip:"10.9.9.9" ~port:99;
+                  [ Progs.i (Isa.Cmp_ri (Isa.r0, 0)); Faros_vm.Asm.Jnz_l "done" ];
+                  divergent_branch;
+                  [ Progs.lbl "done"; Progs.halt ];
+                ])));
   ]
 
 let () =
