@@ -22,12 +22,15 @@ let ty_name = function
 
 (* Walk one process's mapped user pages, clipped page by page at the
    kernel region (the stack ends exactly where the shared stubs begin, so
-   [Mmu.mapped_ranges] can merge the two), and coalesce contiguous tainted
-   bytes into runs.  Cost: one page-table and one shadow probe per mapped
-   page, plus a slot scan of the shadow pages that carry taint.  A run's
-   sample provenance is resolved once, and its type union grows only when
-   the interned id changes.  Shadow pages are frame-sized (4 KiB), so one
-   frame's bytes are exactly one shadow page. *)
+   [Mmu.mapped_ranges] can merge the two), and coalesce the shadow's
+   same-id runs into contiguous tainted runs: a run joins the open one
+   when it starts where that one ends (across a page boundary or an id
+   change), and otherwise closes it.  Cost: one page-table and one shadow
+   probe per mapped page, a slot scan of the shadow pages that carry
+   taint, and one step per same-id run.  A run's sample provenance is
+   resolved once, and its type union grows only when the interned id
+   changes.  Shadow pages are frame-sized (4 KiB), so one frame's bytes
+   are exactly one shadow page. *)
 let regions_of_process (faros : Faros_plugin.t) (p : Faros_os.Process.t) =
   let shadow = faros.engine.shadow in
   let store = Faros_dift.Shadow.interner shadow in
@@ -37,7 +40,7 @@ let regions_of_process (faros : Faros_plugin.t) (p : Faros_os.Process.t) =
   let start = ref 0 and len = ref 0 and first = ref 0 in
   let types = ref [] and last = ref 0 in
   let flush () =
-    if !len > 0 then begin
+    if !len > 0 then
       runs :=
         {
           rt_pid = p.pid;
@@ -47,50 +50,41 @@ let regions_of_process (faros : Faros_plugin.t) (p : Faros_os.Process.t) =
           rt_types = !types;
           rt_sample = Faros_dift.Provenance.resolve store !first;
         }
-        :: !runs;
+        :: !runs
+  in
+  let add vaddr n id =
+    if !len = 0 || vaddr <> !start + !len then begin
+      flush ();
+      start := vaddr;
       len := 0;
+      first := id;
       types := [];
       last := 0
+    end;
+    len := !len + n;
+    if id <> !last then begin
+      last := id;
+      types :=
+        List.sort_uniq compare
+          (Faros_dift.Provenance.distinct_types
+             (Faros_dift.Provenance.resolve store id)
+          @ !types)
     end
-  in
-  let scan base id_at =
-    for off = 0 to page_size - 1 do
-      let id = id_at off in
-      if id = 0 then flush ()
-      else begin
-        if !len = 0 then begin
-          start := base + off;
-          first := id
-        end;
-        incr len;
-        if id <> !last then begin
-          last := id;
-          types :=
-            List.sort_uniq compare
-              (Faros_dift.Provenance.distinct_types
-                 (Faros_dift.Provenance.resolve store id)
-              @ !types)
-        end
-      end
-    done
   in
   List.iter
     (fun (vaddr, size) ->
       let pages =
         (min (vaddr + size) Faros_os.Export_table.kernel_base - vaddr) / page_size
       in
-      if pages > 0 then begin
+      if pages > 0 then
         List.iteri
           (fun i pfn ->
-            match
-              Faros_dift.Shadow.live_page shadow (pfn lsl Faros_vm.Mmu.page_shift)
-            with
-            | Some id_at -> scan (vaddr + (i * page_size)) id_at
-            | None -> flush ())
-          (Faros_vm.Mmu.frames_of p.space ~vaddr ~pages);
-        flush ()
-      end)
+            let base = vaddr + (i * page_size) in
+            Faros_dift.Shadow.iter_runs shadow (pfn lsl Faros_vm.Mmu.page_shift)
+              (fun off n id -> add (base + off) n id))
+          (Faros_vm.Mmu.frames_of p.space ~vaddr ~pages))
     (Faros_vm.Mmu.mapped_ranges p.space);
+  flush ();
   List.rev !runs
 
 let tainted_regions (faros : Faros_plugin.t) =

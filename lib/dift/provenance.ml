@@ -62,13 +62,20 @@ type store = {
   union_tbl : (int * int, t) Hashtbl.t;
 }
 
+(* A store starts small and grows by doubling ([register] for the node
+   array, [Hashtbl] on its own).  A campaign job builds one store and
+   interns about 50 lists; at 64 slots every table is a minor-heap block,
+   where a block over 256 words would go straight to the major heap and
+   pace its collector. *)
+let initial_slots = 64
+
 let create_store () =
   {
-    nodes = Array.make 1024 empty;
+    nodes = Array.make initial_slots empty;
     node_count = 1;  (* id 0 is the pre-registered empty list *)
-    cons_tbl = Hashtbl.create 4096;
-    prepend_tbl = Hashtbl.create 4096;
-    union_tbl = Hashtbl.create 4096;
+    cons_tbl = Hashtbl.create initial_slots;
+    prepend_tbl = Hashtbl.create initial_slots;
+    union_tbl = Hashtbl.create initial_slots;
   }
 
 (* The domain-local current store: domains never share an interner, and a

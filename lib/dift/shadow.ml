@@ -242,9 +242,23 @@ let pages t = t.mem_pages
 
 let page_tainted_bytes t paddr = (find t paddr).live
 
-let live_page t paddr =
+(* One pass over the page's slots in place: a run closes where the id
+   changes, and zero slots are skipped. *)
+let iter_runs t paddr f =
   let page = find t paddr in
-  if page.live > 0 then Some (id_at page.data) else None
+  if page.live > 0 then begin
+    let data = page.data in
+    let off = ref 0 in
+    while !off < page_size do
+      let id = id_at data !off in
+      let start = !off in
+      incr off;
+      while !off < page_size && id_at data !off = id do
+        incr off
+      done;
+      if id <> 0 then f start (!off - start) id
+    done
+  end
 
 let page_tainted t paddr = page_tainted_bytes t paddr > 0
 

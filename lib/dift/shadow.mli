@@ -60,13 +60,14 @@ val page_tainted_bytes : t -> int -> int
     never-materialized page).  Kept exact on every mutation path; the
     property suite cross-checks it against a brute-force page scan. *)
 
-val live_page : t -> int -> (int -> int) option
-(** [live_page t paddr] reads the shadow page containing [paddr] when it
-    carries any taint: [Some id_at], where [id_at off] is the interned id
-    ({!interner}; 0 = empty) of the byte at page offset [off].  [None] for
-    a never-materialized page or one whose live count fell back to 0.  One
-    directory index; [id_at] reads the page as it is when called.  The
-    page-at-a-time walk behind the provenance queries. *)
+val iter_runs : t -> int -> (int -> int -> int -> unit) -> unit
+(** [iter_runs t paddr f] calls [f off len id] once for each maximal run
+    of [len] bytes at page offset [off] that share one non-zero interned
+    id ([id], resolved against {!interner}), in ascending [off], on the
+    shadow page containing [paddr].  A run never crosses the page's end.
+    Calls nothing for a never-materialized page or one whose live count
+    fell back to 0.  One directory index, then a scan of the page's slots
+    in place: the page-at-a-time walk behind the provenance queries. *)
 
 val page_tainted : t -> int -> bool
 (** [page_tainted t paddr]: does the shadow page containing [paddr] carry

@@ -550,6 +550,42 @@ let equivalence_tests =
         check_b "both ok" true (Campaign.ok serial && Campaign.ok parallel));
   ]
 
+(* -- what a job allocates ---------------------------------------------------- *)
+
+(* Words allocated straight into the major heap while [f] runs: every
+   block over 256 words ([Max_young_wosize]) goes there and paces the
+   major collector, whose cycles stop every worker domain.  The minor
+   heap's survivors are promoted words, counted apart.  The pool has
+   joined its domains when [Campaign.run] returns, and a joined domain's
+   counts are folded into [Gc.quick_stat]'s. *)
+let direct_major_words f =
+  let words () =
+    let s = Gc.quick_stat () in
+    s.major_words -. s.promoted_words
+  in
+  let before = words () in
+  let r = f () in
+  (r, words () -. before)
+
+let budget_tests =
+  [
+    Alcotest.test_case "a sweep1k job allocates under 32,000 major-heap words"
+      `Quick (fun () ->
+        let samples =
+          List.filteri (fun i _ -> i mod 10 = 0) (Faros_corpus.Registry.sweep1k ())
+        in
+        let campaign () = Campaign.run ~workers:1 samples in
+        (* the first campaign in a process also pays for one-time set-up;
+           from the second on, the figure repeats within a few words a
+           job *)
+        ignore (campaign ());
+        let c, words = direct_major_words campaign in
+        check "every 10th sample" 110 (List.length c.results);
+        let per_job = int_of_float words / List.length c.results in
+        if per_job >= 32_000 then
+          Alcotest.failf "%d major-heap words per job, budget 32,000" per_job);
+  ]
+
 (* -- filtering ------------------------------------------------------------ *)
 
 let glob_tests =
@@ -583,5 +619,6 @@ let () =
       ("campaign", campaign_tests);
       ("campaign-observability", campaign_obs_tests);
       ("equivalence", equivalence_tests);
+      ("allocation", budget_tests);
       ("glob", glob_tests);
     ]
