@@ -35,7 +35,6 @@ type socket = {
   mutable flow : Types.flow option;  (* src = remote, dst = local, as seen by rx *)
   rx : Buffer.t;
   mutable rx_pos : int;
-  mutable connected : bool;
   mutable actor : actor option;  (* the remote endpoint a connect reached *)
   mutable peer : int option;  (* loopback peer socket *)
   mutable listening : bool;
@@ -110,7 +109,6 @@ let socket t =
       flow = None;
       rx = Buffer.create 64;
       rx_pos = 0;
-      connected = false;
       actor = None;
       peer = None;
       listening = false;
@@ -171,17 +169,16 @@ let connect_loopback t (s : socket) ~port ~local_port =
       }
     in
     s.flow <- Some client_flow;
-    s.connected <- true;
     s.peer <- Some server_id;
     server.flow <- Some server_flow;
-    server.connected <- true;
     server.peer <- Some s.sock_id;
     Queue.add server_id listener.pending;
     client_flow
 
 (* Connect to a remote endpoint.  Returns the flow describing inbound data
    (src = remote endpoint, dst = our ephemeral endpoint).  The actor
-   serving the endpoint answers, and the socket keeps it for its sends. *)
+   serving the endpoint answers, and the socket keeps it for its sends.  A
+   refused connect leaves the socket without a flow, so it cannot send. *)
 let connect t id ~ip ~port =
   let s = find t id in
   let local_port = t.next_port in
@@ -191,11 +188,10 @@ let connect t id ~ip ~port =
     let flow =
       { Types.src_ip = ip; src_port = port; dst_ip = t.local_ip; dst_port = local_port }
     in
-    s.flow <- Some flow;
-    s.connected <- true;
-    s.actor <- Hashtbl.find_opt t.actors (ip, port);
-    match s.actor with
+    match Hashtbl.find_opt t.actors (ip, port) with
     | Some actor ->
+      s.flow <- Some flow;
+      s.actor <- Some actor;
       answer t s flow (actor.on_connect flow);
       flow
     | None -> raise (Connection_refused flow)
@@ -285,7 +281,6 @@ let pump t ~tick =
           let conn_id = socket t in
           let conn = find t conn_id in
           conn.flow <- Some flow;
-          conn.connected <- true;
           Hashtbl.replace t.inbound_flows flow conn_id;
           Queue.add conn_id listener.pending;
           true

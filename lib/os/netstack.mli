@@ -78,7 +78,8 @@ val connect : t -> int -> ip:Types.Ip.t -> port:int -> Types.flow
 (** Connect to a remote endpoint.  Returns the flow describing inbound data
     (src = remote, dst = local ephemeral).  The endpoint's actor answers
     the connect, and the socket keeps that actor for its sends.  Raises
-    {!Connection_refused} when no actor serves the endpoint. *)
+    {!Connection_refused} when no actor serves the endpoint, and leaves
+    the socket unconnected: a send on it then has no flow. *)
 
 val send : t -> int -> string -> int
 (** Send guest data; the actor the connect reached answers it.  Returns

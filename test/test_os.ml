@@ -252,6 +252,48 @@ let net_tests =
         let net = Netstack.create ~local_ip:local in
         Alcotest.check_raises "bad" (Netstack.Bad_socket 99) (fun () ->
             ignore (Netstack.recv net 99 ~len:1)));
+    Alcotest.test_case "a refused connect leaves nothing to send on" `Quick
+      (fun () ->
+        (* no actor serves 10.9.9.9:99: the socket gets no flow, so the
+           send that follows returns -1 and emits nothing *)
+        let open Faros_corpus in
+        let image =
+          Pe.of_program ~name:"t.exe" ~base:Process.image_base
+            (List.concat
+               [
+                 [ Progs.lbl "start" ];
+                 Progs.connect_raw ~ip:"10.9.9.9" ~port:99;
+                 [
+                   Progs.movr Faros_vm.Isa.r1 Faros_vm.Isa.r7;
+                   Progs.lea_label Faros_vm.Isa.r2 "msg";
+                   Progs.movi Faros_vm.Isa.r3 4;
+                 ];
+                 Progs.syscall Syscall.sys_send;
+                 [ Progs.halt ];
+                 Progs.cstring "msg" "ping";
+               ])
+        in
+        let scn =
+          Scenario.make ~images:[ ("t.exe", image) ] ~boot:[ "t.exe" ] "refused_send"
+        in
+        let k, trace = Scenario.record scn in
+        check "nothing sent" 0 (List.length (Netstack.sent_traffic k.net));
+        let rets = ref [] and sends = ref 0 in
+        let watch =
+          Faros_replay.Plugin.make "net" ~on_os_event:(function
+            | Os_event.Sys_exit { sysno; ret; _ }
+              when sysno = Syscall.sys_connect || sysno = Syscall.sys_send ->
+              rets := (sysno, ret) :: !rets
+            | Os_event.Net_send _ -> incr sends
+            | _ -> ())
+        in
+        let r = Scenario.replay_with scn ~plugins:(fun _ -> [ watch ]) trace in
+        check_b "not diverged" false r.diverged;
+        Alcotest.(check (list (pair int int)))
+          "connect and send return -1"
+          [ (Syscall.sys_connect, 0xFFFFFFFF); (Syscall.sys_send, 0xFFFFFFFF) ]
+          (List.rev !rets);
+        check "no Net_send" 0 !sends);
   ]
 
 (* -- MiniPE ---------------------------------------------------------------- *)
