@@ -572,10 +572,71 @@ let page_counter_exact =
       done;
       !ok)
 
+(* [iter_runs] against a per-byte walk.  Writes over pages 0-3 of three
+   lists or the empty one, shaped to cross page boundaries, to end on a
+   page's last byte, to change the id inside a tainted stretch and to
+   clear what they wrote; page 4 is always tainted, then emptied, so its
+   live count falls back to 0 on a materialized page, and page 5 is never
+   written. *)
+let iter_runs_exact =
+  let ps = Shadow.page_size in
+  let write =
+    QCheck.Gen.(
+      let* p = int_bound 3 and* pno = int_range 1 3 and* w = int_range 1 48 in
+      oneof
+        [
+          (* across the boundary into page [pno] *)
+          map (fun k -> [ ((pno * ps) - k, w + k, p) ]) (int_range 1 48);
+          (* ending on page [pno - 1]'s last byte *)
+          return [ ((pno * ps) - w, w, p) ];
+          (* two adjacent lists: the id changes mid-stretch *)
+          map
+            (fun (off, q) -> [ (off, w, p); (off + w, w, q) ])
+            (pair (int_bound ((4 * ps) - 97)) (int_bound 3));
+          map (fun off -> [ (off, w, p) ]) (int_bound ((4 * ps) - 49));
+        ])
+  in
+  let print ws =
+    String.concat "; "
+      (List.map
+         (fun (a, w, p) -> Printf.sprintf "0x%x+%d<-%d" a w p)
+         (List.concat ws))
+  in
+  QCheck.Test.make ~count:200 ~name:"iter_runs reports the runs of a per-byte walk"
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 1 12) write))
+    (fun ws ->
+      let provs =
+        [|
+          pl [ Tag.Netflow 0 ]; pl [ Tag.File 1 ]; pl [ Tag.Netflow 0; Tag.Process 2 ];
+          Provenance.empty;
+        |]
+      in
+      let s = Shadow.create () in
+      let set (a, w, p) = Shadow.set_mem_range s a w provs.(p) in
+      List.iter (List.iter set) ws;
+      set ((4 * ps) + 100, 20, 0);
+      set ((4 * ps) + 100, 20, 3);
+      List.for_all
+        (fun pno ->
+          let base = pno * ps in
+          let walked = ref [] in
+          for off = ps - 1 downto 0 do
+            let id = Provenance.id (Shadow.get_mem s (base + off)) in
+            match !walked with
+            | (o, n, i) :: rest when id <> 0 && i = id && o = off + 1 ->
+              walked := (off, n + 1, id) :: rest
+            | runs -> if id <> 0 then walked := (off, 1, id) :: runs
+          done;
+          let runs = ref [] in
+          Shadow.iter_runs s (base + 5) (fun off n id -> runs := (off, n, id) :: !runs);
+          List.rev !runs = !walked)
+        [ 0; 1; 2; 3; 4; 5 ])
+
 let shadow_prop_tests =
   [
     QCheck_alcotest.to_alcotest shadow_range_roundtrip;
     QCheck_alcotest.to_alcotest page_counter_exact;
+    QCheck_alcotest.to_alcotest iter_runs_exact;
   ]
 
 (* -- engine ------------------------------------------------------------------ *)

@@ -308,6 +308,74 @@ let sample_image () =
       Faros_vm.Asm.I Faros_vm.Isa.Halt;
     ]
 
+(* -- MiniPE decoder totality ------------------------------------------------ *)
+
+(* Every distinct image the corpus installs, serialized. *)
+let pe_seeds =
+  lazy
+    (List.concat_map
+       (fun (s : Faros_corpus.Registry.sample) -> List.map snd s.scenario.images)
+       (Faros_corpus.Registry.all ())
+    |> List.map (fun img -> (img, Pe.serialize img))
+    |> List.sort_uniq (fun (_, a) (_, b) -> compare a b)
+    |> Array.of_list)
+
+let pe_exports = lazy (Export_table.build (Faros_vm.Machine.create ()))
+
+(* Offsets of the u32 fields in [Pe.serialize img] (string lengths,
+   addresses, flags and counts) and the length they imply. *)
+let pe_u32_fields (img : Pe.t) =
+  let u32 (fields, pos) = (pos :: fields, pos + 4) in
+  let str acc s =
+    let fields, pos = u32 acc in
+    (fields, pos + String.length s)
+  in
+  let named acc (n, _) = u32 (str acc n) in
+  let acc = u32 (u32 (u32 (str ([], 4) img.img_name))) in
+  let acc =
+    List.fold_left
+      (fun acc (s : Pe.section) -> str (u32 (u32 (str acc s.sec_name))) s.sec_data)
+      acc img.sections
+  in
+  List.fold_left named (u32 (List.fold_left named (u32 acc) img.imports)) img.exports
+
+(* A seed truncated, with 1-4 bytes overwritten, or with one u32 field set
+   to 0xFFFFFFFF. *)
+let arb_pe_mutant =
+  let gen =
+    QCheck.Gen.(
+      let* img, bytes = oneofa (Lazy.force pe_seeds) in
+      let len = String.length bytes in
+      let edit f =
+        let b = Bytes.of_string bytes in
+        f b;
+        Bytes.to_string b
+      in
+      oneof
+        [
+          map (String.sub bytes 0) (int_bound (len - 1));
+          (let* n = int_range 1 4 in
+           let* edits = list_repeat n (pair (int_bound (len - 1)) char) in
+           return (edit (fun b -> List.iter (fun (i, c) -> Bytes.set b i c) edits)));
+          map
+            (fun i -> edit (fun b -> Bytes.set_int32_le b i 0xFFFFFFFFl))
+            (oneofl (fst (pe_u32_fields img)));
+        ])
+  in
+  QCheck.make gen ~print:(Printf.sprintf "%S")
+
+(* [Pe.parse] returns or raises [Bad_image]; what it returns, the
+   loader's layout and import check accepts or refuses with [Bad_image]
+   or [Unresolved_import].  Any other exception fails the property. *)
+let pe_mutants =
+  QCheck.Test.make ~count:1000 ~name:"a mutated image parses and checks, or is refused"
+    arb_pe_mutant (fun mutant ->
+      match Pe.parse mutant with
+      | exception Pe.Bad_image _ -> true
+      | img -> (
+        match Loader.check (Lazy.force pe_exports) img with
+        | () | (exception (Pe.Bad_image _ | Loader.Unresolved_import _)) -> true))
+
 let pe_tests =
   [
     Alcotest.test_case "serialize/parse roundtrip" `Quick (fun () ->
@@ -341,6 +409,12 @@ let pe_tests =
     Alcotest.test_case "mapped_pages covers the span" `Quick (fun () ->
         let img = sample_image () in
         check_b "at least one page" true (Pe.mapped_pages img >= 1));
+    Alcotest.test_case "u32 field offsets follow the encoding" `Quick (fun () ->
+        Array.iter
+          (fun (img, bytes) ->
+            check "encoded length" (String.length bytes) (snd (pe_u32_fields img)))
+          (Lazy.force pe_seeds));
+    QCheck_alcotest.to_alcotest pe_mutants;
   ]
 
 (* -- export table / kernel region ------------------------------------------ *)
