@@ -242,8 +242,6 @@ let pages t = t.mem_pages
 
 let page_tainted_bytes t paddr = (find t paddr).live
 
-(* One pass over the page's slots in place: a run closes where the id
-   changes, and zero slots are skipped. *)
 let iter_runs t paddr f =
   let page = find t paddr in
   if page.live > 0 then begin
